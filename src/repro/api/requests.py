@@ -13,6 +13,7 @@ response types).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
@@ -39,6 +40,15 @@ def _check_spec(spec: str) -> str:
             f"unknown hardware spec {spec!r}; valid specs: {tuple(sorted(GPU_SPECS))}"
         )
     return spec
+
+
+def _reject_nan(request: object, *fields: str) -> None:
+    """Fail at the boundary on a NaN knob: every comparison with NaN is
+    false, so deeper range checks would let it through silently."""
+    for name in fields:
+        value = getattr(request, name)
+        if isinstance(value, float) and math.isnan(value):
+            raise ConfigurationError(f"{name} must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,7 @@ class DecisionRequest:
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.power_cap_w is not None:
             object.__setattr__(self, "power_cap_w", float(self.power_cap_w))
+        _reject_nan(self, "power_cap_w", "alpha")
 
     @property
     def group_size(self) -> int:
@@ -141,6 +152,16 @@ class SimulationRequest:
             raise ConfigurationError(
                 f"unknown job mix {self.mix!r}; valid mixes: {tuple(sorted(JOB_MIXES))}"
             )
+        _reject_nan(
+            self,
+            "arrival_rate_per_s",
+            "duration_s",
+            "burst_size",
+            "power_cap_w",
+            "alpha",
+            "repartition_latency_s",
+            "power_budget_w",
+        )
         if self.burst_size is not None and self.burst_size <= 0:
             raise ConfigurationError(
                 f"burst_size must be positive, got {self.burst_size}"

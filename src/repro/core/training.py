@@ -467,8 +467,14 @@ def collect_solo_measurements(
     options: Sequence[MemoryOption] = (MemoryOption.PRIVATE, MemoryOption.SHARED),
     power_caps: Sequence[float] = DEFAULT_POWER_CAPS,
 ) -> list[SoloMeasurement]:
-    """Execute the solo training sweep and return its measurements."""
-    measurements: list[SoloMeasurement] = []
+    """Execute the solo training sweep and return its measurements.
+
+    The whole sweep is one :meth:`PerformanceSimulator.co_run_batch` call;
+    the measurements come out in sweep order.
+    """
+    sweep: list[
+        tuple[KernelCharacteristics, CounterVector, PartitionState, int, float, int]
+    ] = []
     for kernel in kernels:
         counters = simulator.profile(kernel)
         for option in options:
@@ -476,19 +482,22 @@ def collect_solo_measurements(
                 state = solo_state(gpcs, option)
                 mem_slices = state.mem_slices_for(0, simulator.spec)
                 for power_cap in power_caps:
-                    run = simulator.solo_run(kernel, state, power_cap)
-                    measurements.append(
-                        SoloMeasurement(
-                            kernel_name=kernel.name,
-                            counters=counters,
-                            gpcs=gpcs,
-                            option=MemoryOption(option),
-                            power_cap_w=float(power_cap),
-                            relative_performance=run.relative_performance,
-                            mem_slices=mem_slices,
-                        )
-                    )
-    return measurements
+                    sweep.append((kernel, counters, state, gpcs, power_cap, mem_slices))
+    runs = simulator.co_run_batch(
+        [((kernel,), state, power_cap) for kernel, _, state, _, power_cap, _ in sweep]
+    )
+    return [
+        SoloMeasurement(
+            kernel_name=kernel.name,
+            counters=counters,
+            gpcs=gpcs,
+            option=state.option,
+            power_cap_w=float(power_cap),
+            relative_performance=run.per_app[0].relative_performance,
+            mem_slices=mem_slices,
+        )
+        for (kernel, counters, state, gpcs, power_cap, mem_slices), run in zip(sweep, runs)
+    ]
 
 
 def collect_corun_measurements(
@@ -502,8 +511,18 @@ def collect_corun_measurements(
     ``kernel_pairs`` may contain groups of any size; each group is only run
     under the states describing the same number of applications, so a mixed
     collection of pair and N-way training workloads can share one grid.
+    The whole sweep is one :meth:`PerformanceSimulator.co_run_batch` call;
+    the measurements come out in sweep order.
     """
-    measurements: list[CoRunMeasurement] = []
+    sweep: list[
+        tuple[
+            tuple[KernelCharacteristics, ...],
+            tuple[str, ...],
+            tuple[CounterVector, ...],
+            PartitionState,
+            float,
+        ]
+    ] = []
     for kernels in kernel_pairs:
         counters = tuple(simulator.profile(kernel) for kernel in kernels)
         names = tuple(kernel.name for kernel in kernels)
@@ -511,14 +530,17 @@ def collect_corun_measurements(
             if state.n_apps != len(kernels):
                 continue
             for power_cap in power_caps:
-                result = simulator.co_run(list(kernels), state, power_cap)
-                measurements.append(
-                    CoRunMeasurement(
-                        kernel_names=names,
-                        counters=counters,
-                        state=state,
-                        power_cap_w=float(power_cap),
-                        relative_performances=result.relative_performances,
-                    )
-                )
-    return measurements
+                sweep.append((tuple(kernels), names, counters, state, power_cap))
+    results = simulator.co_run_batch(
+        [(kernels, state, power_cap) for kernels, _, _, state, power_cap in sweep]
+    )
+    return [
+        CoRunMeasurement(
+            kernel_names=names,
+            counters=counters,
+            state=state,
+            power_cap_w=float(power_cap),
+            relative_performances=result.relative_performances,
+        )
+        for (_, names, counters, state, power_cap), result in zip(sweep, results)
+    ]

@@ -10,7 +10,9 @@ analytically:
   utilization of the CUDA cores, Tensor Cores, and DRAM bandwidth.
 * :meth:`PowerModel.max_frequency_under_cap` plays the role of the driver's
   governor: it finds the highest (quantized) clock at which the modelled
-  power stays under the cap.
+  power stays under the cap.  :meth:`PowerModel.max_frequencies_under_caps`
+  is its array form, which runs one governor per row in lockstep for the
+  offline training sweeps.
 
 The power decomposition is deliberately simple but captures the effects that
 drive the paper's observations:
@@ -29,10 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.errors import ConfigurationError
 from repro.gpu.clocks import DVFSModel
 from repro.gpu.spec import A100_SPEC, GPUSpec
 from repro.units import clamp
+
+#: Bisection convergence tolerance of the governor, on the relative
+#: frequency.  Both governor forms stop on it, which keeps the array form
+#: bit-identical to the scalar one.
+_GOVERNOR_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,38 @@ class InstanceLoad:
 #: Backwards-compatible alias — a GPC-granularity load is just an
 #: :class:`InstanceLoad` with ``n_gpcs`` GPCs.
 GPCLoad = InstanceLoad
+
+FloatArray = npt.NDArray[np.float64]
+
+
+@dataclass(frozen=True)
+class InstanceLoads:
+    """:class:`InstanceLoad` in array form, with the same range checks.
+
+    Entry ``[r, i]`` of each array describes instance ``i`` of row ``r``;
+    a row is one operating point of one run.
+    """
+
+    n_gpcs: npt.NDArray[np.int64]
+    cuda_utilization: FloatArray
+    tensor_utilization: FloatArray
+    dram_bw_fraction: FloatArray
+
+    def __post_init__(self) -> None:
+        if np.any(self.n_gpcs <= 0):
+            raise ConfigurationError(
+                f"n_gpcs must be positive, got {self.n_gpcs[self.n_gpcs <= 0][0]}"
+            )
+        for name, values in (
+            ("cuda_utilization", self.cuda_utilization),
+            ("tensor_utilization", self.tensor_utilization),
+            ("dram_bw_fraction", self.dram_bw_fraction),
+        ):
+            outside = ~((-1e-9 <= values) & (values <= 1.0 + 1e-9))
+            if np.any(outside):
+                raise ConfigurationError(
+                    f"{name} must be in [0, 1], got {values[outside][0]}"
+                )
 
 
 @dataclass(frozen=True)
@@ -186,6 +228,52 @@ class PowerModel:
         """Total chip power in watts at the given operating point."""
         return self.breakdown(loads, relative_frequency, powered_gpcs).total_w
 
+    def total_powers(
+        self,
+        loads: InstanceLoads,
+        relative_frequencies: FloatArray,
+        powered_gpcs: int,
+    ) -> FloatArray:
+        """Row-wise :meth:`total_power`, one operating point per row.
+
+        Each row adds its instances one at a time in column order, as
+        :meth:`breakdown` does, and scales them by the scalar
+        :meth:`DVFSModel.dynamic_power_scale`, so every entry equals
+        :meth:`total_power` of that row's loads bit for bit.
+        """
+        spec = self._spec
+        if not (0 < powered_gpcs <= spec.n_gpcs):
+            raise ConfigurationError(
+                f"powered_gpcs must be in (0, {spec.n_gpcs}], got {powered_gpcs}"
+            )
+        scale = np.array(
+            [self._dvfs.dynamic_power_scale(f) for f in relative_frequencies.tolist()]
+        )
+        busy_gpcs: npt.NDArray[np.int64] = np.zeros(scale.shape, dtype=np.int64)
+        gpc_dynamic: FloatArray = np.zeros(scale.shape)
+        total_bw_fraction: FloatArray = np.zeros(scale.shape)
+        for i in range(loads.n_gpcs.shape[1]):
+            per_gpc = (
+                spec.gpc_cuda_power_w * loads.cuda_utilization[:, i]
+                + spec.gpc_tensor_power_w * loads.tensor_utilization[:, i]
+            )
+            gpc_dynamic += loads.n_gpcs[:, i] * per_gpc * scale
+            total_bw_fraction += loads.dram_bw_fraction[:, i]
+            busy_gpcs += loads.n_gpcs[:, i]
+        if np.any(busy_gpcs > powered_gpcs):
+            raise ConfigurationError(
+                f"loads occupy {busy_gpcs.max()} GPCs but only {powered_gpcs} are powered"
+            )
+        clamped_bw_fraction = np.maximum(0.0, np.minimum(total_bw_fraction, 1.0))
+        total: FloatArray = (
+            spec.static_power_w
+            + powered_gpcs * spec.gpc_idle_power_w
+            + gpc_dynamic
+            + spec.hbm_idle_power_w
+            + spec.hbm_dynamic_power_w * clamped_bw_fraction
+        )
+        return total
+
     def idle_power(self, powered_gpcs: int | None = None) -> float:
         """Chip power with every pipe idle (no kernels running)."""
         return self.breakdown([], self._spec.min_relative_frequency, powered_gpcs).total_w
@@ -198,7 +286,7 @@ class PowerModel:
         loads_at: Callable[[float], Sequence[InstanceLoad]],
         power_cap_w: float,
         powered_gpcs: int | None = None,
-        tolerance: float = 1e-4,
+        tolerance: float = _GOVERNOR_TOLERANCE,
     ) -> float:
         """Highest quantized relative frequency whose power fits under the cap.
 
@@ -248,4 +336,45 @@ class PowerModel:
         # against pathological cases where flooring is not possible.
         if power(selected) > power_cap_w + 1e-6 and selected > self._spec.min_relative_frequency:
             selected = self._dvfs.quantize(max(self._spec.min_relative_frequency, lo - self._spec.clock_step_ghz / self._spec.max_clock_ghz))
+        return selected
+
+    def max_frequencies_under_caps(
+        self,
+        power_at: Callable[[npt.NDArray[np.intp], FloatArray], FloatArray],
+        power_caps_w: Sequence[float],
+    ) -> FloatArray:
+        """:meth:`max_frequency_under_cap` for many rows at once, in lockstep.
+
+        ``power_at(rows, frequencies)`` returns the chip power of each of
+        ``rows`` (indices into ``power_caps_w``) at its own relative
+        frequency.  Every row takes the scalar governor's path: the same
+        exit (uncapped, floor or bisection), the same bisection steps with
+        a per-row stopping test, the same quantization on Python floats and
+        the same floor guard, so entry ``r`` equals what
+        :meth:`max_frequency_under_cap` selects for row ``r`` at its
+        default tolerance.
+        """
+        caps = np.array([self._spec.validate_power_cap(cap) for cap in power_caps_w])
+        floor = self._spec.min_relative_frequency
+        selected: FloatArray = np.ones(caps.shape)
+        rows: npt.NDArray[np.intp] = np.arange(caps.size)
+        rows = rows[~(power_at(rows, np.ones(rows.shape)) <= caps)]
+        floored = power_at(rows, np.full(rows.shape, floor)) > caps[rows]
+        selected[rows[floored]] = self._dvfs.quantize(floor)
+        rows = rows[~floored]
+        lo = np.full(rows.shape, floor)
+        hi = np.ones(rows.shape)
+        live = hi - lo > _GOVERNOR_TOLERANCE
+        while np.any(live):
+            mid = 0.5 * (lo[live] + hi[live])
+            fits = power_at(rows[live], mid) <= caps[rows[live]]
+            lo[live] = np.where(fits, mid, lo[live])
+            hi[live] = np.where(fits, hi[live], mid)
+            live = hi - lo > _GOVERNOR_TOLERANCE
+        chosen = np.array([self._dvfs.quantize(f) for f in lo.tolist()])
+        over = power_at(rows, chosen) > caps[rows] + 1e-6
+        step = self._spec.clock_step_ghz / self._spec.max_clock_ghz
+        for j in np.flatnonzero(over & (chosen > floor)).tolist():
+            chosen[j] = self._dvfs.quantize(max(floor, float(lo[j]) - step))
+        selected[rows] = chosen
         return selected

@@ -17,8 +17,8 @@ RL002     iteration over an unordered ``set``/``frozenset`` where the
 RL003     a class with a ``version`` membership counter whose method
           mutates memo-feeding container state without bumping it
 RL004     numpy reductions (``np.sum``/``arr.sum()``/``sum(arr)``) in
-          parity-pinned power-budget modules instead of the pinned
-          ``float(sum(arr.tolist()))`` sequential idiom
+          parity-pinned power-budget and engine modules instead of
+          sequential, index-order summation
 RL005     non-frozen dataclasses on the ``repro.api`` surface, and
           mutable default arguments anywhere
 RL006     global-state randomness (``random.*`` / ``np.random.*``)
@@ -446,33 +446,34 @@ class VersionCounterCoherenceRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RL004 — parity-pinned float reductions in power-budget paths
+# RL004 — parity-pinned float reductions in power-budget and engine paths
 # ----------------------------------------------------------------------
 @register
 class FloatReductionDisciplineRule(Rule):
-    """numpy reductions where the power-budget parity pin requires
-    sequential summation.
+    """numpy reductions where a parity pin requires sequential summation.
 
     ``np.sum`` uses pairwise reduction whose grouping — and therefore the
-    exact float result — depends on array shape and backend; the
+    exact float result — depends on array shape and backend.  The
     power-budget invariants are pinned to the sequential
     ``float(sum(arr.tolist()))`` idiom, which adds plain Python floats
-    left to right.
+    left to right, and the engine's lockstep solve must add pool and load
+    terms member by member in index order to stay bit-identical to the
+    scalar solve.
     """
 
     rule_id = "RL004"
-    title = "numpy reduction in a parity-pinned power-budget path"
+    title = "numpy reduction in a parity-pinned power-budget or engine path"
     severity = Severity.ERROR
     rationale = (
         "np.sum's pairwise grouping changes the float result with array "
-        "shape; the power-budget parity pins require the sequential "
-        "float(sum(arr.tolist())) idiom"
+        "shape; the power-budget and engine parity pins require sequential "
+        "summation (float(sum(arr.tolist())), or column by column)"
     )
-    path_patterns = ("powerbudget", "/events/", "gpu/power")
+    path_patterns = ("powerbudget", "/events/", "gpu/power", "sim/engine")
 
     _message = (
-        "parity-pinned power-budget reduction: use the sequential "
-        "float(sum(arr.tolist())) idiom instead of a numpy reduction "
+        "parity-pinned reduction: add sequentially (float(sum(arr.tolist())), "
+        "or column by column in index order) instead of a numpy reduction "
         "(pairwise summation is shape-dependent)"
     )
 

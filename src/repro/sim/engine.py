@@ -16,18 +16,27 @@ these pieces (bandwidth shares depend on elapsed times, elapsed times depend
 on the clock, the clock depends on utilizations, utilizations depend on
 elapsed times) with a small fixed-point iteration nested inside the
 governor's bisection.
+
+:meth:`PerformanceSimulator.co_run_batch` solves many runs at once for the
+offline training sweeps: runs sharing a pool layout go through the governor
+and the fixed point as NumPy arrays, one row per run, with every float
+operation in the scalar solve's order, so each result is bit-identical to
+:meth:`PerformanceSimulator.co_run`'s.
 """
 
 from __future__ import annotations
 
+import sys
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.gpu.mig import MemoryOption, PartitionState, solo_state
-from repro.gpu.power import InstanceLoad, PowerModel
+from repro.gpu.power import InstanceLoad, InstanceLoads, PowerModel
 from repro.gpu.spec import A100_SPEC, GPUSpec
 from repro.sim.counters import CounterVector, collect_counters
 from repro.sim.interference import InterferenceModel
@@ -46,6 +55,13 @@ _DAMPING = 0.6
 #: Entries kept in the run-result memo (distinct (kernels, state, cap)
 #: combinations; a bounded application mix stays far below this).
 _RUN_CACHE_SIZE = 4096
+
+#: Whether the built-in ``sum`` compensates float additions (Neumaier's
+#: algorithm, CPython 3.12+) rather than adding left to right.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+#: One co-run request of :meth:`PerformanceSimulator.co_run_batch`.
+RunRequest = tuple[Sequence[KernelCharacteristics], PartitionState, float | None]
 
 
 @dataclass
@@ -212,36 +228,75 @@ class PerformanceSimulator:
         states with several shared GPU Instances are resolved with one
         bandwidth pool per instance.
         """
-        if state.n_apps != len(kernels):
-            raise SimulationError(
-                f"state {state.describe()} describes {state.n_apps} applications "
-                f"but {len(kernels)} kernels were supplied"
-            )
+        _check_group(kernels, state)
         return self._run(state, tuple(kernels), power_cap_w)
+
+    def co_run_batch(self, runs: Sequence[RunRequest]) -> list[CoRunResult]:
+        """Co-execute many groups: ``[self.co_run(k, s, c) for k, s, c in runs]``.
+
+        The result list, and the run memo afterwards (its entries and their
+        LRU order), are exactly what that scalar loop produces.  Runs the
+        memo cannot answer are solved together: placements are built once
+        per (group, state) rather than once per cap, and runs that share a
+        pool layout go through the power-cap governor and the bandwidth
+        fixed point in lockstep, one array row per run, with every float
+        operation in the scalar solve's order.  This is the offline
+        training sweeps' entry point; one-at-a-time callers (the event
+        loop) should keep calling :meth:`co_run`.
+        """
+        keyed: list[tuple[tuple, tuple[KernelCharacteristics, ...], PartitionState, float]] = []
+        for kernels, state, power_cap_w in runs:
+            _check_group(kernels, state)
+            group = tuple(kernels)
+            cap = self._cap(power_cap_w)
+            keyed.append((self._run_key(group, state, cap), group, state, cap))
+        # A memo entry present now answers its key for the whole batch: if
+        # the batch evicts it before a later repeat, the scalar loop would
+        # re-solve that run to an equal result.
+        known: dict[tuple, CoRunResult] = {}
+        pending: dict[tuple, tuple[tuple[KernelCharacteristics, ...], PartitionState, float]] = {}
+        for key, group, state, cap in keyed:
+            cached = self._run_cache.get(key)
+            if cached is not None:
+                known[key] = cached
+            else:
+                pending.setdefault(key, (group, state, cap))
+        known.update(self._solve_pending(pending))
+        # Replay the scalar loop's memo traffic, run by run.
+        results: list[CoRunResult] = []
+        for key, *_ in keyed:
+            result = self._run_cache.get(key)
+            if result is None:
+                result = known[key]
+                self._remember(key, result)
+            else:
+                self._run_cache.move_to_end(key)
+            results.append(result)
+        return results
 
     # ------------------------------------------------------------------
     # Internal machinery
     # ------------------------------------------------------------------
-    def _run(
+    def _cap(self, power_cap_w: float | None) -> float:
+        if power_cap_w is None:
+            return self._spec.default_power_limit_w
+        return self._spec.validate_power_cap(power_cap_w)
+
+    def _run_key(
         self,
-        state: PartitionState,
         kernels: tuple[KernelCharacteristics, ...],
-        power_cap_w: float | None,
-    ) -> CoRunResult:
-        cap = (
-            self._spec.default_power_limit_w
-            if power_cap_w is None
-            else self._spec.validate_power_cap(power_cap_w)
-        )
-        # Every input below is deterministic — the roofline/interference/power
-        # pipeline is a pure function of (kernels, state, cap) and the noise
-        # model derives its perturbation from a content hash, not an RNG
-        # stream — so identical runs can be answered from a memo.  The key
-        # captures kernels *behaviourally* (dataclass fields, not identity),
-        # includes ``state.label`` (``state.key()`` ignores it but the result
-        # embeds the state object), and pins the noise parameters in case the
-        # model is swapped in place.
-        cache_key = (
+        state: PartitionState,
+        cap: float,
+    ) -> tuple:
+        # Every input of a run is deterministic — the roofline/interference/
+        # power pipeline is a pure function of (kernels, state, cap) and the
+        # noise model derives its perturbation from a content hash, not an
+        # RNG stream — so identical runs can be answered from a memo.  The
+        # key captures kernels *behaviourally* (dataclass fields, not
+        # identity), includes ``state.label`` (``state.key()`` ignores it but
+        # the result embeds the state object), and pins the noise parameters
+        # in case the model is swapped in place.
+        return (
             tuple(self._kernel_signature(kernel) for kernel in kernels),
             state.key(),
             state.label,
@@ -249,6 +304,20 @@ class PerformanceSimulator:
             self._noise.sigma,
             self._noise.seed,
         )
+
+    def _remember(self, key: tuple, result: CoRunResult) -> None:
+        self._run_cache[key] = result
+        if len(self._run_cache) > _RUN_CACHE_SIZE:
+            self._run_cache.popitem(last=False)
+
+    def _run(
+        self,
+        state: PartitionState,
+        kernels: tuple[KernelCharacteristics, ...],
+        power_cap_w: float | None,
+    ) -> CoRunResult:
+        cap = self._cap(power_cap_w)
+        cache_key = self._run_key(kernels, state, cap)
         cached = self._run_cache.get(cache_key)
         if cached is not None:
             self._run_cache.move_to_end(cache_key)
@@ -259,11 +328,22 @@ class PerformanceSimulator:
         placements = self._build_placements(state, kernels)
         powered_gpcs = self._spec.mig_gpcs
         solved, frequency, chip_power = self._solve(placements, cap, powered_gpcs)
+        result = self._assemble(state, kernels, cap, solved, frequency, chip_power)
+        self._remember(cache_key, result)
+        return result
 
+    def _assemble(
+        self,
+        state: PartitionState,
+        kernels: tuple[KernelCharacteristics, ...],
+        cap: float,
+        solved: Sequence[_SolvedPlacement],
+        frequency: float,
+        chip_power: float,
+    ) -> CoRunResult:
+        """The run's result record: noisy measurements of a solved run."""
         per_app: list[RunResult] = []
-        for index, (kernel, placement, solution) in enumerate(
-            zip(kernels, placements, solved)
-        ):
+        for index, (kernel, solution) in enumerate(zip(kernels, solved)):
             reference = self.reference_time(kernel)
             noise_key = (
                 kernel.name,
@@ -292,17 +372,13 @@ class PerformanceSimulator:
                     bound=bound_of(solution.components),
                 )
             )
-        result = CoRunResult(
+        return CoRunResult(
             state=state,
             power_cap_w=cap,
             per_app=tuple(per_app),
             chip_power_w=chip_power,
             relative_frequency=frequency,
         )
-        self._run_cache[cache_key] = result
-        if len(self._run_cache) > _RUN_CACHE_SIZE:
-            self._run_cache.popitem(last=False)
-        return result
 
     def _kernel_signature(self, kernel: KernelCharacteristics) -> tuple:
         """Hashable snapshot of every kernel field the pipeline reads.
@@ -488,23 +564,12 @@ class PerformanceSimulator:
             for i in shared_indices:
                 elapsed[i] = max(compute_times[i], memory_times[i]) + serial_times[i]
 
-        solved: list[_SolvedPlacement] = []
-        for i in range(n):
-            components = TimeComponents(
-                compute_s=compute_times[i],
-                memory_s=memory_times[i],
-                serial_s=serial_times[i],
+        return [
+            _solved_placement(
+                compute_times[i], memory_times[i], serial_times[i], memory_full[i]
             )
-            total = elapsed_time(components)
-            dram_bw_fraction = memory_full[i] / total if total > 0 else 0.0
-            solved.append(
-                _SolvedPlacement(
-                    components=components,
-                    elapsed_s=total,
-                    dram_bw_fraction=min(1.0, dram_bw_fraction),
-                )
-            )
-        return solved
+            for i in range(n)
+        ]
 
     def _loads_from_solution(
         self,
@@ -528,3 +593,275 @@ class PerformanceSimulator:
                 )
             )
         return loads
+
+    # ------------------------------------------------------------------
+    # Lockstep solve (co_run_batch)
+    # ------------------------------------------------------------------
+    def _solve_pending(
+        self,
+        pending: dict[tuple, tuple[tuple[KernelCharacteristics, ...], PartitionState, float]],
+    ) -> dict[tuple, CoRunResult]:
+        """Results of the runs the memo cannot answer, keyed like the memo."""
+        powered_gpcs = self._spec.mig_gpcs
+        # key[:2] is (kernel signatures, state content): placements depend
+        # on neither the cap nor the label, so each (group, state) is
+        # placed once and its runs at every cap share the placements.
+        shapes: dict[tuple, tuple[list[_Placement], tuple]] = {}
+        by_layout: dict[tuple, list[tuple]] = {}
+        results: dict[tuple, CoRunResult] = {}
+        for key, (kernels, state, cap) in pending.items():
+            shape = shapes.get(key[:2])
+            if shape is None:
+                state.validate_against(self._spec)
+                placements = self._build_placements(state, kernels)
+                shape = shapes[key[:2]] = (placements, _pool_layout(placements))
+            by_layout.setdefault(shape[1], []).append((key, kernels, state, cap))
+        for layout, runs in by_layout.items():
+            rows = _LockstepRows(self._spec, layout, shapes, [run[0][:2] for run in runs])
+
+            def power_at(index: np.ndarray, frequency: np.ndarray) -> np.ndarray:
+                loads = rows.loads(index, *rows.solve(index, frequency))
+                return self._power.total_powers(loads, frequency, powered_gpcs)
+
+            frequencies = self._power.max_frequencies_under_caps(
+                power_at, [run[3] for run in runs]
+            )
+            everyone = np.arange(len(runs))
+            compute, memory = rows.solve(everyone, frequencies)
+            chip_powers = self._power.total_powers(
+                rows.loads(everyone, compute, memory), frequencies, powered_gpcs
+            )
+            for (key, kernels, state, cap), solved, frequency, chip_power in zip(
+                runs,
+                rows.solved_placements(compute, memory),
+                frequencies.tolist(),
+                chip_powers.tolist(),
+            ):
+                results[key] = self._assemble(
+                    state, kernels, cap, solved, frequency, chip_power
+                )
+        return results
+
+
+def _check_group(kernels: Sequence[KernelCharacteristics], state: PartitionState) -> None:
+    if state.n_apps != len(kernels):
+        raise SimulationError(
+            f"state {state.describe()} describes {state.n_apps} applications "
+            f"but {len(kernels)} kernels were supplied"
+        )
+
+
+def _solved_placement(
+    compute_s: float, memory_s: float, serial_s: float, memory_full_s: float
+) -> _SolvedPlacement:
+    components = TimeComponents(compute_s=compute_s, memory_s=memory_s, serial_s=serial_s)
+    total = elapsed_time(components)
+    dram_bw_fraction = memory_full_s / total if total > 0 else 0.0
+    return _SolvedPlacement(
+        components=components,
+        elapsed_s=total,
+        dram_bw_fraction=min(1.0, dram_bw_fraction),
+    )
+
+
+def _pool_layout(placements: Sequence[_Placement]) -> tuple:
+    """The shared pools ``_solve_at_frequency`` iterates, as index tuples.
+
+    Runs with the same layout can share one lockstep solve.
+    """
+    pools: dict[int, list[int]] = {}
+    for index, placement in enumerate(placements):
+        if placement.pool is not None:
+            pools.setdefault(placement.pool, []).append(index)
+    return (len(placements),) + tuple(
+        tuple(members) for members in pools.values() if len(members) > 1
+    )
+
+
+def _builtin_sum(columns: Sequence[np.ndarray], compensated: bool = _COMPENSATED_SUM) -> np.ndarray:
+    """Row-wise ``sum([columns[0][r], columns[1][r], ...])`` over Python floats.
+
+    The built-in adds left to right from ``0``; from CPython 3.12 it also
+    carries a Neumaier compensation term, added at the end when it is
+    non-zero and finite.  The scalar fixed point totals its pool demands
+    with the built-in, so the lockstep solve rounds the same way.
+    """
+    total = 0.0 + columns[0]
+    if not compensated:
+        for column in columns[1:]:
+            total = total + column
+        return total
+    compensation = np.zeros(total.shape)
+    for column in columns[1:]:
+        step = total + column
+        compensation = compensation + np.where(
+            np.abs(total) >= np.abs(column),
+            (total - step) + column,
+            (column - step) + total,
+        )
+        total = step
+    return np.where(
+        (compensation != 0.0) & np.isfinite(compensation), total + compensation, total
+    )
+
+
+class _LockstepRows:
+    """Runs sharing one pool layout, as ``(run, application)`` arrays.
+
+    Row ``r`` holds run ``r`` and column ``i`` its application ``i``.
+    :meth:`solve` and :meth:`loads` repeat ``_solve_at_frequency`` and
+    ``_loads_from_solution`` float operation for float operation, on any
+    subset of rows and at one clock per row.
+    """
+
+    def __init__(
+        self,
+        spec: GPUSpec,
+        layout: tuple,
+        shapes: dict[tuple, tuple[list[_Placement], tuple]],
+        shape_of_row: Sequence[tuple],
+    ) -> None:
+        # One template row per (group, state); every run repeats its
+        # template.  Everything before the clock enters is computed here,
+        # in Python, exactly as the scalar solve writes it.
+        template_of: dict[tuple, int] = {}
+        for shape in shape_of_row:
+            template_of.setdefault(shape, len(template_of))
+        rows = np.array([template_of[shape] for shape in shape_of_row], dtype=np.intp)
+        templates = [shapes[shape][0] for shape in template_of]
+
+        def table(values: list[list[float]], dtype: type = float) -> np.ndarray:
+            return np.array(values, dtype=dtype)[rows]
+
+        memory_full = [
+            [p.kernel.memory_time_full_s * p.memory_penalty for p in row] for row in templates
+        ]
+        self._scaled_compute = table(
+            [[p.kernel.compute_time_full_s * (spec.n_gpcs / p.gpcs) for p in row] for row in templates]
+        )
+        self._compute_penalty = table([[p.compute_penalty for p in row] for row in templates])
+        self._memory_full = table(memory_full)
+        self._initial_memory = table(
+            [
+                [(full / p.bandwidth_capacity if full > 0 else 0.0) for full, p in zip(fulls, row)]
+                for fulls, row in zip(memory_full, templates)
+            ]
+        )
+        self._serial = table([[p.kernel.serial_time_s for p in row] for row in templates])
+        capacity = table([[p.bandwidth_capacity for p in row] for row in templates])
+        # Per pool: its member columns, their static times, and the pool's
+        # capacity (the largest member capacity) repeated per member.
+        self._pool_tables = [
+            (
+                list(pool),
+                self._memory_full[:, pool],
+                self._serial[:, pool],
+                capacity[:, pool],
+                np.repeat(capacity[:, pool].max(axis=1, keepdims=True), len(pool), axis=1),
+            )
+            for pool in layout[1:]
+        ]
+        self._gpcs = table([[p.gpcs for p in row] for row in templates], np.int64)
+        self._cuda_fraction = table([[p.kernel.cuda_fraction for p in row] for row in templates])
+        self._tensor_fraction = table(
+            [[p.kernel.tensor_fraction for p in row] for row in templates]
+        )
+
+    def solve(self, index: np.ndarray, frequency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Compute and memory times of rows ``index``, each at its own clock."""
+        compute = self._scaled_compute[index] / frequency[:, None] * self._compute_penalty[index]
+        memory = self._initial_memory[index]
+        for pool, *static in self._pool_tables:
+            memory[:, pool] = _settle_pool(
+                compute[:, pool], memory[:, pool], *(table[index] for table in static)
+            )
+        return compute, memory
+
+    def loads(self, index: np.ndarray, compute: np.ndarray, memory: np.ndarray) -> InstanceLoads:
+        """The instance loads of rows ``index`` given their solved times."""
+        serial = self._serial[index]
+        for label, values in (("compute_s", compute), ("memory_s", memory), ("serial_s", serial)):
+            if np.any(values < 0):
+                raise SimulationError(
+                    f"{label} must be non-negative, got {values[values < 0][0]}"
+                )
+        elapsed = np.maximum(compute, memory) + serial
+        busy = elapsed > 0
+        dram = np.divide(self._memory_full[index], elapsed, out=np.zeros(elapsed.shape), where=busy)
+        busy_fraction = np.minimum(
+            1.0, np.divide(compute, elapsed, out=np.zeros(elapsed.shape), where=busy)
+        )
+        return InstanceLoads(
+            n_gpcs=self._gpcs[index],
+            cuda_utilization=busy_fraction * self._cuda_fraction[index],
+            tensor_utilization=busy_fraction * self._tensor_fraction[index],
+            dram_bw_fraction=np.minimum(1.0, dram),
+        )
+
+    def solved_placements(
+        self, compute: np.ndarray, memory: np.ndarray
+    ) -> list[list[_SolvedPlacement]]:
+        """Every row's scalar solution records, built from its solved times."""
+        return [
+            [_solved_placement(*values) for values in zip(*row)]
+            for row in zip(
+                compute.tolist(),
+                memory.tolist(),
+                self._serial.tolist(),
+                self._memory_full.tolist(),
+            )
+        ]
+
+
+def _settle_pool(
+    compute: np.ndarray,
+    memory: np.ndarray,
+    memory_full: np.ndarray,
+    serial: np.ndarray,
+    capacity: np.ndarray,
+    pool_capacity: np.ndarray,
+) -> np.ndarray:
+    """One pool's damped bandwidth fixed point, for many runs in lockstep.
+
+    Every array is ``(run, pool member)``; the settled memory times are
+    returned.  Each step repeats the scalar loop of ``_solve_at_frequency``
+    float operation for float operation, and a run leaves the iteration
+    at the step where the scalar loop would have stopped, freezing its
+    times.
+    """
+    settled = memory.copy()
+    elapsed = np.maximum(compute, memory) + serial
+    streaming = memory_full > 0
+    live = np.arange(len(memory))
+    for _ in range(_BANDWIDTH_ITERATIONS):
+        if not live.size:
+            break
+        # The scalar guards (elapsed > 0, total demand > 0) become masks.
+        demand = np.divide(
+            memory_full, elapsed, out=np.zeros(elapsed.shape), where=elapsed > 0
+        )
+        total = _builtin_sum(demand.T)[:, None]
+        proportional = np.divide(
+            pool_capacity * demand, total, out=pool_capacity.copy(), where=total > 0
+        )
+        available = np.maximum(pool_capacity - (total - demand), proportional)
+        available = np.maximum(np.minimum(available, capacity), 1e-6)
+        # Members without memory time keep their times.
+        memory = np.where(streaming, memory_full / available, memory)
+        fresh = np.where(streaming, np.maximum(compute, memory) + serial, elapsed)
+        blended = _DAMPING * fresh + (1.0 - _DAMPING) * elapsed
+        moved = np.abs(blended - elapsed) > 1e-9 * np.maximum(elapsed, 1e-9)
+        elapsed = blended
+        moving = moved.any(axis=1)
+        if not moving.all():
+            settled[live[~moving]] = memory[~moving]
+            live = live[moving]
+            compute, memory, memory_full, serial, capacity, pool_capacity, streaming, elapsed = (
+                array[moving]
+                for array in (
+                    compute, memory, memory_full, serial, capacity,
+                    pool_capacity, streaming, elapsed,
+                )
+            )
+    settled[live] = memory
+    return settled

@@ -8,6 +8,7 @@ benchmark can be regenerated bit-for-bit from its parameters.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -29,6 +30,15 @@ def _sampler(
     names = list(mix.app_names)
     weights = [mix.weights[name] for name in names]
     return lambda: rng.choices(names, weights=weights, k=1)[0]
+
+
+def _check_bounded(duration_s: float, n_jobs: int | None) -> None:
+    """A non-finite window (inf, or NaN, which no arrival time exceeds)
+    never ends the generator loop, so only ``n_jobs`` can bound it."""
+    if not math.isfinite(duration_s) and n_jobs is None:
+        raise TraceError(
+            f"duration_s must be finite unless n_jobs bounds the trace, got {duration_s}"
+        )
 
 
 def poisson_trace(
@@ -54,6 +64,8 @@ def poisson_trace(
         raise TraceError("poisson_trace needs duration_s and/or n_jobs")
     if duration_s is not None and duration_s <= 0:
         raise TraceError(f"duration_s must be positive, got {duration_s}")
+    if duration_s is not None:
+        _check_bounded(duration_s, n_jobs)
     if n_jobs is not None and n_jobs < 1:
         raise TraceError(f"n_jobs must be >= 1, got {n_jobs}")
     rng = random.Random(seed)
@@ -103,6 +115,7 @@ def bursty_trace(
         raise TraceError(f"mean_burst_size must be >= 1, got {mean_burst_size}")
     if duration_s <= 0:
         raise TraceError(f"duration_s must be positive, got {duration_s}")
+    _check_bounded(duration_s, n_jobs)
     if n_jobs is not None and n_jobs < 1:
         raise TraceError(f"n_jobs must be >= 1, got {n_jobs}")
     if intra_burst_spacing_s < 0:

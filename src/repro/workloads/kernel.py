@@ -111,6 +111,19 @@ class KernelCharacteristics:
         ):
             if not (0.0 <= value <= 1.0):
                 raise WorkloadError(f"{self.name}: {label} must be in [0, 1], got {value}")
+        # Plain floats, so the engine's scalar and batched solves round
+        # alike whatever number type the caller passed (from CPython 3.12
+        # the built-in ``sum`` compensates floats but not NumPy scalars).
+        for label in (
+            "compute_time_full_s",
+            "memory_time_full_s",
+            "serial_time_s",
+            "working_set_mb",
+            "l2_hit_rate",
+            "occupancy",
+            "l2_sensitivity",
+        ):
+            object.__setattr__(self, label, float(getattr(self, label)))
         fractions = {Pipe(p): float(v) for p, v in self.pipe_fractions.items()}
         for pipe, frac in fractions.items():
             if frac < 0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -62,6 +63,11 @@ class TestDecisionRequest:
         with pytest.raises(ConfigurationError, match="spec"):
             DecisionRequest(apps=("stream",), spec="v100")
 
+    @pytest.mark.parametrize("knob", ["power_cap_w", "alpha"])
+    def test_nan_knob_rejected(self, knob):
+        with pytest.raises(ConfigurationError, match=knob):
+            DecisionRequest(apps=("stream",), **{knob: math.nan})
+
     def test_unknown_field_rejected_by_from_dict(self):
         with pytest.raises(ConfigurationError, match="unknown field"):
             DecisionRequest.from_dict({"apps": ["stream"], "powercap": 230})
@@ -100,6 +106,22 @@ class TestSimulationRequest:
         # Would otherwise escape as a ZeroDivisionError in the generator.
         with pytest.raises(ConfigurationError, match="burst_size"):
             SimulationRequest(burst_size=0.0)
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "arrival_rate_per_s",
+            "duration_s",
+            "burst_size",
+            "power_cap_w",
+            "alpha",
+            "repartition_latency_s",
+            "power_budget_w",
+        ],
+    )
+    def test_nan_knob_rejected(self, knob):
+        with pytest.raises(ConfigurationError, match=knob):
+            SimulationRequest(**{knob: math.nan})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown field"):

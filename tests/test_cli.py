@@ -218,6 +218,28 @@ class TestExitCodes:
         assert code == 2
         assert "alpha" in text
 
+    @pytest.mark.parametrize(
+        "argv, knob",
+        [
+            # Used to exit 0 with the budget silently ignored.
+            (["simulate", "--power-budget", "nan", "--duration", "10"], "power_budget_w"),
+            # Used to loop until killed: no arrival time exceeds NaN.
+            (["simulate", "--duration", "nan"], "duration_s"),
+            # Used to exit 3 (infeasible) instead of 2 (input error).
+            (["decide", "igemm4", "stream", "--power-cap", "nan"], "power_cap_w"),
+        ],
+        ids=["simulate-power-budget", "simulate-duration", "decide-power-cap"],
+    )
+    def test_nan_knob_exits_2(self, argv, knob):
+        code, text = run_cli(argv)
+        assert code == 2
+        assert knob in text
+
+    def test_unbounded_duration_exits_2(self):
+        code, text = run_cli(["simulate", "--duration", "inf"])
+        assert code == 2
+        assert "duration_s" in text
+
 
 class TestAccuracyAndFigures:
     def test_accuracy_summary(self):

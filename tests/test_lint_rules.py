@@ -49,6 +49,7 @@ class TestRegistry:
         ("rl002_bad.py", "RL002"),
         ("rl003_bad.py", "RL003"),
         ("rl004/powerbudget_bad.py", "RL004"),
+        ("rl004/sim/engine_bad.py", "RL004"),
         ("api/rl005_bad.py", "RL005"),
         ("rl006_bad.py", "RL006"),
     ],
@@ -103,6 +104,11 @@ class TestRL004PathScoping:
     def test_rule_is_silent_outside_power_budget_modules(self):
         findings = findings_for("rl004_unscoped.py", "RL004")
         assert not findings
+
+    def test_engine_lockstep_solve_is_in_scope(self):
+        assert RULES["RL004"].applies_to("src/repro/sim/engine.py")
+        findings = findings_for("rl004/sim/engine_bad.py", "RL004")
+        assert len(findings) == 2
 
 
 class TestRL005Scoping:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import TraceError
@@ -100,6 +102,12 @@ class TestPoissonGenerator:
         with pytest.raises(TraceError):
             poisson_trace(1.0, n_jobs=0)
 
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan])
+    def test_non_finite_window_needs_n_jobs(self, duration_s):
+        with pytest.raises(TraceError, match="duration_s"):
+            poisson_trace(1.0, duration_s=duration_s)
+        assert poisson_trace(1.0, duration_s=duration_s, n_jobs=12).n_jobs == 12
+
 
 class TestBurstyGenerator:
     def test_deterministic_for_a_seed(self):
@@ -132,6 +140,12 @@ class TestBurstyGenerator:
             bursty_trace(1.0, 2.0, duration_s=0.0)
         with pytest.raises(TraceError):
             bursty_trace(1.0, 2.0, duration_s=10.0, n_jobs=0)
+
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan])
+    def test_non_finite_window_needs_n_jobs(self, duration_s):
+        with pytest.raises(TraceError, match="duration_s"):
+            bursty_trace(1.0, 3.0, duration_s=duration_s)
+        assert bursty_trace(1.0, 3.0, duration_s=duration_s, n_jobs=12).n_jobs == 12
 
 
 class TestLoader:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -63,6 +64,25 @@ class TestValidation:
     def test_nan_time_rejected(self):
         with pytest.raises(WorkloadError):
             make_kernel(memory_time_full_s=float("nan"))
+
+    def test_numeric_fields_become_python_floats(self):
+        # The engine's batched solve relies on plain floats.
+        kernel = make_kernel(
+            compute_time_full_s=np.float64(0.8),
+            memory_time_full_s=np.float32(0.25),
+            serial_time_s=0,
+            working_set_mb=np.int64(50),
+            l2_hit_rate=np.float64(0.6),
+            occupancy=1,
+            l2_sensitivity=np.float64(0.4),
+        )
+        for name in (
+            "compute_time_full_s", "memory_time_full_s", "serial_time_s", "working_set_mb",
+            "l2_hit_rate", "occupancy", "l2_sensitivity",
+        ):
+            assert type(getattr(kernel, name)) is float, name
+        assert kernel.compute_time_full_s == 0.8
+        assert kernel.memory_time_full_s == float(np.float32(0.25))
 
 
 class TestDerivedProperties:
