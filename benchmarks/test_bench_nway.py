@@ -1,5 +1,6 @@
 """Micro-benchmarks of the N-way allocator: scalar vs batched candidate
-evaluation and the LRU decision cache, reported in decisions/second.
+evaluation and the online allocator's decision memo, reported in
+decisions/second.
 
 The batched path must be measurably faster than per-candidate evaluation on
 the enlarged N-way grid — that speedup is what makes spec-derived candidate
@@ -60,16 +61,10 @@ def test_bench_nway_scalar_vs_batched(nway_workflow, group_counters, group_state
     policy = Problem2Policy(alpha=0.05)
     n_candidates = len(group_states) * len(policy.candidate_power_caps())
     scalar_alloc = ResourcePowerAllocator(
-        nway_workflow.model,
-        candidate_states=group_states,
-        cache_size=0,
-        batch_threshold=10**9,
+        nway_workflow.model, candidate_states=group_states, batch_threshold=10**9
     )
     batched_alloc = ResourcePowerAllocator(
-        nway_workflow.model,
-        candidate_states=group_states,
-        cache_size=0,
-        batch_threshold=0,
+        nway_workflow.model, candidate_states=group_states, batch_threshold=0
     )
     # Warm up (first call pays numpy allocation paths), then measure.
     scalar_alloc.solve(group_counters, policy)
@@ -90,27 +85,21 @@ def test_bench_nway_scalar_vs_batched(nway_workflow, group_counters, group_state
 
 
 def test_bench_nway_batched_solve(benchmark, nway_workflow, group_counters, group_states):
-    """Steady-state batched N-way decision latency (cache disabled)."""
+    """Steady-state batched N-way decision latency (every call solves)."""
     policy = Problem2Policy(alpha=0.05)
     allocator = ResourcePowerAllocator(
-        nway_workflow.model,
-        candidate_states=group_states,
-        cache_size=0,
-        batch_threshold=0,
+        nway_workflow.model, candidate_states=group_states, batch_threshold=0
     )
     decision = benchmark(lambda: allocator.solve(group_counters, policy, states=group_states))
     assert decision.state.n_apps == 3
 
 
-def test_bench_nway_cached_decision(benchmark, nway_workflow, group_counters, group_states):
-    """A cache hit answers the same request orders of magnitude faster."""
+def test_bench_nway_cached_decision(benchmark, nway_workflow):
+    """A decision-memo hit answers the same request orders of magnitude faster."""
     policy = Problem2Policy(alpha=0.05)
-    allocator = ResourcePowerAllocator(
-        nway_workflow.model,
-        candidate_states=group_states,
-        cache_size=16,
-    )
-    allocator.solve(group_counters, policy, states=group_states)  # prime
-    decision = benchmark(lambda: allocator.solve(group_counters, policy, states=group_states))
-    assert allocator.cache.hits > 0
+    online = nway_workflow.online
+    apps = corun_group("TI-CI-MI1").apps
+    first = online.decide(apps, policy)  # prime
+    decision = benchmark(lambda: online.decide(apps, policy))
+    assert decision is first
     assert decision.state.n_apps == 3

@@ -1,4 +1,12 @@
-"""Compute nodes: one simulated GPU plus its administration interface."""
+"""Compute nodes: one simulated GPU and the layout and cap it is set to.
+
+A node records the partition state and power cap of its current dispatch.
+The engine validates every state and cap it runs, and the event loop
+charges repartition latency from its own layout bookkeeping, so a dispatch
+makes no MIG/NVML administration calls; :mod:`repro.gpu.nvml` and
+:mod:`repro.gpu.mig` are the administration API for scripts that drive a
+device directly.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
 from repro.gpu.mig import PartitionState
-from repro.gpu.nvml import SimulatedSMI
 from repro.gpu.spec import A100_SPEC, GPUSpec
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.results import CoRunResult
@@ -16,11 +23,11 @@ from repro.sim.results import CoRunResult
 class ComputeNode:
     """One CPU-GPU compute node of the cluster.
 
-    The node owns a simulated GPU (through its :class:`SimulatedSMI`
-    administration facade) and a :class:`PerformanceSimulator` to "execute"
-    work.  The scheduler drives it exclusively through :meth:`configure` and
-    :meth:`execute_pair` / :meth:`execute_exclusive`, which is how a SLURM
-    prolog + job launch would drive a real node.
+    The node owns a :class:`PerformanceSimulator` to "execute" work.  The
+    scheduler drives it through :meth:`execute_group` and
+    :meth:`execute_exclusive`.  A co-located run records its partition
+    state and cap through :meth:`configure` and clears the state through
+    :meth:`release` when it finishes.
     """
 
     node_id: int
@@ -31,8 +38,8 @@ class ComputeNode:
     def __post_init__(self) -> None:
         if self.simulator is None:
             self.simulator = PerformanceSimulator(self.spec)
-        self.smi = SimulatedSMI(self.spec)
         self._current_state: PartitionState | None = None
+        self._power_limit_w = self.spec.default_power_limit_w
 
     # ------------------------------------------------------------------
     @property
@@ -42,24 +49,28 @@ class ComputeNode:
 
     @property
     def power_limit_w(self) -> float:
-        """The chip power cap currently configured on the node."""
-        return self.smi.power_limit_w
+        """The chip power cap last configured on the node.
+
+        Exclusive runs leave it unchanged, and :meth:`release` keeps it.
+        """
+        return self._power_limit_w
 
     def is_free(self, time: float) -> bool:
         """Whether the node is idle at simulated time ``time``."""
         return time >= self.busy_until
 
     # ------------------------------------------------------------------
-    def configure(self, state: PartitionState, power_cap_w: float) -> tuple[str, ...]:
-        """Apply a partition state and power cap; returns the CI UUIDs."""
-        self.smi.set_power_limit(power_cap_w)
-        uuids = self.smi.apply_partition_state(state)
+    def configure(self, state: PartitionState, power_cap_w: float) -> None:
+        """Record a partition state and a power cap for the next run.
+
+        The cap is stored at NVML's milliwatt granularity, as
+        ``nvidia-smi -pl`` would set it.
+        """
+        self._power_limit_w = int(round(power_cap_w * 1000)) / 1000
         self._current_state = state
-        return uuids
 
     def release(self) -> None:
-        """Tear down the MIG partitions after the running jobs finished."""
-        self.smi.reset_partitions()
+        """Clear the partition state after the running jobs finished."""
         self._current_state = None
 
     # ------------------------------------------------------------------
@@ -77,15 +88,6 @@ class ComputeNode:
             return self.simulator.co_run(list(kernels), state, power_cap_w)
         finally:
             self.release()
-
-    def execute_pair(
-        self,
-        kernels,
-        state: PartitionState,
-        power_cap_w: float,
-    ) -> CoRunResult:
-        """Run a co-located pair (the N=2 special case of :meth:`execute_group`)."""
-        return self.execute_group(kernels, state, power_cap_w)
 
     def execute_exclusive(self, kernel) -> float:
         """Run one job exclusively (full GPU, default cap); returns its runtime."""

@@ -44,10 +44,9 @@ class JobQueue:
     def version(self) -> int:
         """Counter bumped on every content mutation (submit/remove).
 
-        Consumers that memoize work derived from the queue's content (the
-        co-scheduler's dispatch-plan cache) invalidate on a version change;
-        clock advances leave the content — and therefore the version —
-        untouched.
+        Consumers that memoize work derived from the queue's content can
+        invalidate on a version change; clock advances leave the content —
+        and therefore the version — untouched.
         """
         return self._version
 

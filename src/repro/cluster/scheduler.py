@@ -13,17 +13,17 @@ Planning is memoized: the plan depends only on the *content* of the
 look-ahead window (application names and their profiled status) and on the
 trained model, so an LRU cache keyed on that signature answers repeated
 window shapes — ubiquitous in a long trace over a bounded application set —
-without re-evaluating the candidate grid (the same ``OrderedDict`` LRU
-idiom as the allocator's :class:`~repro.core.optimizer.DecisionCache`).
-Cached plans store window *positions* rather than job objects, so a hit is
-rebuilt against the live queue; queue mutations invalidate naturally
-because the window signature changes (and the queue's ``version`` counter
-guards the degenerate repeated-call case explicitly).
+without re-evaluating the candidate grid.  Cached plans store window
+*positions* rather than job objects, so a hit is rebuilt against the live
+queue; the key is the window's content, so queue mutations need no
+explicit invalidation.  On a plan miss every group the window offers is
+looked up in the allocator's one decision memo
+(:meth:`OnlineAllocator.decide`), which also remembers infeasible groups,
+so the scheduler keeps no decisions of its own.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable
@@ -121,21 +121,15 @@ class _CachedPlan:
 class PlanCache:
     """A small LRU cache of memoized dispatch plans."""
 
-    def __init__(self, maxsize: int = 8192) -> None:
-        if maxsize < 0:
-            raise ConfigurationError(f"cache maxsize must be >= 0, got {maxsize}")
-        self._maxsize = maxsize
+    _CAPACITY = 8192
+
+    def __init__(self) -> None:
         self._entries: OrderedDict[Hashable, _CachedPlan] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def maxsize(self) -> int:
-        """Capacity of the cache (0 disables plan memoization)."""
-        return self._maxsize
 
     def get(self, key: Hashable) -> _CachedPlan | None:
         """Look up ``key``, refreshing its recency on a hit."""
@@ -149,11 +143,9 @@ class PlanCache:
 
     def put(self, key: Hashable, entry: _CachedPlan) -> None:
         """Insert ``key``, evicting the least recently used entry if full."""
-        if self._maxsize == 0:
-            return
         self._entries[key] = entry
         self._entries.move_to_end(key)
-        while len(self._entries) > self._maxsize:
+        while len(self._entries) > self._CAPACITY:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
@@ -195,25 +187,12 @@ class CoScheduler:
         self,
         allocator: OnlineAllocator,
         config: SchedulerConfig | None = None,
-        plan_cache_size: int = 8192,
     ) -> None:
         self._allocator = allocator
         self._config = config if config is not None else SchedulerConfig()
         self._last_result: CoRunResult | None = None
-        self._plan_cache = PlanCache(plan_cache_size)
-        # Pair decisions keyed (head, candidate, model version); the policy
-        # is fixed per scheduler (see _policy), so it is not part of the
-        # key.  None records an infeasible pairing.
-        self._pair_cache: dict[
-            tuple[str, str, int], AllocationDecision | None
-        ] = {}
+        self._plan_cache = PlanCache()
         self._policy_cache: Policy | None = None
-        # The re-plan fast path must prove it is looking at the *same live*
-        # queue object, not a new queue allocated at a recycled address —
-        # hence a weakref, not id(): a dead queue can never alias a fresh one.
-        self._last_queue: weakref.ref[JobQueue] | None = None
-        self._last_queue_state: tuple[int, int] | None = None
-        self._last_plan: DispatchPlan | None = None
         self.stats = SchedulerStats()
 
     def _validate_policy_against_model(self) -> None:
@@ -272,10 +251,6 @@ class CoScheduler:
         profile database directly.
         """
         self._plan_cache.clear()
-        self._pair_cache.clear()
-        self._last_plan = None
-        self._last_queue = None
-        self._last_queue_state = None
 
     # ------------------------------------------------------------------
     def _policy(self) -> Policy:
@@ -295,9 +270,6 @@ class CoScheduler:
     def _is_profiled(self, job: Job) -> bool:
         return self._allocator.database.has(job.name)
 
-    def _model_version(self) -> int:
-        return self._allocator.allocator.model.coefficients_version
-
     # ------------------------------------------------------------------
     def plan_next(self, queue: JobQueue) -> DispatchPlan:
         """Decide what to dispatch next from ``queue`` (without removing jobs).
@@ -316,20 +288,10 @@ class CoScheduler:
         if queue.empty:
             raise SchedulingError("cannot plan: the job queue is empty")
         self.stats.plans_requested += 1
-        queue_state = (queue.version, self._model_version())
-        if (
-            self._last_plan is not None
-            and self._last_queue is not None
-            and self._last_queue() is queue
-            and self._last_queue_state == queue_state
-        ):
-            # Re-planning an unmutated queue: the previous plan still holds.
-            self.stats.plan_cache_hits += 1
-            return self._last_plan
         window = queue.window(self._config.window_size)
         has_profile = self._allocator.database.has
         signature = tuple((job.name, has_profile(job.name)) for job in window)
-        key = (signature, queue_state[1])
+        key = (signature, self._allocator.allocator.model.coefficients_version)
         cached = self._plan_cache.get(key)
         if cached is None:
             cached = self._compute_plan(window)
@@ -337,11 +299,7 @@ class CoScheduler:
             self.stats.plans_computed += 1
         else:
             self.stats.plan_cache_hits += 1
-        plan = cached.rebuild(window)
-        self._last_queue = weakref.ref(queue)
-        self._last_queue_state = queue_state
-        self._last_plan = plan
-        return plan
+        return cached.rebuild(window)
 
     def _compute_plan(self, window: tuple[Job, ...]) -> _CachedPlan:
         """Evaluate the candidate grid for one window shape (cache miss path)."""
@@ -365,22 +323,10 @@ class CoScheduler:
 
         best_plan: _CachedPlan | None = None
         best_objective = float("-inf")
-        head_name = head.name
-        version = self._model_version()
-        pair_cache = self._pair_cache
         for position, candidate in candidates:
-            pair_key = (head_name, candidate.name, version)
-            if pair_key in pair_cache:
-                decision = pair_cache[pair_key]
-            else:
-                try:
-                    decision = self._allocator.decide(
-                        [head_name, candidate.name], policy
-                    )
-                except InfeasibleProblemError:
-                    decision = None
-                pair_cache[pair_key] = decision
-            if decision is None:
+            try:
+                decision = self._allocator.decide([head.name, candidate.name], policy)
+            except InfeasibleProblemError:
                 continue
             if decision.predicted_objective > best_objective:
                 best_objective = decision.predicted_objective

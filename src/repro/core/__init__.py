@@ -44,7 +44,7 @@ from repro.core.modelstore import (
     load_model,
     save_model,
 )
-from repro.core.optimizer import DecisionCache, ResourcePowerAllocator
+from repro.core.optimizer import ResourcePowerAllocator
 from repro.core.policies import Policy, Problem1Policy, Problem2Policy
 from repro.core.search import ExhaustiveSearch, HillClimbingSearch, SearchCandidate
 from repro.core.training import (
@@ -83,7 +83,6 @@ __all__ = [
     "load_model",
     "save_model",
     "ResourcePowerAllocator",
-    "DecisionCache",
     "Policy",
     "Problem1Policy",
     "Problem2Policy",

@@ -5,20 +5,17 @@ allocator evaluates every candidate combination of partition state and power
 cap with the linear performance model, filters by the fairness constraint,
 and returns the combination that maximizes the policy's objective.
 
-Two things keep the allocator fast when the candidate space grows beyond
-the paper's 24-point grid (more applications, finer partitioning):
-
-* the whole ``(S, P)`` grid is predicted in one **batched** NumPy call
-  (see :meth:`LinearPerfModel.predict_candidates`) whenever the search
-  strategy can consume it, and
-* identical requests are answered from a small **LRU decision cache**
-  keyed by the profile signatures, the candidate grid, and the policy.
+When the candidate space grows beyond the paper's 24-point grid (more
+applications, finer partitioning), the whole ``(S, P)`` grid is predicted
+in one **batched** NumPy call (see
+:meth:`LinearPerfModel.predict_candidates`) whenever the search strategy
+can consume it.  Every call solves; repeated decisions are memoized one
+layer up, by :meth:`repro.core.workflow.OnlineAllocator.decide`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from repro.config import DEFAULT_POWER_CAPS
 from repro.core.decision import AllocationDecision, CandidateEvaluation
@@ -30,57 +27,6 @@ from repro.core.search import ExhaustiveSearch, SearchCandidate, SearchStrategy
 from repro.errors import InfeasibleProblemError, OptimizationError
 from repro.gpu.mig import CORUN_STATES, PartitionState
 from repro.sim.counters import CounterVector
-
-
-class DecisionCache:
-    """A small LRU cache of allocation decisions.
-
-    Keys combine the (hashable) profile signatures of the group, the
-    candidate grid, and the policy parameters; values are the frozen
-    :class:`~repro.core.decision.AllocationDecision` records, which are safe
-    to share between callers.
-    """
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        if maxsize < 0:
-            raise OptimizationError(f"cache maxsize must be >= 0, got {maxsize}")
-        self._maxsize = maxsize
-        self._entries: OrderedDict[Hashable, AllocationDecision] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def maxsize(self) -> int:
-        """Capacity of the cache (0 disables caching)."""
-        return self._maxsize
-
-    def get(self, key: Hashable) -> AllocationDecision | None:
-        """Look up ``key``, refreshing its recency on a hit."""
-        decision = self._entries.get(key)
-        if decision is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return decision
-
-    def put(self, key: Hashable, decision: AllocationDecision) -> None:
-        """Insert ``key``, evicting the least recently used entry if full."""
-        if self._maxsize == 0:
-            return
-        self._entries[key] = decision
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 class ResourcePowerAllocator:
@@ -101,8 +47,6 @@ class ResourcePowerAllocator:
     search:
         Search strategy over the candidate space (exhaustive by default, as
         in the paper).
-    cache_size:
-        Capacity of the LRU decision cache (0 disables caching).
     batch_threshold:
         Candidate-grid size above which the batched NumPy evaluation is
         used.  The default equals the paper's 4-state × 6-cap grid, so the
@@ -118,7 +62,6 @@ class ResourcePowerAllocator:
         candidate_states: Sequence[PartitionState] = CORUN_STATES,
         power_caps: Sequence[float] = DEFAULT_POWER_CAPS,
         search: SearchStrategy | None = None,
-        cache_size: int = 4096,
         batch_threshold: int = 24,
     ) -> None:
         if not candidate_states:
@@ -131,7 +74,6 @@ class ResourcePowerAllocator:
         self._states = tuple(candidate_states)
         self._power_caps = tuple(float(p) for p in power_caps)
         self._search: SearchStrategy = search if search is not None else ExhaustiveSearch()
-        self._cache = DecisionCache(cache_size)
         if batch_threshold < 0:
             raise OptimizationError(f"batch_threshold must be >= 0, got {batch_threshold}")
         self._batch_threshold = batch_threshold
@@ -151,11 +93,6 @@ class ResourcePowerAllocator:
     def power_caps(self) -> tuple[float, ...]:
         """The candidate power caps for Problem 2."""
         return self._power_caps
-
-    @property
-    def cache(self) -> DecisionCache:
-        """The LRU decision cache (exposes hit/miss statistics)."""
-        return self._cache
 
     # ------------------------------------------------------------------
     # Candidate evaluation
@@ -247,15 +184,6 @@ class ResourcePowerAllocator:
             for power_cap in policy.candidate_power_caps()
         ]
 
-    @staticmethod
-    def _policy_key(policy: Policy) -> Hashable:
-        return (
-            type(policy).__name__,
-            policy.name,
-            float(policy.alpha),
-            tuple(policy.candidate_power_caps()),
-        )
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
@@ -272,15 +200,6 @@ class ResourcePowerAllocator:
         either way only states matching the group size are considered.
         """
         matching_states = self._states_for(len(counters_list), states)
-        cache_key = (
-            tuple(counters_list),
-            tuple(state.key() for state in matching_states),
-            self._policy_key(policy),
-            self._model.coefficients_version,
-        )
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            return cached
         candidates = self._candidates(policy, matching_states)
 
         def evaluate(candidate: SearchCandidate) -> CandidateEvaluation:
@@ -309,7 +228,7 @@ class ResourcePowerAllocator:
                 f"policy {policy.name}: {exc} "
                 f"(alpha={policy.alpha}, {len(candidates)} candidates)"
             ) from exc
-        decision = AllocationDecision(
+        return AllocationDecision(
             state=best.state,
             power_cap_w=best.power_cap_w,
             predicted_rperfs=best.predicted_rperfs,
@@ -320,8 +239,6 @@ class ResourcePowerAllocator:
             candidates_evaluated=len(evaluations),
             evaluations=evaluations,
         )
-        self._cache.put(cache_key, decision)
-        return decision
 
     def solve_problem1(
         self,

@@ -15,7 +15,6 @@ in a few lines.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -59,6 +58,9 @@ from repro.workloads.kernel import KernelCharacteristics
 from repro.workloads.pairs import CORUN_PAIRS, CoRunPair
 from repro.workloads.suite import BenchmarkSuite, DEFAULT_SUITE
 
+
+#: Capacity of :meth:`OnlineAllocator.decide`'s LRU decision memo.
+_DECISION_MEMO_SIZE = 4096
 
 #: The paper's cap grid expressed as fractions of the factory power limit
 #: (150–250 W on the 250 W A100); used to derive grids for other specs.
@@ -303,12 +305,8 @@ class OnlineAllocator:
         self._spec = spec
         self._model = model
         self._state_cache: dict[tuple, tuple[PartitionState, ...]] = {}
-        self._decide_cache: OrderedDict[tuple, AllocationDecision] = OrderedDict()
-        # Policy signature memo keyed by object identity (policies are
-        # frozen) with a weakref guard: a dead policy's recycled address
-        # can never alias a fresh one, and dead entries evict themselves
-        # via the ref callback.
-        self._policy_keys: dict[int, tuple[weakref.ref[Policy], tuple]] = {}
+        # Decisions, or the message of an infeasible outcome, LRU-ordered.
+        self._decisions: OrderedDict[tuple, AllocationDecision | str] = OrderedDict()
         self._allocator = ResourcePowerAllocator(
             model,
             candidate_states=candidate_states,
@@ -382,34 +380,6 @@ class OnlineAllocator:
         self._state_cache[cache_key] = supported
         return supported
 
-    def _policy_cache_key(self, policy: Policy) -> tuple:
-        """The hashable signature of ``policy``, memoized per live object.
-
-        The memo keys on ``id(policy)`` with a weakref identity guard: the
-        stored ref must still point at *this* policy, so a dead policy's
-        recycled address can never alias a fresh one, and the ref's
-        callback evicts the entry instead of pinning the policy alive.
-        """
-        keys = self._policy_keys
-        key = id(policy)
-        entry = keys.get(key)
-        if entry is not None and entry[0]() is policy:
-            return entry[1]
-        policy_key = (
-            type(policy).__name__,
-            policy.name,
-            float(policy.alpha),
-            tuple(policy.candidate_power_caps()),
-        )
-        try:
-            ref = weakref.ref(policy, lambda _, k=keys, i=key: k.pop(i, None))
-        except TypeError:
-            # A slotted policy without __weakref__: skip the memo rather
-            # than risk an unguarded id-keyed entry.
-            return policy_key
-        keys[key] = (ref, policy_key)
-        return policy_key
-
     def decide(self, app_names: Sequence[str], policy: Policy) -> AllocationDecision:
         """Solve ``policy`` for the application group named in ``app_names``.
 
@@ -417,20 +387,42 @@ class OnlineAllocator:
         group may have any size; see :meth:`candidate_states_for` for how
         the candidate space is chosen.
 
-        Decisions are memoized on (group names, policy, model version):
-        profiles are append-only (a name's counters never change once
-        stored), so the full lookup — counters, candidate states, and the
-        allocator's solve — is a pure function of that key.
+        This is the one decision memo: outcomes are memoized on (group
+        names, policy signature, model version), 4096 entries in LRU
+        order.  Profiles are append-only (a name's counters never change
+        once stored), so the full lookup — counters, candidate states, and
+        the allocator's solve — is a pure function of that key.  Infeasible
+        outcomes are memoized too: a repeat raises a fresh
+        :class:`InfeasibleProblemError` with the same message.
         """
-        decide_key = (
+        key = (
             tuple(app_names),
-            self._policy_cache_key(policy),
+            (
+                type(policy).__name__,
+                policy.name,
+                float(policy.alpha),
+                tuple(policy.candidate_power_caps()),
+            ),
             self._model.coefficients_version,
         )
-        cached = self._decide_cache.get(decide_key)
-        if cached is not None:
-            self._decide_cache.move_to_end(decide_key)
-            return cached
+        memo = self._decisions
+        outcome = memo.get(key)
+        if outcome is None:
+            try:
+                outcome = memo[key] = self._solve(app_names, policy)
+            except InfeasibleProblemError as exc:
+                memo[key] = str(exc)
+                raise
+            finally:
+                if len(memo) > _DECISION_MEMO_SIZE:
+                    memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        if isinstance(outcome, str):
+            raise InfeasibleProblemError(outcome)
+        return outcome
+
+    def _solve(self, app_names: Sequence[str], policy: Policy) -> AllocationDecision:
         counters = [self._database.get(name).counters for name in app_names]
         policy_caps = policy.candidate_power_caps()
         states = self.candidate_states_for(len(app_names), policy_caps)
@@ -448,11 +440,7 @@ class OnlineAllocator:
                 f"{len(app_names)} application(s) on {self._spec.name}; train with "
                 f"TrainingPlan.for_spec(spec) to cover the full instance-size grid"
             )
-        decision = self._allocator.solve(counters, policy, states=states)
-        self._decide_cache[decide_key] = decision
-        if len(self._decide_cache) > 4096:
-            self._decide_cache.popitem(last=False)
-        return decision
+        return self._allocator.solve(counters, policy, states=states)
 
 
 class PaperWorkflow:

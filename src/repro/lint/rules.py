@@ -181,7 +181,8 @@ class IdKeyedMemoRule(Rule):
     *dead* queue whose address the allocator had recycled for a fresh one.
     An id-keyed entry must hold ``weakref.ref(obj)`` and prove
     ``ref() is obj`` on lookup (a dead referent can never alias a live
-    object), as :mod:`repro.cluster.scheduler` does.
+    object), as the engine's ``PerformanceSimulator._kernel_signature``
+    does.
     """
 
     rule_id = "RL001"
@@ -318,8 +319,8 @@ class VersionCounterCoherenceRule(Rule):
     title = "memo-feeding mutation without a version-counter bump"
     severity = Severity.ERROR
     rationale = (
-        "version-keyed caches (the dispatch-plan memo) invalidate on "
-        "counter changes only; a skipped bump serves stale plans"
+        "version-keyed caches invalidate on counter changes only; a "
+        "skipped bump serves stale entries"
     )
 
     _counter_names = frozenset({"version", "_version"})

@@ -1,10 +1,10 @@
-"""Aliasing regression tests for the id()-keyed memos (the RL001 fix).
+"""Aliasing regression tests for the id()-keyed kernel-signature memo (RL001).
 
 CPython recycles object addresses, so an id-keyed memo can serve a dead
 object's cached value to a fresh object that happens to land at the same
-address.  The fixed memos store a weakref next to the value and only trust
-an entry whose ref still points at *this* object; the ref's callback evicts
-entries when their object dies.  These tests forge the collision
+address.  The engine's memo stores a weakref next to the value and only
+trusts an entry whose ref still points at *this* object; the ref's callback
+evicts entries when their object dies.  These tests forge the collision
 deterministically (a dead ref planted at a live object's id) rather than
 hoping the allocator reuses an address.
 """
@@ -15,10 +15,6 @@ import dataclasses
 import gc
 import weakref
 
-from repro.core.model import LinearPerfModel
-from repro.core.policies import Problem1Policy
-from repro.core.workflow import OnlineAllocator
-from repro.profiling.database import ProfileDatabase
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
 from repro.workloads.suite import DEFAULT_SUITE
@@ -68,36 +64,3 @@ class TestKernelSignatureMemo:
         del kernel
         gc.collect()
         assert key not in sim._kernel_sig_cache
-
-
-class TestPolicyKeyMemo:
-    def _allocator(self):
-        return OnlineAllocator(LinearPerfModel(), database=ProfileDatabase())
-
-    def test_distinct_policies_get_distinct_keys(self):
-        allocator = self._allocator()
-        sharp = Problem1Policy(power_cap_w=250.0, alpha=0.1)
-        lax = Problem1Policy(power_cap_w=250.0, alpha=0.4)
-        assert allocator._policy_cache_key(sharp) != allocator._policy_cache_key(lax)
-
-    def test_stale_entry_at_recycled_address_is_not_served(self):
-        allocator = self._allocator()
-        policy = Problem1Policy(power_cap_w=250.0, alpha=0.3)
-        # repro: allow[RL001] forging the unguarded stale entry under test
-        allocator._policy_keys[id(policy)] = (dead_ref(), ("stale",))
-        key = allocator._policy_cache_key(policy)
-        assert key != ("stale",)
-        assert key[2] == 0.3
-        # repro: allow[RL001] inspecting the guarded entry the memo rebuilt
-        ref, cached = allocator._policy_keys[id(policy)]
-        assert ref() is policy and cached == key
-
-    def test_dead_policy_entry_evicts_itself(self):
-        allocator = self._allocator()
-        policy = Problem1Policy(power_cap_w=250.0, alpha=0.2)
-        allocator._policy_cache_key(policy)
-        key = id(policy)
-        assert key in allocator._policy_keys
-        del policy
-        gc.collect()
-        assert key not in allocator._policy_keys

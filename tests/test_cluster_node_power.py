@@ -25,23 +25,36 @@ class TestComputeNode:
         assert node.power_limit_w == node.spec.default_power_limit_w
 
     def test_configure_applies_partition_and_cap(self, node):
-        uuids = node.configure(S1, 210)
-        assert len(uuids) == 2
+        node.configure(S1, 210)
         assert node.current_partition is S1
-        assert node.power_limit_w == pytest.approx(210)
+        assert node.power_limit_w == 210.0
+
+    def test_configured_cap_has_milliwatt_granularity(self, node):
+        node.configure(S1, 187.12345)
+        assert node.power_limit_w == 187.123
+        node.configure(S1, 187.1235001)
+        assert node.power_limit_w == 187.124
 
     def test_release_clears_partition(self, node):
         node.configure(S1, 210)
         node.release()
         assert node.current_partition is None
+        assert node.power_limit_w == 210.0
 
-    def test_execute_pair_returns_measured_result(self, node):
+    def test_execute_group_returns_measured_result(self, node):
         kernels = list(corun_pair("CI-US1").kernels())
-        result = node.execute_pair(kernels, S1, 230)
+        result = node.execute_group(kernels, S1, 230)
         assert result.n_apps == 2
         assert result.power_cap_w == 230
+        assert node.power_limit_w == 230.0
         # The node tears the partition down after the run.
         assert node.current_partition is None
+
+    def test_exclusive_run_leaves_the_cap_unchanged(self, node):
+        node.configure(S1, 190.5)
+        node.release()
+        node.execute_exclusive(DEFAULT_SUITE.get("dgemm"))
+        assert node.power_limit_w == 190.5
 
     def test_execute_exclusive_matches_reference_time(self, node):
         kernel = DEFAULT_SUITE.get("dgemm")

@@ -7,7 +7,9 @@ metric must be identical to the straightforward loop it replaced.  The
 fingerprints below were captured from the pre-optimization event loop
 (per-batch O(nodes) scans, no plan cache, scalar power distribution) on
 this exact set of configurations; any drift here means an optimization
-changed scheduling behaviour, not just its cost.
+changed scheduling behaviour, not just its cost.  ``noisy_bursty_budget``
+was captured later, from the loop whose nodes still drove the emulated
+NVML device, to pin the cap a node stores for the budget split.
 
 Integers are compared exactly.  Floats get a 1e-12 relative tolerance:
 the optimized arithmetic is kept operation-for-operation identical (the
@@ -19,6 +21,8 @@ libm builds.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.events import ClusterSimulator, SimulationConfig
@@ -28,6 +32,7 @@ from repro.gpu.mig import MemoryOption
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
 from repro.traces import bursty_trace, poisson_trace
+from repro.workloads.mixes import mix_by_name
 
 _PLAN = TrainingPlan(
     gpc_counts=(3, 4),
@@ -265,6 +270,43 @@ PINS = {
         "start_sum_s": 3271.7215255868487,
         "finish_sum_s": 3462.14463286184,
     },
+    "noisy_bursty_budget": {
+        "makespan_s": 199.51529530326656,
+        "throughput": 3.0072882336564226,
+        "wait_mean_s": 1.1787011976889212,
+        "wait_p50_s": 1.2550712616588386,
+        "wait_p95_s": 2.927002528951667,
+        "wait_p99_s": 3.9636623519035865,
+        "wait_max_s": 5.356071326005484,
+        "turnaround_mean_s": 2.764683071638779,
+        "turnaround_p50_s": 2.652439168661677,
+        "turnaround_p95_s": 4.62208127438098,
+        "turnaround_p99_s": 5.7393532875379245,
+        "turnaround_max_s": 7.29115959254144,
+        "utilization": 0.3638097047109876,
+        "energy_wh": 27.739457583557783,
+        "co_scheduled_jobs": 526,
+        "exclusive_jobs": 74,
+        "profile_runs": 0,
+        "events_processed": 1640,
+        "repartitions": 223,
+        "repartition_time_s": 289.0,
+        "mig_instance_changes": 578,
+        "power_rebalances": 480,
+        "final_power_allocation_w": {
+            "0": 170.0,
+            "1": 170.0,
+            "2": 170.0,
+            "3": 170.0,
+            "4": 170.0,
+            "5": 170.0,
+            "6": 170.0,
+            "7": 170.0,
+        },
+        "peak_queue_length": 22,
+        "start_sum_s": 58098.31787953409,
+        "finish_sum_s": 59049.907003903914,
+    },
 }
 
 def test_plain_problem1_matches_pin(workflow, trace):
@@ -328,3 +370,27 @@ def test_noisy_model_matches_pin(noisy_workflow, trace):
         config=SimulationConfig(repartition_latency_s=1.0),
     ).run(trace)
     assert_matches_pin(report, "noisy_problem1")
+
+
+def test_noisy_model_under_power_budget_matches_pin(noisy_workflow):
+    # The noise-free model's quantized clocks hide sub-milliwatt cap
+    # changes; the noisy one makes the budget split sensitive to how the
+    # node stores its clamped cap.
+    report = ClusterSimulator.from_workflow(
+        noisy_workflow,
+        n_nodes=8,
+        scheduler_config=SchedulerConfig(
+            policy_name="problem1", power_cap_w=230.0, window_size=6
+        ),
+        config=SimulationConfig(repartition_latency_s=0.5, power_budget_w=1360.0),
+    ).run(
+        bursty_trace(
+            0.8,
+            mean_burst_size=4.0,
+            duration_s=math.inf,
+            n_jobs=600,
+            seed=2,
+            mix=mix_by_name("memory-heavy"),
+        )
+    )
+    assert_matches_pin(report, "noisy_bursty_budget")

@@ -7,9 +7,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import workflow as workflow_module
+from repro.core.model import LinearPerfModel
 from repro.core.optimizer import ResourcePowerAllocator
 from repro.core.policies import Problem1Policy, Problem2Policy
 from repro.core.search import SearchCandidate
+from repro.core.workflow import OnlineAllocator
+from repro.errors import InfeasibleProblemError
 from repro.gpu.mig import CORUN_STATES, MemoryOption, PartitionState, S1, solo_state
 from repro.workloads.pairs import CORUN_PAIRS, corun_pair
 from repro.workloads.suite import DEFAULT_SUITE
@@ -78,7 +82,7 @@ class TestBatchedEvaluationParity:
         evaluation, so pair decisions are bit-identical to the seed."""
         counters = list(context.pair_profiles(corun_pair("TI-MI2")))
         policy = Problem1Policy(power_cap_w=230.0)
-        allocator = ResourcePowerAllocator(context.model, cache_size=0)
+        allocator = ResourcePowerAllocator(context.model)
         decision = allocator.solve(counters, policy)
         expected = max(
             (
@@ -94,12 +98,8 @@ class TestBatchedEvaluationParity:
     def test_batched_and_scalar_solves_pick_the_same_decision(self, context):
         """Forcing the batched path never changes the chosen candidate."""
         policy = Problem2Policy(alpha=0.2)
-        scalar_alloc = ResourcePowerAllocator(
-            context.model, cache_size=0, batch_threshold=10**9
-        )
-        batched_alloc = ResourcePowerAllocator(
-            context.model, cache_size=0, batch_threshold=0
-        )
+        scalar_alloc = ResourcePowerAllocator(context.model, batch_threshold=10**9)
+        batched_alloc = ResourcePowerAllocator(context.model, batch_threshold=0)
         for pair in CORUN_PAIRS:
             counters = list(context.pair_profiles(pair))
             scalar = scalar_alloc.solve(counters, policy)
@@ -111,44 +111,89 @@ class TestBatchedEvaluationParity:
             )
 
 
-class TestDecisionCache:
-    def test_repeated_solve_hits_the_cache(self, context):
-        allocator = ResourcePowerAllocator(context.model, cache_size=8)
-        counters = list(context.pair_profiles(corun_pair("TI-MI2")))
-        policy = Problem2Policy(alpha=0.2)
-        first = allocator.solve(counters, policy)
-        assert allocator.cache.misses == 1 and allocator.cache.hits == 0
-        second = allocator.solve(counters, policy)
-        assert allocator.cache.hits == 1
+class TestDecisionMemo:
+    """``OnlineAllocator.decide`` is the one memo of allocation decisions."""
+
+    @pytest.fixture()
+    def online(self, context):
+        return self._online(context, context.model)
+
+    @staticmethod
+    def _online(context, model):
+        return OnlineAllocator(
+            model,
+            database=context.workflow.online.database,
+            power_caps=context.config.power_caps,
+        )
+
+    @staticmethod
+    def _count_solves(online, monkeypatch):
+        """Record every call that reaches ``ResourcePowerAllocator.solve``."""
+        calls = []
+        solve = online.allocator.solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(online.allocator, "solve", counted)
+        return calls
+
+    def test_hit_returns_the_same_object(self, online, monkeypatch):
+        solves = self._count_solves(online, monkeypatch)
+        first = online.decide(["igemm4", "stream"], Problem2Policy(alpha=0.2))
+        # An equal policy object hits: the key is the policy's signature.
+        second = online.decide(["igemm4", "stream"], Problem2Policy(alpha=0.2))
         assert second is first
+        assert len(solves) == 1
 
-    def test_policy_change_misses_the_cache(self, context):
-        allocator = ResourcePowerAllocator(context.model, cache_size=8)
-        counters = list(context.pair_profiles(corun_pair("TI-MI2")))
-        allocator.solve(counters, Problem2Policy(alpha=0.2))
-        allocator.solve(counters, Problem2Policy(alpha=0.3))
-        assert allocator.cache.misses == 2 and allocator.cache.hits == 0
+    def test_alpha_change_misses(self, online, monkeypatch):
+        solves = self._count_solves(online, monkeypatch)
+        online.decide(["igemm4", "stream"], Problem2Policy(alpha=0.2))
+        online.decide(["igemm4", "stream"], Problem2Policy(alpha=0.3))
+        assert len(solves) == 2
 
-    def test_lru_eviction(self, context):
-        allocator = ResourcePowerAllocator(context.model, cache_size=2)
+    def test_refit_misses(self, context, monkeypatch):
+        """Installing new coefficients must not serve stale decisions."""
+        model = LinearPerfModel.from_dict(context.model.to_dict())
+        online = self._online(context, model)
+        solves = self._count_solves(online, monkeypatch)
         policy = Problem2Policy(alpha=0.2)
-        for pair_name in ("TI-MI2", "CI-MI1", "US-US1"):
-            counters = list(context.pair_profiles(corun_pair(pair_name)))
-            allocator.solve(counters, policy)
-        assert len(allocator.cache) == 2
-        # The first entry was evicted: solving it again is a miss.
-        counters = list(context.pair_profiles(corun_pair("TI-MI2")))
-        allocator.solve(counters, policy)
-        assert allocator.cache.hits == 0
+        first = online.decide(["igemm4", "stream"], policy)
+        key = model.fitted_scalability_states()[0]
+        model.set_scalability_coefficients(
+            key, model.scalability_coefficients(key) * 0.5
+        )
+        second = online.decide(["igemm4", "stream"], policy)
+        assert second is not first
+        assert len(solves) == 2
 
-    def test_cache_disabled(self, context):
-        allocator = ResourcePowerAllocator(context.model, cache_size=0)
-        counters = list(context.pair_profiles(corun_pair("TI-MI2")))
+    def test_oldest_entry_is_evicted_at_the_bound(self, online, monkeypatch):
+        monkeypatch.setattr(workflow_module, "_DECISION_MEMO_SIZE", 2)
+        solves = self._count_solves(online, monkeypatch)
         policy = Problem2Policy(alpha=0.2)
-        first = allocator.solve(counters, policy)
-        second = allocator.solve(counters, policy)
-        assert first is not second
-        assert len(allocator.cache) == 0
+        groups = (["igemm4", "stream"], ["sgemm", "bfs"], ["hgemm", "kmeans"])
+        first = online.decide(groups[0], policy)
+        for group in groups[1:]:
+            online.decide(group, policy)
+        assert len(solves) == 3
+        online.decide(groups[2], policy)  # still held
+        assert len(solves) == 3
+        again = online.decide(groups[0], policy)  # evicted: solved again
+        assert len(solves) == 4
+        assert again is not first
+        assert again.state.key() == first.state.key()
+
+    def test_repeated_infeasible_group_is_not_solved_again(self, online, monkeypatch):
+        solves = self._count_solves(online, monkeypatch)
+        policy = Problem2Policy(alpha=0.99)
+        with pytest.raises(InfeasibleProblemError) as first:
+            online.decide(["igemm4", "stream"], policy)
+        with pytest.raises(InfeasibleProblemError) as repeat:
+            online.decide(["igemm4", "stream"], policy)
+        assert str(repeat.value) == str(first.value)
+        assert repeat.value is not first.value
+        assert len(solves) == 1
 
 
 class TestMixedStateSemantics:
@@ -163,27 +208,6 @@ class TestMixedStateSemantics:
         for state in CORUN_STATES:
             for index in range(state.n_apps):
                 assert state.effective_option(index) is state.option
-
-
-class TestCacheInvalidation:
-    def test_refit_invalidates_decision_cache(self, context):
-        """Installing new coefficients must not serve stale decisions."""
-        import numpy as np
-
-        from repro.core.model import LinearPerfModel
-
-        model = LinearPerfModel.from_dict(context.model.to_dict())
-        allocator = ResourcePowerAllocator(model, cache_size=8)
-        counters = list(context.pair_profiles(corun_pair("TI-MI2")))
-        policy = Problem2Policy(alpha=0.2)
-        first = allocator.solve(counters, policy)
-        key = model.fitted_scalability_states()[0]
-        model.set_scalability_coefficients(
-            key, model.scalability_coefficients(key) * 0.5
-        )
-        second = allocator.solve(counters, policy)
-        assert second is not first  # recomputed, not the cached record
-        assert allocator.cache.hits == 0
 
 
 class TestInterferencePartnerSemantics:

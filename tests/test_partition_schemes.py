@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import PartitioningError
-from repro.gpu.mig import MemoryOption, enumerate_partition_states
+from repro.gpu.mig import MIGManager, MemoryOption, enumerate_partition_states
 from repro.gpu.scheme import (
     CoupledSliceScheme,
     IndependentAxesScheme,
@@ -88,6 +88,16 @@ class TestSchemeProperties:
         spec = GPU_SPECS[spec_name]
         beyond = spec.scheme.max_co_located(spec) + 1
         assert _all_states(spec, beyond) == ()
+
+    @pytest.mark.parametrize("spec_name", sorted(GPU_SPECS))
+    def test_every_state_applies_on_the_emulated_device(self, spec_name):
+        """Each enumerated layout realizes on the MIG manager, one CI per app."""
+        spec = GPU_SPECS[spec_name]
+        for n_apps in range(1, spec.scheme.max_co_located(spec) + 1):
+            for state in _all_states(spec, n_apps):
+                cis = MIGManager(spec).apply_partition_state(state)
+                assert len(cis) == n_apps, state.describe()
+                assert len({ci.uuid for ci in cis}) == n_apps, state.describe()
 
     def test_memory_pools_flag_contention(self):
         spec = A100_SPEC

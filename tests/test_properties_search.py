@@ -30,13 +30,9 @@ def test_hill_climbing_never_beats_exhaustive_problem2(
 ):
     counters = list(context.pair_profiles(pair))
     policy = Problem2Policy(alpha=alpha)
-    exhaustive_alloc = ResourcePowerAllocator(
-        context.model, search=ExhaustiveSearch(), cache_size=0
-    )
+    exhaustive_alloc = ResourcePowerAllocator(context.model, search=ExhaustiveSearch())
     climbing_alloc = ResourcePowerAllocator(
-        context.model,
-        search=HillClimbingSearch(restarts=restarts, seed=seed),
-        cache_size=0,
+        context.model, search=HillClimbingSearch(restarts=restarts, seed=seed)
     )
     try:
         exhaustive = exhaustive_alloc.solve(counters, policy)
@@ -60,11 +56,9 @@ def test_hill_climbing_never_beats_exhaustive_problem2(
 def test_hill_climbing_never_beats_exhaustive_problem1(context, pair, alpha, seed):
     counters = list(context.pair_profiles(pair))
     policy = Problem1Policy(power_cap_w=230.0, alpha=alpha)
-    exhaustive_alloc = ResourcePowerAllocator(
-        context.model, search=ExhaustiveSearch(), cache_size=0
-    )
+    exhaustive_alloc = ResourcePowerAllocator(context.model, search=ExhaustiveSearch())
     climbing_alloc = ResourcePowerAllocator(
-        context.model, search=HillClimbingSearch(restarts=2, seed=seed), cache_size=0
+        context.model, search=HillClimbingSearch(restarts=2, seed=seed)
     )
     try:
         exhaustive = exhaustive_alloc.solve(counters, policy)
