@@ -42,13 +42,18 @@ def _check_spec(spec: str) -> str:
     return spec
 
 
-def _reject_nan(request: object, *fields: str) -> None:
-    """Fail at the boundary on a NaN knob: every comparison with NaN is
-    false, so deeper range checks would let it through silently."""
+def _reject_non_finite(request: object, *fields: str) -> None:
+    """Fail at the boundary on a NaN or infinite knob.
+
+    Every comparison with NaN is false, so deeper range checks would let
+    it through silently; an infinite rate, cap, budget or latency passes
+    them too, and then hangs a trace generator, names a cap no model was
+    fitted for, or is dropped without a word.
+    """
     for name in fields:
         value = getattr(request, name)
-        if isinstance(value, float) and math.isnan(value):
-            raise ConfigurationError(f"{name} must be a number, got nan")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be a finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ class DecisionRequest:
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.power_cap_w is not None:
             object.__setattr__(self, "power_cap_w", float(self.power_cap_w))
-        _reject_nan(self, "power_cap_w", "alpha")
+        _reject_non_finite(self, "power_cap_w", "alpha")
 
     @property
     def group_size(self) -> int:
@@ -152,16 +157,19 @@ class SimulationRequest:
             raise ConfigurationError(
                 f"unknown job mix {self.mix!r}; valid mixes: {tuple(sorted(JOB_MIXES))}"
             )
-        _reject_nan(
+        _reject_non_finite(
             self,
             "arrival_rate_per_s",
-            "duration_s",
             "burst_size",
             "power_cap_w",
             "alpha",
             "repartition_latency_s",
             "power_budget_w",
         )
+        # An infinite window is fine when n_jobs bounds the trace; the
+        # generators reject it otherwise.  No arrival time exceeds NaN.
+        if isinstance(self.duration_s, float) and math.isnan(self.duration_s):
+            raise ConfigurationError("duration_s must be a number, got nan")
         if self.burst_size is not None and self.burst_size <= 0:
             raise ConfigurationError(
                 f"burst_size must be positive, got {self.burst_size}"

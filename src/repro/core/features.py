@@ -164,6 +164,34 @@ def pool_saturation_terms(
     return np.array([saturating, excess], dtype=float)
 
 
+def capacity_terms(
+    victim_demand: np.ndarray,
+    co_runner_demand: np.ndarray,
+    pool_fraction: np.ndarray,
+) -> np.ndarray:
+    """Row-wise ``[σ, P1, P2]`` over arrays of demands and pool fractions.
+
+    The elementwise form of :func:`servable_fraction` followed by
+    :func:`pool_saturation_terms`, op for op, so every entry is
+    bit-identical to the scalar value; the trainer builds its
+    capacity-aware design columns with it.
+    """
+    pool_fraction = np.asarray(pool_fraction, dtype=float)
+    in_range = (0.0 < pool_fraction) & (pool_fraction <= 1.0)
+    if not np.all(in_range):
+        raise ValueError(
+            f"pool_fraction must be in (0, 1], got {pool_fraction[~in_range][0]}"
+        )
+    combined = victim_demand + co_runner_demand
+    return np.column_stack(
+        [
+            np.minimum(1.0, pool_fraction / np.maximum(combined, 1e-6)),
+            np.minimum(1.0, co_runner_demand / pool_fraction),
+            np.maximum(0.0, combined - pool_fraction),
+        ]
+    )
+
+
 def basis_h(counters: CounterVector) -> np.ndarray:
     """The scalability basis ``H(F)`` of Table 4 (length 6)."""
     tensor_intensity = (

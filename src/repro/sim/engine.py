@@ -26,7 +26,6 @@ operation in the scalar solve's order, so each result is bit-identical to
 
 from __future__ import annotations
 
-import sys
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from repro.errors import SimulationError
 from repro.gpu.mig import MemoryOption, PartitionState, solo_state
 from repro.gpu.power import InstanceLoad, InstanceLoads, PowerModel
 from repro.gpu.spec import A100_SPEC, GPUSpec
+from repro.numerics import builtin_sum
 from repro.sim.counters import CounterVector, collect_counters
 from repro.sim.interference import InterferenceModel
 from repro.sim.noise import NoiseModel
@@ -55,10 +55,6 @@ _DAMPING = 0.6
 #: Entries kept in the run-result memo (distinct (kernels, state, cap)
 #: combinations; a bounded application mix stays far below this).
 _RUN_CACHE_SIZE = 4096
-
-#: Whether the built-in ``sum`` compensates float additions (Neumaier's
-#: algorithm, CPython 3.12+) rather than adding left to right.
-_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 #: One co-run request of :meth:`PerformanceSimulator.co_run_batch`.
 RunRequest = tuple[Sequence[KernelCharacteristics], PartitionState, float | None]
@@ -678,33 +674,6 @@ def _pool_layout(placements: Sequence[_Placement]) -> tuple:
     )
 
 
-def _builtin_sum(columns: Sequence[np.ndarray], compensated: bool = _COMPENSATED_SUM) -> np.ndarray:
-    """Row-wise ``sum([columns[0][r], columns[1][r], ...])`` over Python floats.
-
-    The built-in adds left to right from ``0``; from CPython 3.12 it also
-    carries a Neumaier compensation term, added at the end when it is
-    non-zero and finite.  The scalar fixed point totals its pool demands
-    with the built-in, so the lockstep solve rounds the same way.
-    """
-    total = 0.0 + columns[0]
-    if not compensated:
-        for column in columns[1:]:
-            total = total + column
-        return total
-    compensation = np.zeros(total.shape)
-    for column in columns[1:]:
-        step = total + column
-        compensation = compensation + np.where(
-            np.abs(total) >= np.abs(column),
-            (total - step) + column,
-            (column - step) + total,
-        )
-        total = step
-    return np.where(
-        (compensation != 0.0) & np.isfinite(compensation), total + compensation, total
-    )
-
-
 class _LockstepRows:
     """Runs sharing one pool layout, as ``(run, application)`` arrays.
 
@@ -840,7 +809,9 @@ def _settle_pool(
         demand = np.divide(
             memory_full, elapsed, out=np.zeros(elapsed.shape), where=elapsed > 0
         )
-        total = _builtin_sum(demand.T)[:, None]
+        # The scalar fixed point totals its pool demands with the built-in
+        # ``sum``; builtin_sum rounds the same way.
+        total = builtin_sum(demand.T)[:, None]
         proportional = np.divide(
             pool_capacity * demand, total, out=pool_capacity.copy(), where=total > 0
         )

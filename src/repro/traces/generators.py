@@ -32,6 +32,13 @@ def _sampler(
     return lambda: rng.choices(names, weights=weights, k=1)[0]
 
 
+def _check_rate(what: str, rate: float) -> None:
+    """An infinite rate draws zero gaps and a NaN rate NaN ones, so the
+    arrival clock never leaves the window: only finite positive rates."""
+    if not (0 < rate < math.inf):
+        raise TraceError(f"{what} must be finite and positive, got {rate}")
+
+
 def _check_bounded(duration_s: float, n_jobs: int | None) -> None:
     """A non-finite window (inf, or NaN, which no arrival time exceeds)
     never ends the generator loop, so only ``n_jobs`` can bound it."""
@@ -56,10 +63,7 @@ def poisson_trace(
     and ``n_jobs`` (generate a fixed number of arrivals) bounds the trace;
     supplying both caps the trace at whichever limit is hit first.
     """
-    if arrival_rate_per_s <= 0:
-        raise TraceError(
-            f"the arrival rate must be positive, got {arrival_rate_per_s}"
-        )
+    _check_rate("the arrival rate", arrival_rate_per_s)
     if duration_s is None and n_jobs is None:
         raise TraceError("poisson_trace needs duration_s and/or n_jobs")
     if duration_s is not None and duration_s <= 0:
@@ -109,10 +113,12 @@ def bursty_trace(
     shape that exercises the power-rebalance path: a burst fills several
     nodes at once, so the cluster budget has to be re-split in one step.
     """
-    if burst_rate_per_s <= 0:
-        raise TraceError(f"the burst rate must be positive, got {burst_rate_per_s}")
-    if mean_burst_size < 1:
-        raise TraceError(f"mean_burst_size must be >= 1, got {mean_burst_size}")
+    _check_rate("the burst rate", burst_rate_per_s)
+    # An infinite mean makes the stop probability 0: one burst never ends.
+    if not (1 <= mean_burst_size < math.inf):
+        raise TraceError(
+            f"mean_burst_size must be finite and >= 1, got {mean_burst_size}"
+        )
     if duration_s <= 0:
         raise TraceError(f"duration_s must be positive, got {duration_s}")
     _check_bounded(duration_s, n_jobs)

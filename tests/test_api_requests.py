@@ -68,6 +68,12 @@ class TestDecisionRequest:
         with pytest.raises(ConfigurationError, match=knob):
             DecisionRequest(apps=("stream",), **{knob: math.nan})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("knob", ["power_cap_w", "alpha"])
+    def test_infinite_knob_rejected(self, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            DecisionRequest(apps=("stream",), **{knob: value})
+
     def test_unknown_field_rejected_by_from_dict(self):
         with pytest.raises(ConfigurationError, match="unknown field"):
             DecisionRequest.from_dict({"apps": ["stream"], "powercap": 230})
@@ -122,6 +128,26 @@ class TestSimulationRequest:
     def test_nan_knob_rejected(self, knob):
         with pytest.raises(ConfigurationError, match=knob):
             SimulationRequest(**{knob: math.nan})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "arrival_rate_per_s",
+            "burst_size",
+            "power_cap_w",
+            "alpha",
+            "repartition_latency_s",
+            "power_budget_w",
+        ],
+    )
+    def test_infinite_knob_rejected(self, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            SimulationRequest(**{knob: value})
+
+    def test_infinite_window_left_to_n_jobs(self):
+        request = SimulationRequest(duration_s=math.inf, n_jobs=10)
+        assert request.duration_s == math.inf
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown field"):

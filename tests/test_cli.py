@@ -235,6 +235,37 @@ class TestExitCodes:
         assert code == 2
         assert knob in text
 
+    @pytest.mark.parametrize(
+        "argv, knob",
+        [
+            # Used to exit 3: "no coefficients for power cap(s) (inf,)".
+            (["decide", "igemm4", "stream", "--power-cap", "inf"], "power_cap_w"),
+            # Used to exit 0 with the budget silently ignored.
+            (["simulate", "--power-budget", "inf", "--duration", "10"], "power_budget_w"),
+            # Used to exit 2 only from the event heap's own check.
+            (
+                ["simulate", "--repartition-latency", "inf", "--duration", "10"],
+                "repartition_latency_s",
+            ),
+            # Used to hang: an infinite rate draws zero gaps, so the
+            # arrival clock never leaves the window.
+            (
+                ["simulate", "--arrival-rate", "inf", "--duration", "5", "--nodes", "1"],
+                "arrival_rate_per_s",
+            ),
+        ],
+        ids=[
+            "decide-power-cap",
+            "simulate-power-budget",
+            "simulate-repartition-latency",
+            "simulate-arrival-rate",
+        ],
+    )
+    def test_infinite_knob_exits_2(self, argv, knob):
+        code, text = run_cli(argv)
+        assert code == 2
+        assert knob in text
+
     def test_unbounded_duration_exits_2(self):
         code, text = run_cli(["simulate", "--duration", "inf"])
         assert code == 2

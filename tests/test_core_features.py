@@ -12,7 +12,10 @@ from repro.core.features import (
     RAW_COUNTER_BASIS,
     basis_h,
     basis_j,
+    capacity_terms,
+    pool_saturation_terms,
     raw_counter_basis,
+    servable_fraction,
 )
 from repro.sim.counters import CounterVector, collect_counters
 from repro.workloads.suite import DEFAULT_SUITE
@@ -101,3 +104,27 @@ class TestBasisFunctionsContainer:
         stream = basis_h(collect_counters(DEFAULT_SUITE.get("stream")))
         assert hgemm[1] > 0.5 and dgemm[1] == 0.0          # tensor intensity
         assert stream[2] > 3 * dgemm[2]                     # memory/compute ratio
+
+
+class TestCapacityTerms:
+    def test_matches_the_scalar_terms_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        victim = rng.random(200)
+        co_runner = rng.random(200) * 3.0
+        pool = rng.choice([0.125, 0.25, 0.5, 0.75, 1.0], 200)
+        victim[:3] = co_runner[:3] = 0.0  # combined demand below the 1e-6 floor
+        expected = np.array(
+            [
+                [servable_fraction(v, c, q), *pool_saturation_terms(v, c, q)]
+                for v, c, q in zip(victim.tolist(), co_runner.tolist(), pool.tolist())
+            ]
+        )
+        assert capacity_terms(victim, co_runner, pool).tobytes() == expected.tobytes()
+
+    def test_empty_rows(self):
+        assert capacity_terms(np.zeros(0), np.zeros(0), np.zeros(0)).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, float("nan")])
+    def test_pool_fraction_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="pool_fraction"):
+            capacity_terms(np.full(2, 0.5), np.full(2, 0.5), np.array([0.25, bad]))

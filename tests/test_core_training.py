@@ -70,13 +70,22 @@ class TestCollection:
 class TestTrainer:
     def test_requires_measurements(self):
         trainer = ModelTrainer()
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="solo measurements"):
             trainer.fit_scalability([])
+        with pytest.raises(ModelError, match="solo measurements"):
+            trainer.train([], [])
+        with pytest.raises(ModelError):
             trainer._least_squares(np.zeros((0, 6)), np.zeros(0))
 
     def test_rejects_negative_ridge(self):
         with pytest.raises(ModelError):
             ModelTrainer(ridge=-1.0)
+
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+    def test_rejects_non_finite_ridge(self, ridge):
+        # NaN passed the `ridge < 0` check and gave NaN coefficients.
+        with pytest.raises(ModelError, match="ridge"):
+            ModelTrainer(ridge=ridge)
 
     def test_fit_scalability_creates_coefficients_per_state(self, sim):
         kernels = [DEFAULT_SUITE.get(n) for n in ("dgemm", "stream", "hgemm", "kmeans", "srad", "lud")]

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.workflow as workflow_module
+import repro.numerics as numerics
 import repro.sim.engine as engine_module
 from repro.core.training import CoRunMeasurement, SoloMeasurement
 from repro.core.workflow import OfflineTrainer, TrainingPlan, power_caps_for_spec
@@ -290,11 +291,11 @@ def test_builtin_sum_mirrors_the_interpreter_both_ways():
 
     rows = [[float(column[r]) for column in columns] for r in range(64)]
     for compensated, reference in ((False, left_to_right), (True, neumaier)):
-        got = engine_module._builtin_sum(columns, compensated=compensated).tolist()
+        got = numerics.builtin_sum(columns, compensated=compensated).tolist()
         assert [struct.pack("<d", v) for v in got] == [
             struct.pack("<d", reference(row)) for row in rows
         ]
-    native = engine_module._builtin_sum(columns).tolist()
+    native = numerics.builtin_sum(columns).tolist()
     assert [struct.pack("<d", v) for v in native] == [
         struct.pack("<d", sum(row)) for row in rows
     ]

@@ -108,6 +108,15 @@ class TestPoissonGenerator:
             poisson_trace(1.0, duration_s=duration_s)
         assert poisson_trace(1.0, duration_s=duration_s, n_jobs=12).n_jobs == 12
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, rate):
+        # Either rate used to keep the arrival clock inside the window
+        # forever; n_jobs does not make an infinite rate meaningful.
+        with pytest.raises(TraceError, match="arrival rate"):
+            poisson_trace(rate, duration_s=5.0)
+        with pytest.raises(TraceError, match="arrival rate"):
+            poisson_trace(rate, n_jobs=3)
+
 
 class TestBurstyGenerator:
     def test_deterministic_for_a_seed(self):
@@ -146,6 +155,17 @@ class TestBurstyGenerator:
         with pytest.raises(TraceError, match="duration_s"):
             bursty_trace(1.0, 3.0, duration_s=duration_s)
         assert bursty_trace(1.0, 3.0, duration_s=duration_s, n_jobs=12).n_jobs == 12
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(TraceError, match="burst rate"):
+            bursty_trace(rate, 3.0, duration_s=5.0)
+
+    @pytest.mark.parametrize("size", [math.inf, math.nan])
+    def test_non_finite_burst_size_rejected(self, size):
+        # An infinite mean burst never stops drawing jobs.
+        with pytest.raises(TraceError, match="mean_burst_size"):
+            bursty_trace(1.0, size, duration_s=5.0)
 
 
 class TestLoader:
