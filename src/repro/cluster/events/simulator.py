@@ -14,6 +14,7 @@ the batch job manager's schedule exactly (parity-tested).
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -72,13 +73,15 @@ class SimulationConfig:
     power_budget_w: float | None = None
 
     def __post_init__(self) -> None:
-        if self.repartition_latency_s < 0:
+        # Written so that NaN fails every test.
+        if not 0 <= self.repartition_latency_s < math.inf:
             raise ConfigurationError(
-                f"repartition_latency_s must be >= 0, got {self.repartition_latency_s}"
+                "repartition_latency_s must be finite and >= 0, "
+                f"got {self.repartition_latency_s}"
             )
-        if self.power_budget_w is not None and self.power_budget_w <= 0:
+        if self.power_budget_w is not None and not 0 < self.power_budget_w < math.inf:
             raise ConfigurationError(
-                f"power_budget_w must be positive, got {self.power_budget_w}"
+                f"power_budget_w must be finite and positive, got {self.power_budget_w}"
             )
 
 

@@ -64,8 +64,11 @@ class ComputeNode:
         """Record a partition state and a power cap for the next run.
 
         The cap is stored at NVML's milliwatt granularity, as
-        ``nvidia-smi -pl`` would set it.
+        ``nvidia-smi -pl`` would set it.  A cap outside the spec's range
+        (NaN and infinities included) raises :class:`PowerCapError` and
+        leaves the node as it was.
         """
+        power_cap_w = self.spec.validate_power_cap(power_cap_w)
         self._power_limit_w = int(round(power_cap_w * 1000)) / 1000
         self._current_state = state
 

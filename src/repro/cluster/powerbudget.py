@@ -10,6 +10,7 @@ budget-splitting piece.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -39,8 +40,12 @@ class PowerRequest:
     minimum_w: float
 
     def __post_init__(self) -> None:
-        if self.minimum_w <= 0 or self.desired_w <= 0:
-            raise ConfigurationError("power requests must be positive")
+        # Written so that NaN fails the test.
+        if not (0 < self.minimum_w < math.inf and 0 < self.desired_w < math.inf):
+            raise ConfigurationError(
+                f"node {self.node_id}: power requests must be finite and positive, "
+                f"got desired {self.desired_w} W, minimum {self.minimum_w} W"
+            )
         if self.desired_w < self.minimum_w:
             raise ConfigurationError(
                 f"node {self.node_id}: desired cap {self.desired_w} W below minimum {self.minimum_w} W"
@@ -104,11 +109,15 @@ class ClusterPowerManager:
         """
         if len(node_ids) == 0:
             return {}
-        if total_budget_w <= 0:
-            raise ConfigurationError("the total power budget must be positive")
-        if np.any(minimum_w <= 0) or np.any(desired_w < minimum_w):
+        # Every comparison with NaN is False, so NaN fails both tests, and
+        # an infinite minimum needs an infinite desired value, which fails.
+        if not 0 < total_budget_w < math.inf:
             raise ConfigurationError(
-                "power demands must be positive and desired >= minimum"
+                f"the total power budget must be finite and positive, got {total_budget_w}"
+            )
+        if not ((0 < minimum_w) & (minimum_w <= desired_w) & (desired_w < math.inf)).all():
+            raise ConfigurationError(
+                "power demands must be finite and positive, with desired >= minimum"
             )
         minimum_total = (
             float(sum(minimum_w.tolist()))

@@ -283,27 +283,24 @@ class PowerModel:
     # ------------------------------------------------------------------
     def max_frequency_under_cap(
         self,
-        loads_at: Callable[[float], Sequence[InstanceLoad]],
+        power_at: Callable[[float], float],
         power_cap_w: float,
-        powered_gpcs: int | None = None,
-        tolerance: float = _GOVERNOR_TOLERANCE,
     ) -> float:
         """Highest quantized relative frequency whose power fits under the cap.
 
         Parameters
         ----------
-        loads_at:
-            Callable mapping a relative frequency to the instance loads at
-            that frequency.  The execution engine supplies this because the
-            pipe utilizations themselves depend on the operating point (a
-            throttled compute-bound kernel stays fully busy; a throttled
-            memory-bound kernel becomes *less* compute-utilized).
+        power_at:
+            Callable mapping a relative frequency to the chip power in watts
+            at that frequency.  The execution engine supplies it because
+            the pipe utilizations themselves depend on the operating point
+            (a throttled compute-bound kernel stays fully busy; a throttled
+            memory-bound kernel becomes *less* compute-utilized), and it
+            decides which GPCs are powered.  The governor only compares
+            its values against the cap, so a caller may answer a clock it
+            has evaluated before from memory.
         power_cap_w:
             The chip-level power cap in watts.
-        powered_gpcs:
-            Number of powered GPCs (see :meth:`breakdown`).
-        tolerance:
-            Bisection convergence tolerance on the relative frequency.
 
         Returns
         -------
@@ -315,26 +312,22 @@ class PowerModel:
         self._spec.validate_power_cap(power_cap_w)
         lo = self._spec.min_relative_frequency
         hi = 1.0
-
-        def power(f: float) -> float:
-            return self.total_power(loads_at(f), f, powered_gpcs)
-
-        if power(hi) <= power_cap_w:
+        if power_at(hi) <= power_cap_w:
             return 1.0
-        if power(lo) > power_cap_w:
+        if power_at(lo) > power_cap_w:
             return self._dvfs.quantize(lo)
         # The power model is monotonically increasing in f for fixed work,
         # so a plain bisection finds the crossing point.
-        while hi - lo > tolerance:
+        while hi - lo > _GOVERNOR_TOLERANCE:
             mid = 0.5 * (lo + hi)
-            if power(mid) <= power_cap_w:
+            if power_at(mid) <= power_cap_w:
                 lo = mid
             else:
                 hi = mid
         selected = self._dvfs.quantize(lo)
         # Quantization floors the frequency, so the cap still holds; guard
         # against pathological cases where flooring is not possible.
-        if power(selected) > power_cap_w + 1e-6 and selected > self._spec.min_relative_frequency:
+        if power_at(selected) > power_cap_w + 1e-6 and selected > self._spec.min_relative_frequency:
             selected = self._dvfs.quantize(max(self._spec.min_relative_frequency, lo - self._spec.clock_step_ghz / self._spec.max_clock_ghz))
         return selected
 
@@ -351,8 +344,7 @@ class PowerModel:
         exit (uncapped, floor or bisection), the same bisection steps with
         a per-row stopping test, the same quantization on Python floats and
         the same floor guard, so entry ``r`` equals what
-        :meth:`max_frequency_under_cap` selects for row ``r`` at its
-        default tolerance.
+        :meth:`max_frequency_under_cap` selects for row ``r``.
         """
         caps = np.array([self._spec.validate_power_cap(cap) for cap in power_caps_w])
         floor = self._spec.min_relative_frequency

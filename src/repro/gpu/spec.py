@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
 
-from repro.errors import SpecificationError
+from repro.errors import PowerCapError, SpecificationError
 from repro.gpu.scheme import (
     CoupledSliceScheme,
     IndependentAxesScheme,
@@ -326,8 +326,6 @@ class GPUSpec:
         repro.errors.PowerCapError
             If the requested cap lies outside the supported range.
         """
-        from repro.errors import PowerCapError
-
         if not (self.min_power_cap_w <= power_cap_w <= self.max_power_cap_w):
             raise PowerCapError(
                 f"power cap {power_cap_w} W outside supported range "

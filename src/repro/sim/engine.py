@@ -17,6 +17,22 @@ on the clock, the clock depends on utilizations, utilizations depend on
 elapsed times) with a small fixed-point iteration nested inside the
 governor's bisection.
 
+Two memos answer repeated questions.  The run memo returns the result of a
+(group, state, cap) seen before, which also skips the noise draws and the
+result records.  Below it, each (group, state) — its *shape* — keeps its
+placements, built and state-validated once, its power curve (the chip
+power at every clock the governor has evaluated on it) and the solved
+placements at the clocks the governor selected.  Under a drifting cap the
+run memo misses, but the governor bisects through the same clocks, so it
+reads their power from the curve and only a clock the shape has never
+seen is solved.  The governor's path is unchanged, and every compared
+value and result field is a pure function of (placements, clock, powered
+GPCs), so each result is bit-identical to a fresh solve.  Shapes are keyed
+on the kernels' signatures, which cover every kernel field the solve
+reads, and the state's content, so equal kernel objects share a shape.
+The curves hold at most ``_CURVE_POINTS`` clock points in total; the
+least-recently-used shape is forgotten first.
+
 :meth:`PerformanceSimulator.co_run_batch` solves many runs at once for the
 offline training sweeps: runs sharing a pool layout go through the governor
 and the fixed point as NumPy arrays, one row per run, with every float
@@ -28,7 +44,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +71,13 @@ _DAMPING = 0.6
 #: Entries kept in the run-result memo (distinct (kernels, state, cap)
 #: combinations; a bounded application mix stays far below this).
 _RUN_CACHE_SIZE = 4096
+
+#: Clock points remembered over every shape's power curve, checked after
+#: each run; past it the least-recently-used shapes are forgotten.  Every
+#: selected clock is a curve point, so this also bounds the solved
+#: placements kept.  One shape stays well below it: its bisection
+#: midpoints form one binary tree, 13 levels deep.
+_CURVE_POINTS = 32768
 
 #: One co-run request of :meth:`PerformanceSimulator.co_run_batch`.
 RunRequest = tuple[Sequence[KernelCharacteristics], PartitionState, float | None]
@@ -85,6 +108,21 @@ class _SolvedPlacement:
     components: TimeComponents
     elapsed_s: float
     dram_bw_fraction: float
+
+
+@dataclass
+class _Shape:
+    """One (group, state)'s placements and what the governor learnt on them.
+
+    Each value is a pure function of the placements and the clock, so the
+    shape serves every run of its group and state, at any cap.
+    """
+
+    placements: list[_Placement]
+    #: Chip power at every relative frequency the governor evaluated.
+    power: dict[float, float] = field(default_factory=dict)
+    #: Solved placements at every frequency the governor selected.
+    solved: dict[float, list[_SolvedPlacement]] = field(default_factory=dict)
 
 
 class PerformanceSimulator:
@@ -119,6 +157,9 @@ class PerformanceSimulator:
         self._power = power_model if power_model is not None else PowerModel(spec)
         self._reference_cache: dict[tuple, float] = {}
         self._run_cache: OrderedDict[tuple, CoRunResult] = OrderedDict()
+        # Shapes in LRU order and the clock points their curves hold.
+        self._shapes: OrderedDict[tuple, _Shape] = OrderedDict()
+        self._curve_points = 0
         # Signature memo keyed by object identity with a weakref guard: a
         # dead kernel's recycled address can never alias a fresh one, and
         # dead entries evict themselves via the ref callback.
@@ -172,16 +213,16 @@ class PerformanceSimulator:
         cached = self._reference_cache.get(key)
         if cached is not None:
             return cached
+        # The full chip powers all its GPCs where MIG runs power mig_gpcs,
+        # so this solve gets a throwaway shape, never a remembered one.
         placement = _Placement(
             kernel=kernel,
             gpcs=self._spec.n_gpcs,
             bandwidth_capacity=1.0,
             pool=None,
         )
-        solved, _, _ = self._solve(
-            [placement],
-            power_cap_w=self._spec.default_power_limit_w,
-            powered_gpcs=self._spec.n_gpcs,
+        solved, _, _ = self._govern(
+            _Shape([placement]), self._spec.default_power_limit_w, self._spec.n_gpcs
         )
         reference = solved[0].elapsed_s
         self._reference_cache[key] = reference
@@ -236,9 +277,11 @@ class PerformanceSimulator:
         per (group, state) rather than once per cap, and runs that share a
         pool layout go through the power-cap governor and the bandwidth
         fixed point in lockstep, one array row per run, with every float
-        operation in the scalar solve's order.  This is the offline
-        training sweeps' entry point; one-at-a-time callers (the event
-        loop) should keep calling :meth:`co_run`.
+        operation in the scalar solve's order.  The batch neither reads
+        nor fills the remembered shapes and power curves of :meth:`co_run`;
+        its placements live for the call.  This is the offline training
+        sweeps' entry point; one-at-a-time callers (the event loop) should
+        keep calling :meth:`co_run`.
         """
         keyed: list[tuple[tuple, tuple[KernelCharacteristics, ...], PartitionState, float]] = []
         for kernels, state, power_cap_w in runs:
@@ -318,15 +361,36 @@ class PerformanceSimulator:
         if cached is not None:
             self._run_cache.move_to_end(cache_key)
             return cached
-        # Validation is a pure function of the state's content, which the
-        # cache key captures — a hit implies the state already validated.
-        state.validate_against(self._spec)
-        placements = self._build_placements(state, kernels)
-        powered_gpcs = self._spec.mig_gpcs
-        solved, frequency, chip_power = self._solve(placements, cap, powered_gpcs)
+        shape = self._shape(cache_key[:2], state, kernels)
+        points = len(shape.power)
+        try:
+            solved, frequency, chip_power = self._govern(shape, cap, self._spec.mig_gpcs)
+        finally:
+            # Count the points the governor added, even if it raised.
+            self._curve_points += len(shape.power) - points
+            while self._curve_points > _CURVE_POINTS:
+                _, forgotten = self._shapes.popitem(last=False)
+                self._curve_points -= len(forgotten.power)
         result = self._assemble(state, kernels, cap, solved, frequency, chip_power)
         self._remember(cache_key, result)
         return result
+
+    def _shape(
+        self,
+        key: tuple,
+        state: PartitionState,
+        kernels: tuple[KernelCharacteristics, ...],
+    ) -> _Shape:
+        """The remembered shape under ``key``, built on its first run."""
+        shape = self._shapes.get(key)
+        if shape is not None:
+            self._shapes.move_to_end(key)
+            return shape
+        # Validation is a pure function of the state's content, which the
+        # key captures — a known shape implies the state already validated.
+        state.validate_against(self._spec)
+        shape = self._shapes[key] = _Shape(self._build_placements(state, kernels))
+        return shape
 
     def _assemble(
         self,
@@ -466,24 +530,36 @@ class PerformanceSimulator:
         return placements
 
     # ------------------------------------------------------------------
-    def _solve(
+    def _govern(
         self,
-        placements: Sequence[_Placement],
+        shape: _Shape,
         power_cap_w: float,
         powered_gpcs: int,
     ) -> tuple[list[_SolvedPlacement], float, float]:
-        """Resolve clock, bandwidth shares, and elapsed times under the cap."""
+        """Resolve clock, bandwidth shares, and elapsed times under the cap.
 
-        def loads_at(frequency: float) -> list[InstanceLoad]:
+        The governor reads the chip power from the shape's curve; only a
+        clock this shape has never seen is solved, and then remembered.
+        """
+        placements = shape.placements
+        fresh: dict[float, list[_SolvedPlacement]] = {}
+
+        def power_at(frequency: float) -> float:
+            power = shape.power.get(frequency)
+            if power is None:
+                solved = fresh[frequency] = self._solve_at_frequency(placements, frequency)
+                loads = self._loads_from_solution(placements, solved)
+                power = shape.power[frequency] = self._power.total_power(
+                    loads, frequency, powered_gpcs
+                )
+            return power
+
+        frequency = self._power.max_frequency_under_cap(power_at, power_cap_w)
+        chip_power = power_at(frequency)
+        solved = shape.solved.get(frequency) or fresh.get(frequency)
+        if solved is None:
             solved = self._solve_at_frequency(placements, frequency)
-            return self._loads_from_solution(placements, solved)
-
-        frequency = self._power.max_frequency_under_cap(
-            loads_at, power_cap_w, powered_gpcs=powered_gpcs
-        )
-        solved = self._solve_at_frequency(placements, frequency)
-        loads = self._loads_from_solution(placements, solved)
-        chip_power = self._power.total_power(loads, frequency, powered_gpcs)
+        shape.solved[frequency] = solved
         return solved, frequency, chip_power
 
     def _solve_at_frequency(

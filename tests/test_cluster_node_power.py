@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.cluster.node import ComputeNode
@@ -62,6 +65,18 @@ class TestComputeNode:
             node.simulator.reference_time(kernel)
         )
 
+    @pytest.mark.parametrize("cap", [90.0, math.nan, math.inf])
+    def test_rejected_cap_leaves_the_node_unchanged(self, node, cap):
+        node.configure(S1, 210)
+        node.release()
+        kernels = list(corun_pair("CI-US1").kernels())
+        with pytest.raises(PowerCapError):
+            node.execute_group(kernels, S1, cap)
+        with pytest.raises(PowerCapError):
+            node.configure(S1, cap)
+        assert node.power_limit_w == 210.0
+        assert node.current_partition is None
+
     def test_busy_window(self, node):
         node.busy_until = 10.0
         assert not node.is_free(5.0)
@@ -80,6 +95,13 @@ class TestPowerRequest:
     def test_non_positive_rejected(self):
         with pytest.raises(ConfigurationError):
             PowerRequest(node_id=0, desired_w=0, minimum_w=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PowerRequest(node_id=0, desired_w=value, minimum_w=150.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            PowerRequest(node_id=0, desired_w=250.0, minimum_w=value)
 
 
 class TestClusterPowerManager:
@@ -118,6 +140,27 @@ class TestClusterPowerManager:
     def test_invalid_budget_rejected(self, manager):
         with pytest.raises(ConfigurationError):
             manager.distribute([PowerRequest(0, 200, 100)], total_budget_w=0)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, manager, budget):
+        # min(1.0, nan) is 1.0: a NaN budget used to grant every wish.
+        with pytest.raises(ConfigurationError, match="finite"):
+            manager.distribute([PowerRequest(0, 200, 100)], total_budget_w=budget)
+
+    @pytest.mark.parametrize(
+        "desired, minimum",
+        [
+            ((200.0, math.nan), (100.0, 100.0)),
+            ((200.0, math.inf), (100.0, 100.0)),
+            ((200.0, 200.0), (100.0, math.nan)),
+            ((200.0, math.inf), (100.0, math.inf)),
+        ],
+    )
+    def test_non_finite_demands_rejected(self, manager, desired, minimum):
+        with pytest.raises(ConfigurationError, match="finite"):
+            manager.distribute_demands(
+                [0, 1], np.array(desired), np.array(minimum), total_budget_w=400.0
+            )
 
     def test_allocation_never_exceeds_device_maximum(self, manager):
         requests = [PowerRequest(0, desired_w=300, minimum_w=100)]

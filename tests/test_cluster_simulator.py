@@ -8,6 +8,8 @@ latency, and power-budget reallocation — are exercised separately.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.events import ClusterSimulator, SimulationConfig
@@ -254,3 +256,12 @@ class TestPowerBudget:
             SimulationConfig(repartition_latency_s=-1.0)
         with pytest.raises(ConfigurationError):
             SimulationConfig(power_budget_w=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_config_values_rejected(self, value):
+        # NaN used to slip past every sign check: a NaN budget replayed
+        # with its rebalances counted but every node kept its full cap.
+        with pytest.raises(ConfigurationError, match="finite"):
+            SimulationConfig(power_budget_w=value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            SimulationConfig(repartition_latency_s=value)

@@ -26,6 +26,11 @@ def memory_load(n_gpcs: int = 8) -> InstanceLoad:
     )
 
 
+def power_of(power_model, loads):
+    """The governor's power function for loads that do not move with the clock."""
+    return lambda frequency: power_model.total_power(loads, frequency)
+
+
 class TestInstanceLoad:
     def test_valid_load(self):
         load = InstanceLoad(4, 0.5, 0.0, 0.3)
@@ -93,36 +98,41 @@ class TestBreakdown:
 class TestGovernor:
     def test_high_cap_allows_full_clock(self, power_model):
         f = power_model.max_frequency_under_cap(
-            lambda _: [memory_load()], A100_SPEC.max_power_cap_w
+            power_of(power_model, [memory_load()]), A100_SPEC.max_power_cap_w
         )
         assert f == pytest.approx(1.0)
 
     def test_low_cap_throttles_tensor_load(self, power_model):
-        f = power_model.max_frequency_under_cap(lambda _: [full_tensor_load()], 150.0)
+        f = power_model.max_frequency_under_cap(
+            power_of(power_model, [full_tensor_load()]), 150.0
+        )
         assert f < 0.9
 
     def test_memory_load_not_throttled_at_150w(self, power_model):
-        f = power_model.max_frequency_under_cap(lambda _: [memory_load()], 150.0)
+        f = power_model.max_frequency_under_cap(power_of(power_model, [memory_load()]), 150.0)
         assert f > 0.9
 
     def test_selected_frequency_honours_cap(self, power_model):
         cap = 170.0
         loads = [full_tensor_load()]
-        f = power_model.max_frequency_under_cap(lambda _: loads, cap)
+        f = power_model.max_frequency_under_cap(power_of(power_model, loads), cap)
         assert power_model.total_power(loads, f) <= cap + 1e-6
 
     def test_lower_cap_means_lower_frequency(self, power_model):
-        f150 = power_model.max_frequency_under_cap(lambda _: [full_tensor_load()], 150.0)
-        f250 = power_model.max_frequency_under_cap(lambda _: [full_tensor_load()], 250.0)
+        power = power_of(power_model, [full_tensor_load()])
+        f150 = power_model.max_frequency_under_cap(power, 150.0)
+        f250 = power_model.max_frequency_under_cap(power, 250.0)
         assert f150 < f250
 
     def test_governor_never_goes_below_min_clock(self, power_model):
         heavy = [full_tensor_load()]
-        f = power_model.max_frequency_under_cap(lambda _: heavy, A100_SPEC.min_power_cap_w)
+        f = power_model.max_frequency_under_cap(
+            power_of(power_model, heavy), A100_SPEC.min_power_cap_w
+        )
         assert f >= A100_SPEC.min_relative_frequency - 1e-9
 
     def test_governor_validates_cap(self, power_model):
         from repro.errors import PowerCapError
 
         with pytest.raises(PowerCapError):
-            power_model.max_frequency_under_cap(lambda _: [memory_load()], 10.0)
+            power_model.max_frequency_under_cap(power_of(power_model, [memory_load()]), 10.0)

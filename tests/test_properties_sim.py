@@ -265,6 +265,90 @@ def test_co_run_batch_keeps_the_memo_lru_order_of_the_scalar_loop(monkeypatch):
     assert len(batched._run_cache) == 8
 
 
+# ----------------------------------------------------------------------
+# Remembered shapes: power curves read across drifting caps
+# ----------------------------------------------------------------------
+def _drifting_runs(spec_name):
+    """Runs that revisit a few shapes at ~200 drifting caps.
+
+    The forced-exit runs come first, then every shape at every cap: the
+    forced-exit shapes on each spec, and on the A100 a pair under both
+    memory options of one GPC split and a mixed three-application state.
+    Caps are rounded to 0.1 W so that some runs repeat (run-memo hits),
+    and every other A100 pair run uses equal but distinct kernel objects,
+    which must share the pair's shape.
+    """
+    spec = GPU_SPECS[spec_name]
+    rng = np.random.default_rng(17)
+    drawn = np.round(rng.uniform(spec.min_power_cap_w, spec.max_power_cap_w, 200), 1)
+    caps = [spec.min_power_cap_w, spec.max_power_cap_w, *drawn.tolist()]
+    forced = list(_forced_exit_runs(spec_name).values())
+    shapes = [(kernels, state) for kernels, state, _ in forced]
+    pair = (DEFAULT_SUITE.get("hgemm"), DEFAULT_SUITE.get("stream"))
+    twins = tuple(dataclasses.replace(kernel) for kernel in pair)
+    if spec_name == "a100":
+        shapes += [
+            (pair, PartitionState((4, 3), MemoryOption.SHARED)),
+            (pair, PartitionState((4, 3), MemoryOption.PRIVATE)),
+            (
+                (*pair, DEFAULT_SUITE.get("kmeans")),
+                PartitionState((2, 2, 3), MemoryOption.MIXED, gi_groups=(0, 0, 1)),
+            ),
+        ]
+    runs = list(forced)
+    for index, cap in enumerate(caps):
+        for kernels, state in shapes:
+            if index % 2 and kernels is pair:
+                kernels = twins
+            runs.append((kernels, state, cap))
+    return spec, runs
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
+@pytest.mark.parametrize("spec_name", _SPEC_NAMES)
+def test_remembered_power_curves_match_the_lockstep_oracle(monkeypatch, spec_name, noisy):
+    """A long-lived simulator reads its shapes' power curves across caps;
+    every result must equal the lockstep batch's, which never reads them.
+
+    One batch on a fresh simulator solves each distinct run in its own
+    row, so entry ``i`` is what ``co_run_batch([runs[i]])`` returns on a
+    fresh simulator.  The sequence runs twice: under the real bound, and
+    with the bound at a few shapes' worth of points, so shapes are
+    forgotten and rebuilt mid-sequence.
+    """
+    spec, runs = _drifting_runs(spec_name)
+    noise = None if noisy else no_noise()
+    expected = [_bits(r) for r in PerformanceSimulator(spec, noise=noise).co_run_batch(runs)]
+    simulator = PerformanceSimulator(spec, noise=noise)
+    assert [_bits(simulator.co_run(*run)) for run in runs] == expected
+    assert 0 < simulator._curve_points <= engine_module._CURVE_POINTS
+    # Equal kernel objects share one shape.
+    names = {(tuple(k.name for k in kernels), state.key()) for kernels, state, _ in runs}
+    assert len(simulator._shapes) == len(names)
+
+    bound = 64
+    monkeypatch.setattr(engine_module, "_CURVE_POINTS", bound)
+    simulator = PerformanceSimulator(spec, noise=noise)
+    recency: dict[tuple, None] = {}
+    rebuilt = 0
+    for run, want in zip(runs, expected):
+        kernels, state, cap = run
+        key = simulator._run_key(tuple(kernels), state, float(cap))
+        if key not in simulator._run_cache:
+            if key[:2] in recency and key[:2] not in simulator._shapes:
+                rebuilt += 1
+            recency.pop(key[:2], None)
+            recency[key[:2]] = None
+        assert _bits(simulator.co_run(*run)) == want
+        shapes = simulator._shapes
+        points = sum(len(shape.power) for shape in shapes.values())
+        assert simulator._curve_points == points <= bound
+        # The shapes kept are the most recently used ones: the least
+        # recently used shape always left first.
+        assert list(shapes) == list(recency)[len(recency) - len(shapes):]
+    assert rebuilt > 0
+
+
 def test_builtin_sum_mirrors_the_interpreter_both_ways():
     rng = np.random.default_rng(7)
     columns = [rng.random(64) * 10.0 ** rng.integers(-8, 8, 64) for _ in range(4)]
