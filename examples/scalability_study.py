@@ -8,10 +8,6 @@ Reproduces the two observation studies:
 * Figure 5 — the same scalability curves while lowering the chip power cap
   from 250 W to 150 W (shared option).
 
-It also demonstrates the low-level administration workflow (MIG instance
-creation and power capping through the ``nvidia-smi``-style facade) that a
-job manager would drive on a real A100.
-
 Run with::
 
     python examples/scalability_study.py
@@ -19,34 +15,16 @@ Run with::
 
 from __future__ import annotations
 
-from repro import MemoryOption, SimulatedSMI, solo_state
+from repro import MemoryOption, solo_state
 from repro.analysis import (
     EvaluationContext,
     figure4_scalability_partitioning,
     figure5_scalability_power,
 )
 from repro.analysis.report import render_scalability
-from repro.gpu.mig import S1
-
-
-def demonstrate_admin_workflow() -> None:
-    """Show the nvidia-smi-style commands a deployment would issue."""
-    smi = SimulatedSMI()
-    smi.set_power_limit(210)
-    smi.enable_mig()
-    uuids = smi.apply_partition_state(S1)
-    print("Administration workflow (simulated nvidia-smi):")
-    for command in smi.command_log:
-        print(f"  $ {command}")
-    print("  Compute Instance UUIDs handed to CUDA_VISIBLE_DEVICES:")
-    for uuid in uuids:
-        print(f"    {uuid}")
-    print()
 
 
 def main() -> None:
-    demonstrate_admin_workflow()
-
     context = EvaluationContext.create()
 
     fig4 = figure4_scalability_partitioning(context)

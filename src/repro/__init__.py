@@ -2,10 +2,11 @@
 Job Allocations on Modern GPUs under Power Caps"* (Arima et al., ICPP
 Workshops 2022) on a simulated A100-class substrate.
 
-The library is organised in layers (see ``DESIGN.md`` for the full map):
+The library is organised in layers (see the Architecture map in
+``README.md`` for the full map):
 
 * :mod:`repro.gpu` — simulated A100-class GPU: MIG partitioning, chip power
-  model, power-cap governor, NVML-style administration facade.
+  model, power-cap governor.
 * :mod:`repro.workloads` — analytic models of the paper's benchmarks
   (CUTLASS GEMM variants, Rodinia kernels, stream/randomaccess) and the
   Table 7 classification / Table 8 co-run pairs.
@@ -65,13 +66,11 @@ from repro.gpu import (
     GPUSpec,
     H100_SPEC,
     MemoryOption,
-    MIGManager,
     PartitionState,
     S1,
     S2,
     S3,
     S4,
-    SimulatedSMI,
     enumerate_partition_states,
     solo_state,
     spec_by_name,
@@ -120,8 +119,6 @@ __all__ = [
     "spec_by_name",
     "MemoryOption",
     "PartitionState",
-    "MIGManager",
-    "SimulatedSMI",
     "CORUN_STATES",
     "S1",
     "S2",

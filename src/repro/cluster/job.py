@@ -43,7 +43,8 @@ class Job:
     start_time, finish_time:
         Simulated execution interval (set by the scheduler).
     assigned_device:
-        UUID of the MIG Compute Instance the job was launched on, if any.
+        The node, partition state and application slot the job ran on
+        (``"node<id>-<state>-app<index>"``), if it was co-scheduled.
     co_runner:
         ``job_id`` of the first job it was co-scheduled with, if any (kept
         for pair-era compatibility; see ``co_runners``).

@@ -100,12 +100,23 @@ class JobManager:
             return self.run_exclusive(kernels)
         return self.run_coscheduled(kernels)
 
-    def run_coscheduled(self, kernels: Iterable[KernelCharacteristics]) -> ScheduleReport:
-        """Drain a queue of jobs using co-scheduling decisions."""
+    def _start_batch(
+        self, kernels: Iterable[KernelCharacteristics]
+    ) -> tuple[JobQueue, list[Job]]:
+        """Queue ``kernels`` at ``t=0`` on idle nodes: like each event-loop
+        replay, each drain starts fresh, never behind the previous one."""
         queue = JobQueue()
         jobs = queue.submit_all(kernels)
         if not jobs:
             raise SchedulingError("no jobs were submitted")
+        for node in self.nodes:
+            node.busy_until = 0.0
+            node.release()
+        return queue, jobs
+
+    def run_coscheduled(self, kernels: Iterable[KernelCharacteristics]) -> ScheduleReport:
+        """Drain a queue of jobs using co-scheduling decisions."""
+        queue, jobs = self._start_batch(kernels)
         time = 0.0
         while not queue.empty:
             node = self._free_node(time)
@@ -118,10 +129,7 @@ class JobManager:
 
     def run_exclusive(self, kernels: Iterable[KernelCharacteristics]) -> ScheduleReport:
         """Baseline: every job runs exclusively on the full GPU, FIFO."""
-        queue = JobQueue()
-        jobs = queue.submit_all(kernels)
-        if not jobs:
-            raise SchedulingError("no jobs were submitted")
+        queue, jobs = self._start_batch(kernels)
         time = 0.0
         while not queue.empty:
             node = self._free_node(time)

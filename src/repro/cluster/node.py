@@ -2,10 +2,7 @@
 
 A node records the partition state and power cap of its current dispatch.
 The engine validates every state and cap it runs, and the event loop
-charges repartition latency from its own layout bookkeeping, so a dispatch
-makes no MIG/NVML administration calls; :mod:`repro.gpu.nvml` and
-:mod:`repro.gpu.mig` are the administration API for scripts that drive a
-device directly.
+charges repartition latency from its own layout bookkeeping.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ class JobQueue:
         self._jobs: list[Job] = []
         self._next_id = 0
         self._clock = 0.0
-        self._version = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -39,16 +38,6 @@ class JobQueue:
     def clock(self) -> float:
         """The queue's current notion of time (latest accepted timestamp)."""
         return self._clock
-
-    @property
-    def version(self) -> int:
-        """Counter bumped on every content mutation (submit/remove).
-
-        Consumers that memoize work derived from the queue's content can
-        invalidate on a version change; clock advances leave the content —
-        and therefore the version — untouched.
-        """
-        return self._version
 
     # ------------------------------------------------------------------
     def submit(self, kernel: KernelCharacteristics, submit_time: float | None = None) -> Job:
@@ -74,7 +63,6 @@ class JobQueue:
         self._jobs.append(job)
         self._next_id += 1
         self._clock = when
-        self._version += 1
         return job
 
     def submit_all(self, kernels: Iterable[KernelCharacteristics]) -> list[Job]:
@@ -106,7 +94,6 @@ class JobQueue:
         for index, queued in enumerate(jobs):
             if queued is job:
                 del jobs[index]
-                self._version += 1
                 return
         raise SchedulingError(f"job {job.job_id} is not in the queue")
 

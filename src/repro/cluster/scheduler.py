@@ -24,6 +24,7 @@ so the scheduler keeps no decisions of its own.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable
@@ -80,9 +81,10 @@ class SchedulerConfig:
             raise ConfigurationError(
                 f"unknown policy {self.policy_name!r}; valid names: {POLICY_NAMES}"
             )
-        if self.power_cap_w <= 0:
+        # Written so that NaN fails the test.
+        if not 0 < self.power_cap_w < math.inf:
             raise ConfigurationError(
-                f"power_cap_w must be positive, got {self.power_cap_w}"
+                f"power_cap_w must be finite and positive, got {self.power_cap_w}"
             )
         if not (0.0 <= self.alpha < 1.0):
             raise ConfigurationError(f"alpha must be in [0, 1), got {self.alpha}")

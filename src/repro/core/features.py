@@ -165,16 +165,17 @@ def pool_saturation_terms(
 
 
 def capacity_terms(
-    victim_demand: np.ndarray,
+    victim_demand: np.ndarray | float,
     co_runner_demand: np.ndarray,
-    pool_fraction: np.ndarray,
+    pool_fraction: np.ndarray | float,
 ) -> np.ndarray:
     """Row-wise ``[σ, P1, P2]`` over arrays of demands and pool fractions.
 
     The elementwise form of :func:`servable_fraction` followed by
     :func:`pool_saturation_terms`, op for op, so every entry is
     bit-identical to the scalar value; the trainer builds its
-    capacity-aware design columns with it.
+    capacity-aware design columns with it, and the batched predictor its
+    sub-chip and full-chip composition terms.
     """
     pool_fraction = np.asarray(pool_fraction, dtype=float)
     in_range = (0.0 < pool_fraction) & (pool_fraction <= 1.0)

@@ -31,6 +31,7 @@ from repro.core.features import (
     DEFAULT_BASIS,
     POOL_TERM_DIM,
     BasisFunctions,
+    capacity_terms,
     dram_demand,
     pool_saturation_terms,
     servable_fraction,
@@ -388,43 +389,44 @@ class LinearPerfModel:
             for other in co_counters:
                 value += scale * float(d[:j_dim] @ self._basis.j(other))
             if self.is_sub_chip_shared(key):
-                h_dim = self._basis.h_dim
-                co_runner_demand = 0.0
-                for other in co_counters:
-                    co_runner_demand += dram_demand(other)
-                victim_demand = dram_demand(counters)
-                pool_fraction = self.pool_fraction(key)
-                servable = servable_fraction(
-                    victim_demand, co_runner_demand, pool_fraction
+                value = self._add_capacity_terms(
+                    value, d[j_dim:], key, counters, co_counters
                 )
-                value += servable * float(
-                    d[j_dim : j_dim + h_dim] @ self._basis.h(counters)
-                )
-                terms = pool_saturation_terms(
-                    victim_demand, co_runner_demand, pool_fraction
-                )
-                value += float(d[j_dim + h_dim :] @ terms)
             if len(co_counters) >= 2 and key in self._composition:
                 # Full-chip composition correction (mutually exclusive
                 # with the sub-chip branch above): the pair-additive terms
                 # overshoot once the whole-chip pool clips, so apply the
                 # capacity-aware basis at q = 1 with the N≥3-fitted E.
-                e = self._composition[key]
-                h_dim = self._basis.h_dim
-                co_runner_demand = 0.0
-                for other in co_counters:
-                    co_runner_demand += dram_demand(other)
-                victim_demand = dram_demand(counters)
-                pool_fraction = self.pool_fraction(key)
-                servable = servable_fraction(
-                    victim_demand, co_runner_demand, pool_fraction
+                value = self._add_capacity_terms(
+                    value, self._composition[key], key, counters, co_counters
                 )
-                value += servable * float(e[:h_dim] @ self._basis.h(counters))
-                terms = pool_saturation_terms(
-                    victim_demand, co_runner_demand, pool_fraction
-                )
-                value += float(e[h_dim:] @ terms)
         return max(0.0, value)
+
+    def _add_capacity_terms(
+        self,
+        value: float,
+        coefficients: np.ndarray,
+        key: HardwareStateKey,
+        counters: CounterVector,
+        co_counters: Sequence[CounterVector],
+    ) -> float:
+        """``value`` plus ``σ·(C_H·H)``, then plus ``C_P·P``, for one application.
+
+        ``coefficients`` is ``[C_H, C_P]``: the capacity block of a sub-chip
+        key's ``D`` or a full-chip composition vector ``E``.  The two terms
+        are added to ``value`` one at a time, the order the pinned
+        predictions were captured in.
+        """
+        h_dim = self._basis.h_dim
+        co_runner_demand = 0.0
+        for other in co_counters:
+            co_runner_demand += dram_demand(other)
+        victim_demand = dram_demand(counters)
+        pool_fraction = self.pool_fraction(key)
+        servable = servable_fraction(victim_demand, co_runner_demand, pool_fraction)
+        value += servable * float(coefficients[:h_dim] @ self._basis.h(counters))
+        terms = pool_saturation_terms(victim_demand, co_runner_demand, pool_fraction)
+        return value + float(coefficients[h_dim:] @ terms)
 
     def predict_corun(
         self,
@@ -509,51 +511,49 @@ class LinearPerfModel:
                 # hot path stays bit-identical and untaxed); elsewhere the
                 # sub-chip mask zeroes the full-chip rows and the gathered
                 # pool fraction is 1.0 there so the divisions stay
-                # well-defined.  Mirrors the scalar path: servable-scaled
-                # H block, then the pool terms.
+                # well-defined.
                 if sub_chip[:, i].any():
-                    h_dim = self._basis.h_dim
-                    combined = demands[i] + co_runner_demand
-                    servable = np.minimum(
-                        1.0, pool_fractions[:, i] / np.maximum(combined, 1e-6)
+                    acc = acc + sub_chip[:, i] * self._capacity_rows(
+                        interference[:, i, j_dim:],
+                        h_vecs[i],
+                        demands[i],
+                        co_runner_demand,
+                        pool_fractions[:, i],
                     )
-                    scaled_h = servable * (
-                        interference[:, i, j_dim : j_dim + h_dim] @ h_vecs[i]
-                    )
-                    saturating = np.minimum(
-                        1.0, co_runner_demand / pool_fractions[:, i]
-                    )
-                    excess = np.maximum(0.0, combined - pool_fractions[:, i])
-                    pool_value = (
-                        interference[:, i, j_dim + h_dim] * saturating
-                        + interference[:, i, j_dim + h_dim + 1] * excess
-                    )
-                    acc = acc + sub_chip[:, i] * (scaled_h + pool_value)
-                # Full-chip composition correction, mirroring the scalar
-                # path op for op (the full-chip pool fraction is exactly
-                # 1.0, so the divisions reduce away); the mask zeroes
-                # candidates whose key has no fitted E or where this
-                # application sees fewer than two co-runners, leaving
-                # those rows bit-identical to the pair-era expression.
+                # Full-chip composition correction at pool fraction 1.0;
+                # the mask zeroes candidates whose key has no fitted E or
+                # where this application sees fewer than two co-runners,
+                # leaving those rows bit-identical to the pair-era
+                # expression.
                 if comp_mask is not None and comp_mask[:, i].any():
                     assert composition is not None
-                    h_dim = self._basis.h_dim
-                    combined = demands[i] + co_runner_demand
-                    servable = np.minimum(
-                        1.0, 1.0 / np.maximum(combined, 1e-6)
+                    acc = acc + comp_mask[:, i] * self._capacity_rows(
+                        composition[:, i],
+                        h_vecs[i],
+                        demands[i],
+                        co_runner_demand,
+                        1.0,
                     )
-                    scaled_h = servable * (
-                        composition[:, i, :h_dim] @ h_vecs[i]
-                    )
-                    saturating = np.minimum(1.0, co_runner_demand)
-                    excess = np.maximum(0.0, combined - 1.0)
-                    pool_value = (
-                        composition[:, i, h_dim] * saturating
-                        + composition[:, i, h_dim + 1] * excess
-                    )
-                    acc = acc + comp_mask[:, i] * (scaled_h + pool_value)
             predictions[:, i] = np.maximum(0.0, acc)
         return predictions
+
+    def _capacity_rows(
+        self,
+        coefficients: np.ndarray,
+        h_vec: np.ndarray,
+        victim_demand: float,
+        co_runner_demand: np.ndarray,
+        pool_fraction: np.ndarray | float,
+    ) -> np.ndarray:
+        """Per-candidate ``σ·(C_H·H) + C_P·P``, the batched twin of
+        :meth:`_add_capacity_terms` (``coefficients`` rows are ``[C_H, C_P]``).
+        """
+        h_dim = self._basis.h_dim
+        terms = capacity_terms(victim_demand, co_runner_demand, pool_fraction)
+        return terms[:, 0] * (coefficients[:, :h_dim] @ h_vec) + (
+            coefficients[:, h_dim] * terms[:, 1]
+            + coefficients[:, h_dim + 1] * terms[:, 2]
+        )
 
     def _gather_coefficients(
         self,

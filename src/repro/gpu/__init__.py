@@ -5,16 +5,14 @@ paper's methodology depends on:
 
 * :mod:`repro.gpu.spec` — the static hardware specification (GPCs, memory
   slices, pipe throughputs, power-model parameters).
-* :mod:`repro.gpu.topology` — the GPC/SM/LLC-slice layout of the chip.
+* :mod:`repro.gpu.scheme` — the partition schemes deciding which states a
+  spec can realize and the memory domains each state's groups own.
 * :mod:`repro.gpu.clocks` — the DVFS (clock/voltage scaling) model.
 * :mod:`repro.gpu.power` — the chip power model and the power-cap governor
   that throttles the clock to honour a chip-level power limit.
 * :mod:`repro.gpu.mig` — the MIG (Multi-Instance GPU) partitioning model:
-  GPU Instances, Compute Instances, memory-slice accounting, and the
-  partition states (S1–S4) explored by the paper.
-* :mod:`repro.gpu.nvml` — a small NVML / ``nvidia-smi``-like facade so that
-  higher layers interact with the simulated device the same way the paper's
-  tooling interacts with a real A100.
+  the partition states (S1–S4) explored by the paper and their N-way
+  enumeration.
 """
 
 from repro.gpu.spec import (
@@ -33,11 +31,8 @@ from repro.gpu.mig import (
     CORUN_STATES,
     GPC_TO_MEM_SLICES,
     VALID_INSTANCE_SIZES,
-    ComputeInstance,
-    GPUInstance,
     InstanceAllocation,
     MemoryOption,
-    MIGManager,
     PartitionState,
     S1,
     S2,
@@ -48,8 +43,6 @@ from repro.gpu.mig import (
     solo_state,
     solo_states,
 )
-from repro.gpu.nvml import SimulatedNVML, SimulatedSMI
-from repro.gpu.topology import ChipTopology, GPCUnit, MemorySlice
 
 __all__ = [
     "A100_SPEC",
@@ -68,9 +61,6 @@ __all__ = [
     "MemoryOption",
     "PartitionState",
     "InstanceAllocation",
-    "MIGManager",
-    "GPUInstance",
-    "ComputeInstance",
     "GPC_TO_MEM_SLICES",
     "VALID_INSTANCE_SIZES",
     "CORUN_STATES",
@@ -82,9 +72,4 @@ __all__ = [
     "enumerate_partition_states",
     "solo_state",
     "solo_states",
-    "SimulatedNVML",
-    "SimulatedSMI",
-    "ChipTopology",
-    "GPCUnit",
-    "MemorySlice",
 ]

@@ -15,27 +15,23 @@ pair of co-located applications (Figures 2 and 3):
 * **shared** — one large GI containing both applications as CIs: both can
   use the full chip bandwidth, at the cost of LLC/HBM interference.
 
-This module provides two layers:
-
-* :class:`PartitionState` — an immutable *description* of a partitioning
-  decision (how many GPCs per application + the memory option).  This is the
-  ``S`` variable of the paper's optimization problems; the four states
-  explored in the evaluation are exported as :data:`S1` … :data:`S4`.
-* :class:`MIGManager` — a stateful manager that actually creates/destroys
-  GIs and CIs against a :class:`~repro.gpu.topology.ChipTopology`, mimicking
-  the ``nvidia-smi mig`` workflow (including UUIDs that a job scheduler
-  would pass via ``CUDA_VISIBLE_DEVICES``).
+:class:`PartitionState` is an immutable *description* of a partitioning
+decision (how many GPCs per application + the memory option).  This is the
+``S`` variable of the paper's optimization problems; the four states
+explored in the evaluation are exported as :data:`S1` … :data:`S4`.  The
+spec's :class:`~repro.gpu.scheme.PartitionScheme` decides whether a state
+is realizable, and :func:`enumerate_partition_states` yields every state
+it accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import PartitioningError, SpecificationError
 from repro.gpu.scheme import MemoryOption
 from repro.gpu.spec import A100_SPEC, GPU_SPECS, GPUSpec
-from repro.gpu.topology import ChipTopology
 
 #: Memory slices granted to a GPU Instance of a given GPC size on the A100
 #: (the paper, Section 3: "when we utilize 1, 2, 3, 4, or 7 GPCs with the
@@ -445,8 +441,8 @@ def enumerate_partition_states(
         return
     # PartitionState only accepts sizes from the built-in superset
     # (VALID_INSTANCE_SIZES); a custom spec advertising e.g. a 5-GPC
-    # profile can drive MIGManager directly but cannot appear in
-    # partition states, so it is excluded here rather than crashing.
+    # profile cannot appear in partition states, so that size is
+    # excluded here rather than crashing.
     sizes = tuple(
         s
         for s in spec.scheme.instance_sizes(spec)
@@ -550,250 +546,3 @@ def shared_training_states(
         signature = tuple(sorted(state.gpc_allocations))
         representatives.setdefault(signature, state)
     return tuple(representatives.values())
-
-
-# ----------------------------------------------------------------------
-# Stateful MIG manager (nvidia-smi mig -cgi / -cci work-alike)
-# ----------------------------------------------------------------------
-@dataclass
-class ComputeInstance:
-    """A Compute Instance (CI): the schedulable entity a CUDA job runs on."""
-
-    ci_id: int
-    gi_id: int
-    gpcs: int
-    uuid: str
-
-
-@dataclass
-class GPUInstance:
-    """A GPU Instance (GI): owns GPCs and memory slices."""
-
-    gi_id: int
-    gpcs: int
-    mem_slices: int
-    compute_instances: list[ComputeInstance] = field(default_factory=list)
-
-    @property
-    def free_gpcs(self) -> int:
-        """GPCs of this GI not yet assigned to a Compute Instance."""
-        return self.gpcs - sum(ci.gpcs for ci in self.compute_instances)
-
-
-class MIGManager:
-    """Create and destroy MIG instances on a simulated chip.
-
-    The manager mirrors the real administration workflow:
-
-    1. :meth:`enable_mig` (disables one GPC on the A100);
-    2. :meth:`create_gpu_instance` carves GPCs + memory slices out of the
-       chip;
-    3. :meth:`create_compute_instance` carves GPCs out of a GI and returns a
-       CI with a UUID that can be handed to ``CUDA_VISIBLE_DEVICES``;
-    4. :meth:`apply_partition_state` is the convenience entry point used by
-       the rest of the library: it tears down the current layout and builds
-       the GIs/CIs needed by a :class:`PartitionState`.
-    """
-
-    def __init__(self, spec: GPUSpec = A100_SPEC) -> None:
-        self._spec = spec
-        self._topology = ChipTopology(spec)
-        self._instances: dict[int, GPUInstance] = {}
-        self._next_gi_id = 0
-        self._next_ci_id = 0
-        self._uuid_counter = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def spec(self) -> GPUSpec:
-        """The hardware specification of the managed chip."""
-        return self._spec
-
-    @property
-    def topology(self) -> ChipTopology:
-        """The underlying ownership map (read-mostly for callers)."""
-        return self._topology
-
-    @property
-    def mig_enabled(self) -> bool:
-        """Whether MIG mode is currently enabled."""
-        return self._topology.mig_enabled
-
-    @property
-    def free_gpcs(self) -> int:
-        """GPCs not owned by any GPU Instance."""
-        return self._topology.free_gpcs
-
-    @property
-    def free_mem_slices(self) -> int:
-        """Memory slices not owned by any GPU Instance."""
-        return self._topology.free_slices
-
-    # ------------------------------------------------------------------
-    # MIG mode
-    # ------------------------------------------------------------------
-    def enable_mig(self) -> None:
-        """Enable MIG mode (idempotent)."""
-        self._topology.set_mig_mode(True)
-
-    def disable_mig(self) -> None:
-        """Disable MIG mode; requires all instances to be destroyed first."""
-        if self._instances:
-            raise PartitioningError("destroy all GPU Instances before disabling MIG")
-        self._topology.set_mig_mode(False)
-
-    # ------------------------------------------------------------------
-    # Instance management
-    # ------------------------------------------------------------------
-    def create_gpu_instance(self, gpcs: int, mem_slices: int | None = None) -> GPUInstance:
-        """Create a GPU Instance owning ``gpcs`` GPCs.
-
-        ``mem_slices`` defaults to the spec's profile mapping
-        (:data:`GPC_TO_MEM_SLICES` for the A100).
-        """
-        if not self.mig_enabled:
-            raise PartitioningError("MIG mode must be enabled before creating instances")
-        if gpcs not in self._spec.mig_instance_sizes:
-            raise PartitioningError(
-                f"{gpcs} GPCs is not a valid GPU Instance size on {self._spec.name}; "
-                f"valid: {self._spec.mig_instance_sizes}"
-            )
-        if mem_slices is None:
-            mem_slices = self._spec.instance_mem_slices(gpcs)
-        gi_id = self._next_gi_id
-        try:
-            self._topology.claim_gpcs(gi_id, gpcs)
-        except PartitioningError:
-            raise PartitioningError(
-                f"not enough free GPCs for a {gpcs}-GPC GPU Instance "
-                f"(free: {self.free_gpcs})"
-            ) from None
-        try:
-            self._topology.claim_slices(gi_id, mem_slices)
-        except PartitioningError:
-            self._topology.release_owner(gi_id)
-            raise PartitioningError(
-                f"not enough free memory slices for a {gpcs}-GPC GPU Instance "
-                f"(needed {mem_slices}, free: {self.free_mem_slices})"
-            ) from None
-        instance = GPUInstance(gi_id=gi_id, gpcs=gpcs, mem_slices=mem_slices)
-        self._instances[gi_id] = instance
-        self._next_gi_id += 1
-        return instance
-
-    def create_compute_instance(self, gi_id: int, gpcs: int) -> ComputeInstance:
-        """Create a Compute Instance with ``gpcs`` GPCs inside GI ``gi_id``."""
-        instance = self._instances.get(gi_id)
-        if instance is None:
-            raise PartitioningError(f"no GPU Instance with id {gi_id}")
-        if gpcs not in self._spec.mig_instance_sizes:
-            raise PartitioningError(
-                f"{gpcs} GPCs is not a valid Compute Instance size on {self._spec.name}; "
-                f"valid: {self._spec.mig_instance_sizes}"
-            )
-        if gpcs > instance.free_gpcs:
-            raise PartitioningError(
-                f"GPU Instance {gi_id} has only {instance.free_gpcs} free GPCs, "
-                f"requested {gpcs}"
-            )
-        ci = ComputeInstance(
-            ci_id=self._next_ci_id,
-            gi_id=gi_id,
-            gpcs=gpcs,
-            uuid=self._make_uuid(),
-        )
-        instance.compute_instances.append(ci)
-        self._next_ci_id += 1
-        return ci
-
-    def destroy_compute_instance(self, uuid: str) -> None:
-        """Destroy the Compute Instance identified by ``uuid``."""
-        for instance in self._instances.values():
-            for ci in instance.compute_instances:
-                if ci.uuid == uuid:
-                    instance.compute_instances.remove(ci)
-                    return
-        raise PartitioningError(f"no Compute Instance with UUID {uuid!r}")
-
-    def destroy_gpu_instance(self, gi_id: int) -> None:
-        """Destroy GPU Instance ``gi_id`` (must hold no Compute Instances)."""
-        instance = self._instances.get(gi_id)
-        if instance is None:
-            raise PartitioningError(f"no GPU Instance with id {gi_id}")
-        if instance.compute_instances:
-            raise PartitioningError(
-                f"GPU Instance {gi_id} still holds Compute Instances; destroy them first"
-            )
-        self._topology.release_owner(gi_id)
-        del self._instances[gi_id]
-
-    def reset(self) -> None:
-        """Destroy every instance (Compute Instances first, then GIs)."""
-        for instance in list(self._instances.values()):
-            instance.compute_instances.clear()
-            self.destroy_gpu_instance(instance.gi_id)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def list_gpu_instances(self) -> tuple[GPUInstance, ...]:
-        """All existing GPU Instances, ordered by creation."""
-        return tuple(self._instances[g] for g in sorted(self._instances))
-
-    def list_compute_instances(self) -> tuple[ComputeInstance, ...]:
-        """All existing Compute Instances, ordered by creation."""
-        cis = [ci for gi in self.list_gpu_instances() for ci in gi.compute_instances]
-        return tuple(sorted(cis, key=lambda ci: ci.ci_id))
-
-    def find_compute_instance(self, uuid: str) -> ComputeInstance:
-        """Look up a Compute Instance by UUID."""
-        for ci in self.list_compute_instances():
-            if ci.uuid == uuid:
-                return ci
-        raise PartitioningError(f"no Compute Instance with UUID {uuid!r}")
-
-    # ------------------------------------------------------------------
-    # High-level entry point
-    # ------------------------------------------------------------------
-    def apply_partition_state(self, state: PartitionState) -> tuple[ComputeInstance, ...]:
-        """Realize a :class:`PartitionState`, returning one CI per application.
-
-        The previous layout is torn down first.  For the *private* option one
-        GI is created per application; for the *shared* option a single
-        full-size GI hosts one CI per application; for the *mixed* option one
-        GI is created per ``gi_groups`` group (sized to the smallest profile
-        that fits the group) hosting one CI per member.
-        """
-        state.validate_against(self._spec)
-        self.reset()
-        self.enable_mig()
-        cis: dict[int, ComputeInstance] = {}
-        if state.option is MemoryOption.SHARED:
-            gi = self.create_gpu_instance(self._spec.mig_gpcs, self._spec.n_mem_slices)
-            for index, gpcs in enumerate(state.gpc_allocations):
-                cis[index] = self.create_compute_instance(gi.gi_id, gpcs)
-        else:
-            for members in state.groups():
-                gi_size = state.gi_size_for_group(members, self._spec)
-                # The scheme decides the memory domains of the partition —
-                # for the coupled MIG scheme this equals the profile-table
-                # default, for an independent-axes scheme it is the hosting
-                # NPS domain's stack count.
-                gi = self.create_gpu_instance(
-                    gi_size, state.mem_slices_for(members[0], self._spec)
-                )
-                for index in members:
-                    cis[index] = self.create_compute_instance(
-                        gi.gi_id, state.gpc_allocations[index]
-                    )
-        return tuple(cis[index] for index in range(state.n_apps))
-
-    def iter_visible_devices(self) -> Iterator[str]:
-        """UUIDs of all Compute Instances, as a scheduler would enumerate them."""
-        for ci in self.list_compute_instances():
-            yield ci.uuid
-
-    # ------------------------------------------------------------------
-    def _make_uuid(self) -> str:
-        self._uuid_counter += 1
-        return f"MIG-GPU-{self._spec.name}-{self._uuid_counter:04d}"

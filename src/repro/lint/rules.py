@@ -309,10 +309,10 @@ class UnorderedSetIterationRule(Rule):
 class VersionCounterCoherenceRule(Rule):
     """A version-counter class mutating state without bumping the counter.
 
-    The ``JobQueue`` pattern: consumers memoize work keyed on a ``version``
-    membership counter and rely on every content mutation bumping it.  A
-    mutating method that skips the bump silently serves stale memo entries
-    downstream.
+    A container that exposes a ``version`` (or ``_version``) membership
+    counter promises that every content mutation bumps it, so consumers
+    can memoize work keyed on the counter.  A mutating method that skips
+    the bump silently serves stale memo entries downstream.
     """
 
     rule_id = "RL003"

@@ -24,6 +24,7 @@ a relative (1/RPerf) weighting.  These tests lock the contracts:
 from __future__ import annotations
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -100,6 +101,31 @@ PINNED_FULL_CHIP = {
 }
 
 NWAY_CAPS = (190.0, 230.0)
+
+#: SHA-256 of the float64 (little-endian) bytes of ``predict_candidates``
+#: for stream+randomaccess+hgemm over ``online.candidate_states_for(3)`` x
+#: ``NWAY_CAPS`` on the ``nway_workflow`` fixture, captured before the
+#: batched capacity terms moved onto ``features.capacity_terms``.  The
+#: batched-vs-scalar checks compare with ``rtol=1e-12``; this pin catches
+#: a last-bit change in either branch of the batched path.
+PINNED_BATCHED_SHA256 = (
+    "e1040b121e25cad799d5be9da8fe8e850cae2e615c5566ba76fea145b69d14e0"
+)
+
+#: The same digest for the scalar ``predict_corun`` path (one row per
+#: candidate) and for a compute-heavy group, captured at the same point,
+#: before the scalar path's two capacity blocks became one helper.
+PINNED_GRID_SHA256 = {
+    ("scalar", "stream+randomaccess+hgemm"): (
+        "078a0b90f7850567188b2a6ec41d062f0cd41e11c596f507848e38ad41f37589"
+    ),
+    ("scalar", "dgemm+lud+bfs"): (
+        "a41628e3d31e5a0705cc1406e65424a8b7489dd741b1575d8873a8f627cbcbf9"
+    ),
+    ("batched", "dgemm+lud+bfs"): (
+        "137adf92b564d9cfb1b14a1156308a49ef736717f05e068ceb8c766b0ebaed94"
+    ),
+}
 
 #: Seed (pre-v3) mean RPerf error of the 2-slice bucket on the mixed
 #: evaluation grid, measured on main immediately before this change; the
@@ -226,6 +252,52 @@ class TestFullChipParity:
         for row, (state, cap) in zip(batched, candidates):
             scalar = model.predict_corun(counters, state, cap)
             np.testing.assert_allclose(row, scalar, rtol=1e-12)
+
+    def test_batched_grid_bit_identical(self, nway_workflow):
+        model = nway_workflow.model
+        counters = _counters(nway_workflow, ["stream", "randomaccess", "hgemm"])
+        states = nway_workflow.online.candidate_states_for(3)
+        candidates = [(state, cap) for state in states for cap in NWAY_CAPS]
+        predicted = model.predict_candidates(counters, candidates)
+        # The grid must reach both capacity branches, or the pin is vacuous.
+        sub_chip = composition = 0
+        for state, cap in candidates:
+            keys = [
+                HardwareStateKey.from_state(state, i, cap, A100_SPEC)
+                for i in range(state.n_apps)
+            ]
+            sub_chip += any(model.is_sub_chip_shared(key) for key in keys)
+            composition += any(
+                len(state.interference_partners(i)) >= 2
+                and model.has_composition(key)
+                for i, key in enumerate(keys)
+            )
+        assert (len(candidates), sub_chip, composition) == (248, 126, 64)
+        assert predicted.shape == (248, 3)
+        digest = hashlib.sha256(
+            np.ascontiguousarray(predicted, dtype="<f8").tobytes()
+        ).hexdigest()
+        assert digest == PINNED_BATCHED_SHA256
+
+    @pytest.mark.parametrize(
+        "path, apps", sorted(PINNED_GRID_SHA256), ids=lambda v: v
+    )
+    def test_grid_pins_bit_identical(self, nway_workflow, path, apps):
+        model = nway_workflow.model
+        counters = _counters(nway_workflow, apps.split("+"))
+        states = nway_workflow.online.candidate_states_for(3)
+        candidates = [(state, cap) for state in states for cap in NWAY_CAPS]
+        if path == "batched":
+            predicted = model.predict_candidates(counters, candidates)
+        else:
+            predicted = np.array(
+                [model.predict_corun(counters, state, cap) for state, cap in candidates]
+            )
+        assert predicted.shape == (248, 3)
+        digest = hashlib.sha256(
+            np.ascontiguousarray(predicted, dtype="<f8").tobytes()
+        ).hexdigest()
+        assert digest == PINNED_GRID_SHA256[path, apps]
 
     def test_document_version_is_v3(self, nway_workflow):
         assert nway_workflow.model.to_dict()["version"] == KEY_SCHEMA_VERSION == 3

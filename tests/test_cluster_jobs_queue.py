@@ -114,22 +114,3 @@ class TestJobQueue:
     def test_pending_lists_unscheduled_jobs(self, queue):
         queue.submit(DEFAULT_SUITE.get("stream"))
         assert len(queue.pending()) == 1
-
-    def test_version_tracks_membership_changes(self, queue):
-        # The version is the plan-cache invalidation signal: it must bump
-        # on every membership change (submit/remove) ...
-        version = queue.version
-        job = queue.submit(DEFAULT_SUITE.get("stream"))
-        assert queue.version > version
-        version = queue.version
-        queue.remove(job)
-        assert queue.version > version
-
-    def test_version_ignores_clock_advances(self, queue):
-        # ... but stay put on pure clock advances, so an idle simulator
-        # tick cannot evict a perfectly reusable dispatch plan.
-        queue.submit(DEFAULT_SUITE.get("stream"))
-        version = queue.version
-        queue.advance_clock(5.0)
-        queue.advance_clock(9.0)
-        assert queue.version == version

@@ -10,7 +10,8 @@ import pytest
 from repro.cluster.node import ComputeNode
 from repro.cluster.powerbudget import ClusterPowerManager, PowerRequest
 from repro.errors import ConfigurationError, PowerCapError
-from repro.gpu.mig import S1
+from repro.gpu.mig import S1, solo_state
+from repro.gpu.spec import GPU_SPECS
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
 from repro.workloads.pairs import corun_pair
@@ -81,6 +82,39 @@ class TestComputeNode:
         node.busy_until = 10.0
         assert not node.is_free(5.0)
         assert node.is_free(10.0)
+
+
+
+class TestNodePowerLimitOnEverySpec:
+    """The node's recorded cap follows each chip's own power-cap range."""
+
+    @pytest.fixture(params=sorted(GPU_SPECS))
+    def node(self, request):
+        return ComputeNode(node_id=0, spec=GPU_SPECS[request.param])
+
+    def test_fresh_node_reports_the_default_limit(self, node):
+        assert node.power_limit_w == node.spec.default_power_limit_w
+        assert node.current_partition is None
+
+    def test_range_edges_are_recorded_exactly(self, node):
+        spec = node.spec
+        state = solo_state(spec.mig_gpcs)
+        node.configure(state, spec.min_power_cap_w)
+        assert node.power_limit_w == spec.min_power_cap_w
+        node.configure(state, spec.max_power_cap_w)
+        assert node.power_limit_w == spec.max_power_cap_w
+        node.configure(state, spec.min_power_cap_w + 0.0004)
+        assert node.power_limit_w == spec.min_power_cap_w
+        assert node.current_partition is state
+
+    def test_one_milliwatt_outside_the_range_is_rejected(self, node):
+        spec = node.spec
+        state = solo_state(spec.mig_gpcs)
+        for cap in (spec.min_power_cap_w - 0.001, spec.max_power_cap_w + 0.001):
+            with pytest.raises(PowerCapError):
+                node.configure(state, cap)
+        assert node.power_limit_w == spec.default_power_limit_w
+        assert node.current_partition is None
 
 
 class TestPowerRequest:

@@ -170,6 +170,40 @@ class TestJobManager:
         double = JobManager.from_workflow(workflow, n_nodes=2).run_exclusive(kernels)
         assert double.makespan_s < single.makespan_s
 
+    @pytest.mark.parametrize("exclusive", [False, True])
+    def test_consecutive_drains_report_equal(self, workflow, exclusive):
+        # Each drain starts from idle nodes: a reused manager must not
+        # start its next batch at the previous batch's busy_until.
+        manager = JobManager.from_workflow(
+            workflow,
+            n_nodes=2,
+            scheduler_config=SchedulerConfig(policy_name="problem1", power_cap_w=230.0),
+        )
+        kernels = [DEFAULT_SUITE.get(n) for n in ("igemm4", "stream", "srad", "needle")]
+        first = manager.drain(kernels, exclusive=exclusive)
+        second = manager.drain(kernels, exclusive=exclusive)
+        assert second.makespan_s == first.makespan_s
+        assert second.mean_turnaround_s == first.mean_turnaround_s
+        assert second.co_scheduled_jobs == first.co_scheduled_jobs
+
+    @pytest.mark.parametrize("exclusive_first", [False, True])
+    def test_drain_after_the_other_loop_matches_a_fresh_manager(
+        self, workflow, exclusive_first
+    ):
+        # The co-scheduled and exclusive loops both start from idle nodes,
+        # whichever of them ran on the manager before.
+        config = SchedulerConfig(policy_name="problem1", power_cap_w=230.0)
+        kernels = [DEFAULT_SUITE.get(n) for n in ("igemm4", "stream", "srad", "needle")]
+        reused = JobManager.from_workflow(workflow, n_nodes=2, scheduler_config=config)
+        reused.drain(kernels, exclusive=exclusive_first)
+        second = reused.drain(kernels, exclusive=not exclusive_first)
+        fresh = JobManager.from_workflow(
+            workflow, n_nodes=2, scheduler_config=config
+        ).drain(kernels, exclusive=not exclusive_first)
+        assert second.makespan_s == fresh.makespan_s
+        assert second.mean_turnaround_s == fresh.mean_turnaround_s
+        assert second.co_scheduled_jobs == fresh.co_scheduled_jobs
+
     def test_report_summary_text(self, workflow):
         manager = JobManager.from_workflow(workflow, n_nodes=1)
         report = manager.run_exclusive([DEFAULT_SUITE.get("dgemm")])
@@ -206,11 +240,14 @@ class TestSchedulerConfigValidation:
         for name in ("problem1", "throughput", "problem2", "energy-efficiency"):
             SchedulerConfig(policy_name=name)
 
-    def test_rejects_bad_power_cap(self):
+    @pytest.mark.parametrize(
+        "power_cap_w", [0.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_bad_power_cap(self, power_cap_w):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(power_cap_w=0.0)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            SchedulerConfig(power_cap_w=power_cap_w)
 
     def test_rejects_bad_alpha(self):
         from repro.errors import ConfigurationError

@@ -1,9 +1,10 @@
-"""Tests for the MIG partitioning model (partition states and the manager)."""
+"""Tests for the MIG partitioning model (partition states and their placement)."""
 
 from __future__ import annotations
 
 import pytest
 
+from placement_oracle import place_on_chip
 from repro.errors import PartitioningError, SpecificationError
 from repro.gpu.mig import (
     CORUN_STATES,
@@ -11,7 +12,6 @@ from repro.gpu.mig import (
     VALID_INSTANCE_SIZES,
     InstanceAllocation,
     MemoryOption,
-    MIGManager,
     PartitionState,
     S1,
     S2,
@@ -21,7 +21,7 @@ from repro.gpu.mig import (
     solo_state,
     solo_states,
 )
-from repro.gpu.spec import A100_SPEC
+from repro.gpu.spec import A100_SPEC, GPU_SPECS
 
 
 class TestPartitionState:
@@ -120,114 +120,49 @@ class TestInstanceAllocation:
             InstanceAllocation(gpcs=4, mem_slices=0, shared_memory=False)
 
 
-class TestMIGManager:
-    @pytest.fixture()
-    def manager(self):
-        return MIGManager(A100_SPEC)
-
-    def test_instances_require_mig_mode(self, manager):
-        with pytest.raises(PartitioningError):
-            manager.create_gpu_instance(3)
-
-    def test_create_gpu_instance_claims_resources(self, manager):
-        manager.enable_mig()
-        gi = manager.create_gpu_instance(4)
-        assert gi.gpcs == 4
-        assert gi.mem_slices == GPC_TO_MEM_SLICES[4]
-        assert manager.free_gpcs == A100_SPEC.mig_gpcs - 4
-
-    def test_invalid_gi_size_rejected(self, manager):
-        manager.enable_mig()
-        with pytest.raises(PartitioningError):
-            manager.create_gpu_instance(5)
-
-    def test_cannot_overcommit_gpcs(self, manager):
-        manager.enable_mig()
-        manager.create_gpu_instance(4)
-        manager.create_gpu_instance(3)
-        with pytest.raises(PartitioningError):
-            manager.create_gpu_instance(1)
-
-    def test_compute_instance_lives_inside_gi(self, manager):
-        manager.enable_mig()
-        gi = manager.create_gpu_instance(4)
-        ci = manager.create_compute_instance(gi.gi_id, 4)
-        assert ci.gi_id == gi.gi_id
-        assert ci.uuid.startswith("MIG-GPU-")
-        assert gi.free_gpcs == 0
-
-    def test_compute_instance_cannot_exceed_gi(self, manager):
-        manager.enable_mig()
-        gi = manager.create_gpu_instance(3)
-        with pytest.raises(PartitioningError):
-            manager.create_compute_instance(gi.gi_id, 4)
-
-    def test_compute_instance_unknown_gi(self, manager):
-        manager.enable_mig()
-        with pytest.raises(PartitioningError):
-            manager.create_compute_instance(99, 1)
-
-    def test_destroy_compute_instance(self, manager):
-        manager.enable_mig()
-        gi = manager.create_gpu_instance(3)
-        ci = manager.create_compute_instance(gi.gi_id, 3)
-        manager.destroy_compute_instance(ci.uuid)
-        assert gi.free_gpcs == 3
-        with pytest.raises(PartitioningError):
-            manager.destroy_compute_instance(ci.uuid)
-
-    def test_destroy_gi_requires_empty(self, manager):
-        manager.enable_mig()
-        gi = manager.create_gpu_instance(3)
-        manager.create_compute_instance(gi.gi_id, 1)
-        with pytest.raises(PartitioningError):
-            manager.destroy_gpu_instance(gi.gi_id)
-
-    def test_disable_mig_requires_no_instances(self, manager):
-        manager.enable_mig()
-        manager.create_gpu_instance(3)
-        with pytest.raises(PartitioningError):
-            manager.disable_mig()
-        manager.reset()
-        manager.disable_mig()
-        assert not manager.mig_enabled
-
-    def test_uuid_uniqueness(self, manager):
-        manager.enable_mig()
-        gi = manager.create_gpu_instance(7, A100_SPEC.n_mem_slices)
-        uuids = {manager.create_compute_instance(gi.gi_id, 1).uuid for _ in range(7)}
-        assert len(uuids) == 7
+class TestPlacementOracle:
+    def test_private_gi_gets_profile_slices(self):
+        assert place_on_chip(A100_SPEC, solo_state(4)) == (
+            (4, GPC_TO_MEM_SLICES[4], (0,)),
+        )
 
     @pytest.mark.parametrize("state", CORUN_STATES, ids=lambda s: s.label)
-    def test_apply_partition_state_creates_one_ci_per_app(self, manager, state):
-        cis = manager.apply_partition_state(state)
-        assert len(cis) == state.n_apps
-        assert [ci.gpcs for ci in cis] == list(state.gpc_allocations)
+    def test_paper_states_place_one_ci_per_app(self, state):
+        gis = place_on_chip(A100_SPEC, state)
+        assert sorted(i for _, _, members in gis for i in members) == [0, 1]
 
-    def test_apply_private_state_creates_two_gis(self, manager):
-        manager.apply_partition_state(S3)
-        assert len(manager.list_gpu_instances()) == 2
+    def test_private_state_places_two_gis(self):
+        assert place_on_chip(A100_SPEC, S3) == (
+            (4, GPC_TO_MEM_SLICES[4], (0,)),
+            (3, GPC_TO_MEM_SLICES[3], (1,)),
+        )
 
-    def test_apply_shared_state_creates_single_gi(self, manager):
-        manager.apply_partition_state(S1)
-        gis = manager.list_gpu_instances()
-        assert len(gis) == 1
-        assert gis[0].gpcs == A100_SPEC.mig_gpcs
-        assert gis[0].mem_slices == A100_SPEC.n_mem_slices
+    def test_shared_state_places_one_full_chip_gi(self):
+        assert place_on_chip(A100_SPEC, S1) == (
+            (A100_SPEC.mig_gpcs, A100_SPEC.n_mem_slices, (0, 1)),
+        )
 
-    def test_apply_state_is_repeatable(self, manager):
-        manager.apply_partition_state(S1)
-        manager.apply_partition_state(S3)
-        assert len(manager.list_compute_instances()) == 2
+    @pytest.mark.parametrize(
+        "gpcs, option",
+        [((4, 4), "private"), ((4, 4), "shared"), ((2, 2, 2, 2), "private")],
+    )
+    def test_rejects_layouts_the_chip_cannot_hold(self, gpcs, option):
+        with pytest.raises(PartitioningError):
+            place_on_chip(A100_SPEC, PartitionState(gpcs, option))
 
-    def test_find_compute_instance_by_uuid(self, manager):
-        cis = manager.apply_partition_state(S1)
-        found = manager.find_compute_instance(cis[0].uuid)
-        assert found.ci_id == cis[0].ci_id
+    @pytest.mark.parametrize("spec_name", sorted(GPU_SPECS))
+    def test_full_chip_gi_owns_every_slice(self, spec_name):
+        spec = GPU_SPECS[spec_name]
+        assert place_on_chip(spec, solo_state(spec.mig_gpcs)) == (
+            (spec.mig_gpcs, spec.n_mem_slices, (0,)),
+        )
 
-    def test_visible_devices_lists_all_cis(self, manager):
-        cis = manager.apply_partition_state(S4)
-        assert set(manager.iter_visible_devices()) == {ci.uuid for ci in cis}
+    @pytest.mark.parametrize("spec_name", sorted(GPU_SPECS))
+    def test_rejects_one_gpc_more_than_the_chip(self, spec_name):
+        spec = GPU_SPECS[spec_name]
+        for option in ("private", "shared"):
+            with pytest.raises(PartitioningError):
+                place_on_chip(spec, PartitionState((spec.mig_gpcs, 1), option))
 
 
 class TestNWayEnumeration:
@@ -320,32 +255,24 @@ class TestMixedStates:
         assert swapped.gi_groups == (0, 1, 1)
         assert swapped.groups() == ((0,), (1, 2))
 
-    def test_manager_applies_mixed_state(self):
-        manager = MIGManager(A100_SPEC)
+    def test_mixed_state_places_two_gis(self):
         state = PartitionState((2, 2, 3), MemoryOption.MIXED, gi_groups=(0, 0, 1))
-        cis = manager.apply_partition_state(state)
-        assert len(cis) == 3
-        gis = manager.list_gpu_instances()
-        assert len(gis) == 2
-        assert sorted(gi.gpcs for gi in gis) == [3, 4]
+        gis = place_on_chip(A100_SPEC, state)
+        assert sorted(gpcs for gpcs, _, _ in gis) == [3, 4]
         # Apps 0 and 1 share the first GI, app 2 owns the second.
-        assert cis[0].gi_id == cis[1].gi_id != cis[2].gi_id
+        assert [members for _, _, members in gis] == [(0, 1), (2,)]
 
 
-class TestSpecAwareManager:
-    def test_a30_manager_rejects_a100_only_sizes(self):
+class TestSpecAwarePlacement:
+    def test_a30_rejects_a100_only_sizes(self):
         from repro.gpu.spec import A30_SPEC
 
-        manager = MIGManager(A30_SPEC)
-        manager.enable_mig()
         with pytest.raises(PartitioningError):
-            manager.create_gpu_instance(3)
+            place_on_chip(A30_SPEC, solo_state(3))
 
-    def test_a30_manager_applies_pair_state(self):
+    def test_a30_places_pair_state(self):
         from repro.gpu.spec import A30_SPEC
 
-        manager = MIGManager(A30_SPEC)
-        state = PartitionState((2, 2), MemoryOption.PRIVATE)
-        cis = manager.apply_partition_state(state)
-        assert len(cis) == 2
-        assert manager.free_gpcs == 0
+        gis = place_on_chip(A30_SPEC, PartitionState((2, 2), MemoryOption.PRIVATE))
+        assert [members for _, _, members in gis] == [(0,), (1,)]
+        assert sum(gpcs for gpcs, _, _ in gis) == A30_SPEC.mig_gpcs

@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PowerCapError, SpecificationError
-from repro.gpu.spec import A100_SPEC, CUDA_PIPES, TENSOR_PIPES, GPUSpec, Pipe, PipeThroughput
+from repro.gpu.spec import (
+    A100_SPEC,
+    CUDA_PIPES,
+    GPU_SPECS,
+    TENSOR_PIPES,
+    GPUSpec,
+    Pipe,
+    PipeThroughput,
+)
 
 
 class TestPipe:
@@ -132,7 +140,7 @@ class TestSpecValidation:
 
 class TestSpecRegistry:
     def test_builtin_specs_are_registered(self):
-        from repro.gpu.spec import A30_SPEC, GPU_SPECS, H100_SPEC, spec_by_name
+        from repro.gpu.spec import A30_SPEC, H100_SPEC, spec_by_name
 
         assert GPU_SPECS["a100"] is A100_SPEC
         assert spec_by_name("H100") is H100_SPEC
@@ -178,3 +186,52 @@ class TestMIGProfileTable:
             GPUSpec(mig_instance_sizes=(2, 1), mig_mem_slices={1: 1, 2: 2})
         with pytest.raises(SpecificationError):
             GPUSpec(mig_instance_sizes=(1,), mig_mem_slices={1: 99})
+
+
+class TestChipInventory:
+    """GPC and memory-slice inventory of every built-in chip."""
+
+    #: GPCs each chip leaves out of its MIG layout (the A100 and H100 fuse
+    #: one off when MIG is enabled; the A30 and MI300X use them all).
+    SPARE_GPCS = {"a100": 1, "h100": 1, "a30": 0, "mi300x": 0}
+
+    @pytest.fixture(params=sorted(SPARE_GPCS))
+    def spec_name(self, request):
+        return request.param
+
+    @pytest.fixture()
+    def spec(self, spec_name):
+        return GPU_SPECS[spec_name]
+
+    def test_largest_profile_is_the_whole_mig_chip(self, spec, spec_name):
+        assert spec.n_gpcs - spec.mig_gpcs == self.SPARE_GPCS[spec_name]
+        assert spec.mig_instance_sizes[-1] == spec.mig_gpcs
+        assert spec.instance_mem_slices(spec.mig_gpcs) == spec.n_mem_slices
+
+    def test_slices_split_the_bandwidth_evenly(self, spec):
+        n = spec.n_mem_slices
+        assert spec.slice_bandwidth_gbs(n) == spec.dram_bandwidth_gbs
+        assert n * spec.slice_bandwidth_gbs(1) == pytest.approx(spec.dram_bandwidth_gbs)
+        for k in range(1, n):
+            assert spec.slice_bandwidth_gbs(k) + spec.slice_bandwidth_gbs(
+                n - k
+            ) == pytest.approx(spec.dram_bandwidth_gbs)
+
+    def test_counts_beyond_the_chip_rejected(self, spec):
+        for n_slices in (0, spec.n_mem_slices + 1):
+            with pytest.raises(SpecificationError):
+                spec.slice_bandwidth_gbs(n_slices)
+        for n_gpcs in (0, spec.n_gpcs + 1):
+            with pytest.raises(SpecificationError):
+                spec.pipe_throughput(Pipe.FP32, n_gpcs=n_gpcs)
+        with pytest.raises(SpecificationError):
+            spec.instance_mem_slices(spec.mig_gpcs + 1)
+        with pytest.raises(SpecificationError):
+            spec.smallest_instance_holding(spec.mig_gpcs + 1)
+
+    def test_profile_slices_never_shrink_with_size(self, spec):
+        slices = [spec.instance_mem_slices(size) for size in spec.mig_instance_sizes]
+        assert slices == sorted(slices)
+        assert slices[0] >= 1
+        for size in spec.mig_instance_sizes:
+            assert spec.smallest_instance_holding(size) == size

@@ -22,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from placement_oracle import place_on_chip
 from repro.errors import PartitioningError
-from repro.gpu.mig import MIGManager, MemoryOption, enumerate_partition_states
+from repro.gpu.mig import MemoryOption, enumerate_partition_states
 from repro.gpu.scheme import (
     CoupledSliceScheme,
     IndependentAxesScheme,
@@ -35,6 +36,9 @@ DATA_DIR = Path(__file__).parent / "data"
 
 #: Group sizes the property sweep enumerates per spec (1 = solo states).
 SWEEP_SIZES = (1, 2, 3, 4)
+
+#: States enumerated per spec over every group size the spec can host.
+ENUMERATED_STATES = {"a100": 3228, "h100": 3228, "a30": 39, "mi300x": 246}
 
 
 def _all_states(spec, n_apps):
@@ -91,13 +95,20 @@ class TestSchemeProperties:
 
     @pytest.mark.parametrize("spec_name", sorted(GPU_SPECS))
     def test_every_state_applies_on_the_emulated_device(self, spec_name):
-        """Each enumerated layout realizes on the MIG manager, one CI per app."""
+        """Each enumerated layout places on the chip, one CI per app, and
+        each app's memory key is the profile slices of the GI it lands in."""
         spec = GPU_SPECS[spec_name]
+        checked = 0
         for n_apps in range(1, spec.scheme.max_co_located(spec) + 1):
             for state in _all_states(spec, n_apps):
-                cis = MIGManager(spec).apply_partition_state(state)
-                assert len(cis) == n_apps, state.describe()
-                assert len({ci.uuid for ci in cis}) == n_apps, state.describe()
+                gis = place_on_chip(spec, state)
+                hosted = sorted(i for _, _, members in gis for i in members)
+                assert hosted == list(range(n_apps)), state.describe()
+                for _, gi_slices, members in gis:
+                    for index in members:
+                        assert state.mem_slices_for(index, spec) == gi_slices
+                checked += 1
+        assert checked == ENUMERATED_STATES[spec_name]
 
     def test_memory_pools_flag_contention(self):
         spec = A100_SPEC

@@ -6,13 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from placement_oracle import place_on_chip
 from repro.core.metrics import energy_efficiency, fairness, geometric_mean, weighted_speedup
 from repro.core.model import HardwareStateKey, LinearPerfModel
 from repro.gpu.mig import (
     GPC_TO_MEM_SLICES,
     VALID_INSTANCE_SIZES,
     MemoryOption,
-    MIGManager,
     PartitionState,
 )
 from repro.gpu.spec import A100_SPEC
@@ -38,19 +38,16 @@ valid_two_app_states = st.builds(
 
 @given(valid_two_app_states)
 @settings(max_examples=60, deadline=None)
-def test_mig_manager_never_overcommits_resources(state):
-    """Whatever valid state is applied, GPC and slice ownership stays within
+def test_placement_never_overcommits_resources(state):
+    """Whatever valid state is placed, GPC and slice ownership stays within
     the chip's physical resources and one CI exists per application."""
-    manager = MIGManager(A100_SPEC)
-    cis = manager.apply_partition_state(state)
-    assert len(cis) == state.n_apps
-    owned_gpcs = sum(gi.gpcs for gi in manager.list_gpu_instances())
-    owned_slices = sum(gi.mem_slices for gi in manager.list_gpu_instances())
-    assert owned_gpcs <= A100_SPEC.mig_gpcs
-    assert owned_slices <= A100_SPEC.n_mem_slices
-    assert manager.free_gpcs == A100_SPEC.mig_gpcs - owned_gpcs
-    uuids = [ci.uuid for ci in cis]
-    assert len(set(uuids)) == len(uuids)
+    gis = place_on_chip(A100_SPEC, state)
+    hosted = sorted(i for _, _, members in gis for i in members)
+    assert hosted == list(range(state.n_apps))
+    assert sum(gpcs for gpcs, _, _ in gis) <= A100_SPEC.mig_gpcs
+    assert sum(slices for _, slices, _ in gis) <= A100_SPEC.n_mem_slices
+    for gpcs, _, members in gis:
+        assert sum(state.gpc_allocations[i] for i in members) <= gpcs
 
 
 @given(valid_two_app_states)
