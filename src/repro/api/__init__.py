@@ -8,7 +8,8 @@ facade whose hot path amortizes training across requests:
   :class:`StatesRequest`) with ``to_dict()``/``from_dict()`` round-tripping;
 * :mod:`repro.api.results` — the matching response dataclasses
   (:class:`DecisionResult`, :class:`SimulationResult`,
-  :class:`StatesResult`), plain data, JSON-safe;
+  :class:`StatesResult`), frozen, carrying the engine's own records where
+  it has them and rendering as plain JSON through ``to_dict()``;
 * :mod:`repro.api.service` — :class:`PlannerService`, a session-caching
   facade: the first ``decide()`` per ``(spec, training grid, model path)``
   trains (or loads from the fingerprinted model store), every later call
@@ -34,10 +35,7 @@ from repro.api.requests import (
     decision_requests,
 )
 from repro.api.results import (
-    CandidateEvaluationResult,
     DecisionResult,
-    LatencyStatsResult,
-    LintFindingRow,
     LintResult,
     PartitionStateRow,
     SimulationResult,
@@ -59,10 +57,7 @@ __all__ = [
     "SimulationRequest",
     "StatesRequest",
     "decision_requests",
-    "CandidateEvaluationResult",
     "DecisionResult",
-    "LatencyStatsResult",
-    "LintFindingRow",
     "LintResult",
     "PartitionStateRow",
     "SimulationResult",

@@ -3,9 +3,10 @@
 A request is a frozen, hashable value object that fully describes one call
 into the :class:`~repro.api.service.PlannerService`: which applications,
 which optimization problem, which hardware spec, and (for simulations)
-which trace.  Requests validate the enumerable choices (policy, spec, job
-mix) at construction so an embedding caller fails at the boundary with a
-:class:`~repro.errors.ConfigurationError` instead of deep inside training,
+which trace.  Requests validate their fields at construction (policy, spec,
+job mix and application names resolve; knobs are finite and in range) so
+an embedding caller fails at the boundary with a
+:class:`~repro.errors.ConfigurationError` before any training runs,
 and they round-trip through ``to_dict()``/``from_dict()`` so the same
 payload can travel over JSON (the CLI's ``--json`` mode emits the matching
 response types).
@@ -21,6 +22,7 @@ from repro.api.serde import build, checked_kwargs
 from repro.errors import ConfigurationError
 from repro.gpu.spec import GPU_SPECS
 from repro.workloads.mixes import JOB_MIXES
+from repro.workloads.suite import DEFAULT_SUITE
 
 #: The optimization problems the service can solve.
 POLICY_NAMES: tuple[str, ...] = ("problem1", "problem2")
@@ -54,6 +56,17 @@ def _reject_non_finite(request: object, *fields: str) -> None:
         value = getattr(request, name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigurationError(f"{name} must be a finite number, got {value}")
+
+
+def _check_policy_knobs(request: "DecisionRequest | SimulationRequest") -> None:
+    """Range-check the knobs every policy takes (the policies repeat this
+    for library callers, but only after a session has trained)."""
+    if not 0.0 <= request.alpha < 1.0:
+        raise ConfigurationError(f"alpha must be in [0, 1), got {request.alpha}")
+    if request.power_cap_w is not None and request.power_cap_w <= 0:
+        raise ConfigurationError(
+            f"power_cap_w must be positive, got {request.power_cap_w}"
+        )
 
 
 @dataclass(frozen=True)
@@ -97,12 +110,19 @@ class DecisionRequest:
         object.__setattr__(self, "apps", tuple(str(app) for app in self.apps))
         if not self.apps:
             raise ConfigurationError("a decision request needs at least one application")
+        unknown = [app for app in self.apps if app not in DEFAULT_SUITE]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown application(s) {unknown}; valid applications: "
+                f"{DEFAULT_SUITE.names()}"
+            )
         _check_policy(self.policy)
         _check_spec(self.spec)
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.power_cap_w is not None:
             object.__setattr__(self, "power_cap_w", float(self.power_cap_w))
         _reject_non_finite(self, "power_cap_w", "alpha")
+        _check_policy_knobs(self)
 
     @property
     def group_size(self) -> int:
@@ -127,7 +147,8 @@ class SimulationRequest:
     generated (Poisson by default, bursty when ``burst_size`` is set) from
     the named job ``mix``.  The scheduling knobs mirror
     :class:`~repro.cluster.scheduler.SchedulerConfig` and
-    :class:`~repro.cluster.events.SimulationConfig`; deeper validation
+    :class:`~repro.cluster.events.SimulationConfig`; the request checks
+    the policy knobs and the cluster and queue sizes, and deeper validation
     (positive rates, budget floors, ...) happens in those layers.
     """
 
@@ -176,6 +197,12 @@ class SimulationRequest:
             )
         if self.power_cap_w is not None:
             object.__setattr__(self, "power_cap_w", float(self.power_cap_w))
+        _check_policy_knobs(self)
+        for name in ("n_nodes", "window_size", "group_size"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-data form (JSON-safe)."""

@@ -1,78 +1,77 @@
 """Typed response dataclasses — the output half of the service-layer API.
 
-Responses are frozen value objects built from the engine's internal records
-(:class:`~repro.core.decision.AllocationDecision`,
-:class:`~repro.cluster.events.report.SimulationReport`, partition-state
-enumerations) but carrying only plain data, so they round-trip through
-``to_dict()``/``from_dict()`` and serialize to JSON unchanged.  Rendering
-helpers (`describe()` on a decision, the carried canonical summary text on
-a simulation) let the thin-client CLI print byte-identical output without
-touching the engine.
+Responses are frozen value objects.  Where the engine already keeps a fact
+in a frozen record, the response carries that record itself instead of a
+copy: a decision's candidate table is the solve's own tuple of
+:class:`~repro.core.decision.CandidateEvaluation`, and a simulation's
+latency populations are the report's
+:class:`~repro.cluster.events.report.LatencyStats`.  ``to_dict()`` renders
+every response as plain JSON-safe data and ``from_dict()`` rebuilds an
+equal value from it, so a response survives a JSON round trip unchanged.
+Rendering helpers (`describe()` on a decision, the carried canonical
+summary text on a simulation) let the thin-client CLI print byte-identical
+output without touching the engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.api.serde import build, checked_kwargs
+from repro.cluster.events.report import LatencyStats
+from repro.core.decision import CandidateEvaluation
+from repro.errors import ConfigurationError
+from repro.gpu.mig import PartitionState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.events.report import SimulationReport
-    from repro.core.decision import AllocationDecision, CandidateEvaluation
-    from repro.gpu.mig import PartitionState
+    from repro.core.decision import AllocationDecision
     from repro.gpu.spec import GPUSpec
     from repro.lint.analyzer import LintReport
     from repro.lint.findings import Finding
 
 
-@dataclass(frozen=True)
-class CandidateEvaluationResult:
-    """Model-predicted metrics of one candidate ``(S, P)`` combination."""
+def _candidate_dict(evaluation: CandidateEvaluation) -> dict[str, Any]:
+    """One candidate as plain data, in the decision document's key order."""
+    return {
+        "state": evaluation.state.describe(),
+        "label": evaluation.state.label,
+        "power_cap_w": evaluation.power_cap_w,
+        "predicted_rperfs": evaluation.predicted_rperfs,
+        "throughput": evaluation.predicted_throughput,
+        "fairness": evaluation.predicted_fairness,
+        "objective": evaluation.objective,
+        "feasible": evaluation.feasible,
+    }
 
-    state: str
-    label: str | None
-    power_cap_w: float
-    predicted_rperfs: tuple[float, ...]
-    throughput: float
-    fairness: float
-    objective: float
-    feasible: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "predicted_rperfs", tuple(float(v) for v in self.predicted_rperfs)
+#: The keys :func:`_candidate_dict` writes, which a document must carry.
+_CANDIDATE_KEYS = sorted(
+    "state label power_cap_w predicted_rperfs throughput fairness objective feasible".split()
+)
+
+
+def _candidate_from_dict(data: Mapping[str, Any]) -> CandidateEvaluation:
+    """Rebuild one candidate from :func:`_candidate_dict` output."""
+    if not isinstance(data, Mapping) or sorted(data) != _CANDIDATE_KEYS:
+        raise ConfigurationError(
+            f"a candidate needs exactly the keys {_CANDIDATE_KEYS}, got {data!r}"
         )
-
-    @property
-    def display(self) -> str:
-        """Short name for tables: the state label when one exists."""
-        return self.label or self.state
-
-    @classmethod
-    def from_evaluation(
-        cls, evaluation: "CandidateEvaluation"
-    ) -> "CandidateEvaluationResult":
-        """Convert one engine-level candidate evaluation."""
-        return cls(
-            state=evaluation.state.describe(),
-            label=evaluation.state.label,
-            power_cap_w=float(evaluation.power_cap_w),
-            predicted_rperfs=tuple(evaluation.predicted_rperfs),
-            throughput=float(evaluation.predicted_throughput),
-            fairness=float(evaluation.predicted_fairness),
-            objective=float(evaluation.objective),
-            feasible=bool(evaluation.feasible),
+    state = PartitionState.from_description(data["state"])
+    if data["label"] != state.label:
+        raise ConfigurationError(
+            f"label {data['label']!r} disagrees with state {data['state']!r}"
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form (JSON-safe)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CandidateEvaluationResult":
-        """Rebuild from :meth:`to_dict` output (unknown keys fail)."""
-        return build(cls, data)
+    return CandidateEvaluation(
+        state=state,
+        power_cap_w=data["power_cap_w"],
+        predicted_rperfs=tuple(float(v) for v in data["predicted_rperfs"]),
+        predicted_throughput=data["throughput"],
+        predicted_fairness=data["fairness"],
+        objective=data["objective"],
+        feasible=data["feasible"],
+    )
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,9 @@ class DecisionResult:
 
     ``state`` is the human-readable description of the chosen partition /
     allocation state (including its ``S1``-style label when it has one);
-    ``evaluations`` lists every candidate the search examined, in search
-    order, so clients can render the full comparison table or re-rank by
-    their own criteria.
+    ``evaluations`` is the solve's own tuple of every candidate the search
+    examined, in search order, so clients can render the full comparison
+    table or re-rank by their own criteria.
     """
 
     policy: str
@@ -97,7 +96,7 @@ class DecisionResult:
     predicted_fairness: float
     predicted_objective: float
     candidates_evaluated: int
-    evaluations: tuple[CandidateEvaluationResult, ...] = ()
+    evaluations: tuple[CandidateEvaluation, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "apps", tuple(str(app) for app in self.apps))
@@ -122,7 +121,8 @@ class DecisionResult:
         apps: Sequence[str],
         spec: str,
     ) -> "DecisionResult":
-        """Convert an engine-level :class:`AllocationDecision`."""
+        """Convert an engine-level :class:`AllocationDecision` (sharing,
+        not copying, its candidate tuple)."""
         return cls(
             policy=decision.policy_name,
             apps=tuple(apps),
@@ -135,27 +135,29 @@ class DecisionResult:
             predicted_fairness=float(decision.predicted_fairness),
             predicted_objective=float(decision.predicted_objective),
             candidates_evaluated=int(decision.candidates_evaluated),
-            evaluations=tuple(
-                CandidateEvaluationResult.from_evaluation(e)
-                for e in decision.evaluations
-            ),
+            evaluations=decision.evaluations,
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-data form (JSON-safe; nested evaluations become dicts)."""
-        return asdict(self)
+        """Plain-data form (JSON-safe; each evaluation becomes a dict)."""
+        document = {field.name: getattr(self, field.name) for field in fields(self)}
+        document["evaluations"] = tuple(_candidate_dict(e) for e in self.evaluations)
+        return document
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DecisionResult":
-        """Rebuild from :meth:`to_dict` output (unknown keys fail)."""
+        """Rebuild from :meth:`to_dict` output (unknown, missing or
+        malformed keys and state texts fail)."""
         kwargs = checked_kwargs(cls, data)
         kwargs["evaluations"] = tuple(
             entry
-            if isinstance(entry, CandidateEvaluationResult)
-            else CandidateEvaluationResult.from_dict(entry)
+            if isinstance(entry, CandidateEvaluation)
+            else _candidate_from_dict(entry)
             for entry in kwargs.get("evaluations", ())
         )
-        return build(cls, kwargs)
+        result = build(cls, kwargs)
+        PartitionState.from_description(result.state)
+        return result
 
 
 @dataclass(frozen=True)
@@ -231,26 +233,6 @@ class StatesResult:
 
 
 @dataclass(frozen=True)
-class LatencyStatsResult:
-    """Mean and tail percentiles of one latency population (seconds)."""
-
-    mean_s: float
-    p50_s: float
-    p95_s: float
-    p99_s: float
-    max_s: float
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form (JSON-safe)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LatencyStatsResult":
-        """Rebuild from :meth:`to_dict` output (unknown keys fail)."""
-        return build(cls, data)
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     """Online metrics of one :class:`~repro.api.requests.SimulationRequest`.
 
@@ -268,8 +250,8 @@ class SimulationResult:
     n_nodes: int
     makespan_s: float
     sustained_throughput_jobs_per_s: float
-    wait: LatencyStatsResult
-    turnaround: LatencyStatsResult
+    wait: LatencyStats
+    turnaround: LatencyStats
     utilization: float
     energy_wh: float
     co_scheduled_jobs: int
@@ -299,20 +281,8 @@ class SimulationResult:
             sustained_throughput_jobs_per_s=float(
                 report.sustained_throughput_jobs_per_s
             ),
-            wait=LatencyStatsResult(
-                mean_s=report.wait.mean_s,
-                p50_s=report.wait.p50_s,
-                p95_s=report.wait.p95_s,
-                p99_s=report.wait.p99_s,
-                max_s=report.wait.max_s,
-            ),
-            turnaround=LatencyStatsResult(
-                mean_s=report.turnaround.mean_s,
-                p50_s=report.turnaround.p50_s,
-                p95_s=report.turnaround.p95_s,
-                p99_s=report.turnaround.p99_s,
-                max_s=report.turnaround.max_s,
-            ),
+            wait=report.wait,
+            turnaround=report.turnaround,
             utilization=float(report.utilization),
             energy_wh=float(report.energy_wh),
             co_scheduled_jobs=report.co_scheduled_jobs,
@@ -342,54 +312,14 @@ class SimulationResult:
         kwargs = checked_kwargs(cls, data)
         for field_name in ("wait", "turnaround"):
             value = kwargs.get(field_name)
-            if value is not None and not isinstance(value, LatencyStatsResult):
-                kwargs[field_name] = LatencyStatsResult.from_dict(value)
+            if value is not None and not isinstance(value, LatencyStats):
+                kwargs[field_name] = build(LatencyStats, value)
         allocation = kwargs.get("final_power_allocation_w")
         if allocation is not None:
             kwargs["final_power_allocation_w"] = {
                 str(node_id): float(cap) for node_id, cap in allocation.items()
             }
         return build(cls, kwargs)
-
-
-@dataclass(frozen=True)
-class LintFindingRow:
-    """One invariant violation in a :class:`LintResult`."""
-
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: str
-    message: str
-
-    @classmethod
-    def from_finding(cls, finding: "Finding") -> "LintFindingRow":
-        """Convert one analyzer-level :class:`~repro.lint.findings.Finding`."""
-        return cls(
-            path=finding.path,
-            line=finding.line,
-            col=finding.col,
-            rule_id=finding.rule_id,
-            severity=finding.severity,
-            message=finding.message,
-        )
-
-    def format(self) -> str:
-        """The canonical one-line rendering (``path:line:col: RLxxx ...``)."""
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule_id} [{self.severity}] {self.message}"
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form (JSON-safe)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LintFindingRow":
-        """Rebuild from :meth:`to_dict` output (unknown keys fail)."""
-        return build(cls, data)
 
 
 @dataclass(frozen=True)
@@ -402,7 +332,7 @@ class LintResult:
     tree render byte-identically.
     """
 
-    findings: tuple[LintFindingRow, ...]
+    findings: tuple[Finding, ...]
     files_scanned: int
     suppressed: int
     strict: bool
@@ -425,9 +355,7 @@ class LintResult:
     def from_report(cls, report: "LintReport", strict: bool) -> "LintResult":
         """Convert an analyzer-level :class:`~repro.lint.analyzer.LintReport`."""
         return cls(
-            findings=tuple(
-                LintFindingRow.from_finding(finding) for finding in report.findings
-            ),
+            findings=report.findings,
             files_scanned=report.files_scanned,
             suppressed=report.suppressed,
             strict=strict,
@@ -453,11 +381,13 @@ class LintResult:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LintResult":
         """Rebuild from :meth:`to_dict` output (unknown keys fail)."""
+        # Imported here: the lint package loads the analyzer and its rules,
+        # which nothing else on the decide/simulate path needs.
+        from repro.lint.findings import Finding
+
         kwargs = checked_kwargs(cls, data)
         kwargs["findings"] = tuple(
-            entry
-            if isinstance(entry, LintFindingRow)
-            else LintFindingRow.from_dict(entry)
+            entry if isinstance(entry, Finding) else build(Finding, entry)
             for entry in kwargs.get("findings", ())
         )
         return build(cls, kwargs)

@@ -3,8 +3,9 @@
 Every public request and response type serializes with ``to_dict()`` and
 rebuilds with ``from_dict()``; the helpers here keep that contract uniform:
 ``to_dict`` is :func:`dataclasses.asdict` (nested dataclasses become nested
-dicts, tuples survive JSON as lists), and ``from_dict`` rejects unknown
-keys loudly instead of silently dropping a misspelled field.
+dicts, tuples survive JSON as lists) unless a response renders a nested
+engine record itself, and ``from_dict`` rejects unknown keys loudly
+instead of silently dropping a misspelled field.
 """
 
 from __future__ import annotations

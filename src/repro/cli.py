@@ -386,10 +386,10 @@ def _cmd_decide(
     out("")
     rows = [
         (
-            e.display,
+            e.state.label or e.state.describe(),
             f"{e.power_cap_w:.0f}",
-            f"{e.throughput:.3f}",
-            f"{e.fairness:.3f}",
+            f"{e.predicted_throughput:.3f}",
+            f"{e.predicted_fairness:.3f}",
             f"{e.objective:.5f}",
             "yes" if e.feasible else "no",
         )

@@ -19,15 +19,6 @@ class CandidateEvaluation:
     objective: float
     feasible: bool
 
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        status = "feasible" if self.feasible else "infeasible"
-        return (
-            f"{self.state.describe()} @ {self.power_cap_w:.0f}W: "
-            f"objective={self.objective:.4f} throughput={self.predicted_throughput:.3f} "
-            f"fairness={self.predicted_fairness:.3f} [{status}]"
-        )
-
 
 @dataclass(frozen=True)
 class AllocationDecision:

@@ -196,10 +196,6 @@ class LinearPerfModel:
         """Hardware states with a fitted interference term."""
         return tuple(sorted(self._interference, key=HardwareStateKey.sort_key))
 
-    def fitted_composition_states(self) -> tuple[HardwareStateKey, ...]:
-        """Full-chip shared states with a fitted composition correction."""
-        return tuple(sorted(self._composition, key=HardwareStateKey.sort_key))
-
     def has_scalability(self, key: HardwareStateKey) -> bool:
         """Whether a scalability coefficient vector exists for ``key``."""
         return key in self._scalability
@@ -224,14 +220,6 @@ class LinearPerfModel:
                 f"no interference coefficients fitted for state {key.describe()}"
             )
         return self._interference[key].copy()
-
-    def composition_coefficients(self, key: HardwareStateKey) -> np.ndarray:
-        """The fitted composition ``E`` vector for ``key`` (copy)."""
-        if key not in self._composition:
-            raise NotFittedError(
-                f"no composition coefficients fitted for state {key.describe()}"
-            )
-        return self._composition[key].copy()
 
     # ------------------------------------------------------------------
     # Coefficient installation (used by the trainer and by persistence)

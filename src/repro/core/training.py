@@ -135,16 +135,6 @@ class TrainingReport:
         """Largest per-state RMS residual of the interference fit."""
         return max(self.interference_residuals.values(), default=0.0)
 
-    @property
-    def worst_mixed_residual(self) -> float:
-        """Largest per-state RMS residual of the joint mixed-state fit."""
-        return max(self.mixed_residuals.values(), default=0.0)
-
-    @property
-    def worst_composition_residual(self) -> float:
-        """Largest per-state RMS residual of the full-chip composition fit."""
-        return max(self.composition_residuals.values(), default=0.0)
-
 
 #: Integer code of each memory option in the row table's option column.
 _OPTION_CODES: dict[MemoryOption, int] = {

@@ -64,11 +64,6 @@ class DVFSModel:
         """Lowest selectable relative frequency."""
         return self._spec.min_relative_frequency
 
-    @property
-    def max_relative(self) -> float:
-        """Highest selectable relative frequency (always 1.0)."""
-        return 1.0
-
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ it accepts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -45,6 +46,17 @@ GPC_TO_MEM_SLICES: Mapping[int, int] = A100_SPEC.mig_mem_slices
 #: Per-spec validity is checked by :meth:`PartitionState.validate_against`.
 VALID_INSTANCE_SIZES: tuple[int, ...] = tuple(
     sorted({size for spec in GPU_SPECS.values() for size in spec.mig_instance_sizes})
+)
+
+
+#: One application in ``describe()`` text: ``4GPCs``, or ``4GPCs@g1`` when mixed.
+_DESCRIBED_APP = re.compile(r"(\d+)GPCs(?:@g(\d+))?")
+#: ``describe()`` text: ``[label(]apps/Option[)]``, apps joined by ``-``.
+_DESCRIPTION = re.compile(
+    rf"(?:(?P<label>.+)\()?"
+    rf"(?P<apps>{_DESCRIBED_APP.pattern}(?:-{_DESCRIBED_APP.pattern})*)"
+    rf"/(?P<option>{'|'.join(option.value.capitalize() for option in MemoryOption)})"
+    rf"(?(label)\))"
 )
 
 
@@ -332,6 +344,28 @@ class PartitionState:
         # every field is immutable, so the rendering can never go stale.
         object.__setattr__(self, "_describe_cache", described)
         return described
+
+    @classmethod
+    def from_description(cls, text: str) -> "PartitionState":
+        """The inverse of :meth:`describe`, labels and mixed ``@gN`` groups
+        included; raises :class:`SpecificationError` for any ``text`` that
+        :meth:`describe` would not write."""
+        match = _DESCRIPTION.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
+            raise SpecificationError(f"not a partition-state description: {text!r}")
+        apps = _DESCRIBED_APP.findall(match["apps"])
+        groups = tuple(int(group) for _, group in apps if group)
+        state = cls(
+            gpc_allocations=tuple(int(gpcs) for gpcs, _ in apps),
+            option=MemoryOption(match["option"].lower()),
+            label=match["label"],
+            gi_groups=groups or None,
+        )
+        if state.describe() != text:
+            raise SpecificationError(
+                f"{text!r} is not the canonical description of {state.describe()!r}"
+            )
+        return state
 
     def key(self) -> tuple:
         """Hashable identity ignoring the label (used as model dictionary key)."""

@@ -116,10 +116,6 @@ class CoRunResult:
         """The paper's Problem 2 objective: weighted speedup per watt of cap."""
         return self.weighted_speedup / self.power_cap_w
 
-    def app_result(self, index: int) -> RunResult:
-        """Result of application ``index`` (0-based)."""
-        return self.per_app[index]
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         apps = ", ".join(

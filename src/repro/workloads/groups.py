@@ -12,7 +12,7 @@ testing of the N-way engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import WorkloadError
 from repro.workloads.kernel import KernelCharacteristics, WorkloadClass
@@ -133,15 +133,6 @@ def groups_of_size(n_apps: int) -> tuple[CoRunGroup, ...]:
     if n_apps == 2:
         return tuple(CoRunGroup.from_pair(pair) for pair in CORUN_PAIRS)
     return tuple(group for group in CORUN_GROUPS if group.n_apps == n_apps)
-
-
-def iter_group_kernels(
-    groups: Sequence[CoRunGroup] = CORUN_GROUPS,
-    suite: BenchmarkSuite | None = None,
-) -> Iterator[tuple[CoRunGroup, tuple[KernelCharacteristics, ...]]]:
-    """Yield each group together with its resolved kernel models."""
-    for group in groups:
-        yield group, group.kernels(suite)
 
 
 #: Class combinations of the synthetic mixed-state calibration groups.

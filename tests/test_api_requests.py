@@ -8,18 +8,21 @@ import math
 import pytest
 
 from repro.api import (
-    CandidateEvaluationResult,
     DecisionRequest,
     DecisionResult,
-    LatencyStatsResult,
     PartitionStateRow,
+    PlannerService,
     SimulationRequest,
     SimulationResult,
     StatesRequest,
     StatesResult,
     decision_requests,
 )
+from repro.cli import main
+from repro.cluster.events import LatencyStats
+from repro.core.decision import CandidateEvaluation
 from repro.errors import ConfigurationError
+from repro.gpu.mig import S1
 
 
 class TestDecisionRequest:
@@ -154,6 +157,94 @@ class TestSimulationRequest:
             SimulationRequest.from_dict({"arrival_rate": 2.0})
 
 
+#: Requests the boundary must reject before a session trains, each with
+#: the CLI invocation that builds it and a word its message must contain.
+REJECTED_REQUESTS = [
+    pytest.param(
+        "decide",
+        {"apps": ["igemm4", "stream", "bfs"], "alpha": 1.5},
+        ["decide", "igemm4", "stream", "bfs", "--alpha", "1.5"],
+        "alpha",
+        id="decide-alpha-above-range",
+    ),
+    pytest.param(
+        "decide",
+        {"apps": ["igemm4", "stream"], "alpha": -0.1},
+        ["decide", "igemm4", "stream", "--alpha", "-0.1"],
+        "alpha",
+        id="decide-negative-alpha",
+    ),
+    pytest.param(
+        "decide",
+        {"apps": ["igemm4", "stream"], "power_cap_w": -5},
+        ["decide", "igemm4", "stream", "--power-cap", "-5"],
+        "power_cap_w",
+        id="decide-negative-cap",
+    ),
+    pytest.param(
+        "decide",
+        {"apps": ["nope", "stream"]},
+        ["decide", "nope", "stream"],
+        "'nope'",
+        id="decide-unknown-app",
+    ),
+    pytest.param(
+        "simulate",
+        {"alpha": 1.0},
+        ["simulate", "--alpha", "1.0"],
+        "alpha",
+        id="simulate-alpha-at-one",
+    ),
+    pytest.param(
+        "simulate",
+        {"power_cap_w": 0.0},
+        ["simulate", "--power-cap", "0"],
+        "power_cap_w",
+        id="simulate-zero-cap",
+    ),
+    pytest.param(
+        "simulate",
+        {"n_nodes": 0},
+        ["simulate", "--nodes", "0"],
+        "n_nodes",
+        id="simulate-zero-nodes",
+    ),
+    pytest.param(
+        "simulate",
+        {"group_size": 0},
+        ["simulate", "--group-size", "0"],
+        "group_size",
+        id="simulate-zero-group",
+    ),
+    pytest.param(
+        "simulate",
+        {"window_size": 0},
+        ["simulate", "--window", "0"],
+        "window_size",
+        id="simulate-zero-window",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,payload,argv,match", REJECTED_REQUESTS)
+class TestRejectedBeforeTraining:
+    """Range and name checks run in the request, before any session trains."""
+
+    def test_through_the_service(self, command, payload, argv, match):
+        service = PlannerService()
+        request_type = DecisionRequest if command == "decide" else SimulationRequest
+        with pytest.raises(ConfigurationError, match=match):
+            getattr(service, command)(request_type.from_dict(payload))
+        assert service.stats.trainings_run == 0
+
+    def test_through_the_cli(self, command, payload, argv, match):
+        service = PlannerService()
+        lines: list[str] = []
+        assert main(argv, out=lines.append, service=service) == 2
+        assert lines[0].startswith("error: ") and match in lines[0]
+        assert service.stats.trainings_run == 0
+
+
 class TestStatesRequest:
     def test_round_trip(self):
         request = StatesRequest(n_apps=3, spec="a30")
@@ -166,13 +257,12 @@ class TestStatesRequest:
 
 class TestDecisionResult:
     def _result(self) -> DecisionResult:
-        evaluation = CandidateEvaluationResult(
-            state="S1(4GPCs-3GPCs/Shared)",
-            label="S1",
+        evaluation = CandidateEvaluation(
+            state=S1,
             power_cap_w=230.0,
             predicted_rperfs=(0.8, 0.44),
-            throughput=1.24,
-            fairness=0.28,
+            predicted_throughput=1.24,
+            predicted_fairness=0.28,
             objective=1.24,
             feasible=True,
         )
@@ -201,20 +291,84 @@ class TestDecisionResult:
         assert text.startswith("[problem1-throughput] choose S1(4GPCs-3GPCs/Shared) @ 230W")
         assert "objective=1.2400" in text
 
-    def test_display_prefers_label(self):
-        evaluation = self._result().evaluations[0]
-        assert evaluation.display == "S1"
-        unlabeled = CandidateEvaluationResult(
-            state="4GPCs-3GPCs/Private",
-            label=None,
-            power_cap_w=230.0,
-            predicted_rperfs=(0.5, 0.5),
-            throughput=1.0,
-            fairness=1.0,
-            objective=1.0,
-            feasible=True,
+    def test_candidates_serialize_in_the_wire_order(self):
+        (candidate,) = self._result().to_dict()["evaluations"]
+        assert candidate == {
+            "state": "S1(4GPCs-3GPCs/Shared)",
+            "label": "S1",
+            "power_cap_w": 230.0,
+            "predicted_rperfs": (0.8, 0.44),
+            "throughput": 1.24,
+            "fairness": 0.28,
+            "objective": 1.24,
+            "feasible": True,
+        }
+        assert list(candidate) == [
+            "state", "label", "power_cap_w", "predicted_rperfs",
+            "throughput", "fairness", "objective", "feasible",
+        ]
+
+    @pytest.mark.parametrize(
+        "state",
+        ["", "S1(4GPCs-3GPCs/Shared", "4GPCs/Bogus", "9GPCs/Private", "S9(4GPCs/Private) "],
+    )
+    def test_bad_candidate_state_rejected_by_from_dict(self, state):
+        document = json.loads(json.dumps(self._result().to_dict()))
+        document["evaluations"][0]["state"] = state
+        with pytest.raises(ConfigurationError):
+            DecisionResult.from_dict(document)
+
+    def test_bad_chosen_state_rejected_by_from_dict(self):
+        document = json.loads(json.dumps(self._result().to_dict()))
+        document["state"] = "S1(4GPCs-3GPCs/Shared"
+        with pytest.raises(ConfigurationError):
+            DecisionResult.from_dict(document)
+
+    def test_candidate_label_must_match_its_state(self):
+        document = json.loads(json.dumps(self._result().to_dict()))
+        document["evaluations"][0]["label"] = "S2"
+        with pytest.raises(ConfigurationError, match="label"):
+            DecisionResult.from_dict(document)
+
+    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    def test_candidate_keys_are_checked(self, edit):
+        document = json.loads(json.dumps(self._result().to_dict()))
+        candidate = document["evaluations"][0]
+        if edit == "unknown":
+            candidate["display"] = "S1"
+        else:
+            del candidate["fairness"]
+        with pytest.raises(ConfigurationError, match="keys"):
+            DecisionResult.from_dict(document)
+
+
+class TestDecideTable:
+    """The CLI's candidate table names each state by its label when it has one."""
+
+    @staticmethod
+    def _table_states(argv, service):
+        lines: list[str] = []
+        assert main(argv, out=lines.append, service=service) == 0
+        rows = "\n".join(lines).splitlines()
+        header = next(i for i, row in enumerate(rows) if row.startswith("state "))
+        return [row.split()[0] for row in rows[header + 2 :]]
+
+    def test_labelled_a100_pair(self):
+        service = PlannerService()
+        states = self._table_states(["decide", "igemm4", "stream"], service)
+        assert states == ["S1", "S2", "S3", "S4"]
+
+    def test_unlabeled_a30_pair(self):
+        service = PlannerService()
+        states = self._table_states(
+            ["decide", "igemm4", "stream", "--spec", "a30"], service
         )
-        assert unlabeled.display == "4GPCs-3GPCs/Private"
+        evaluations = service.decide(
+            DecisionRequest(apps=("igemm4", "stream"), spec="a30")
+        ).evaluations
+        assert all(e.state.label is None for e in evaluations)
+        assert states == [e.state.describe() for e in evaluations]
+        assert "2GPCs-2GPCs/Shared" in states
 
 
 class TestStatesResult:
@@ -239,7 +393,7 @@ class TestStatesResult:
 
 class TestSimulationResult:
     def test_round_trip_through_json(self):
-        stats = LatencyStatsResult(mean_s=1.0, p50_s=0.9, p95_s=2.0, p99_s=2.5, max_s=3.0)
+        stats = LatencyStats(mean_s=1.0, p50_s=0.9, p95_s=2.0, p99_s=2.5, max_s=3.0)
         result = SimulationResult(
             label="trace",
             spec="a100",
@@ -268,7 +422,7 @@ class TestSimulationResult:
         assert SimulationResult.from_dict(document) == result
 
     def test_integer_allocation_keys_are_normalized(self):
-        stats = LatencyStatsResult(mean_s=1.0, p50_s=1.0, p95_s=1.0, p99_s=1.0, max_s=1.0)
+        stats = LatencyStats(mean_s=1.0, p50_s=1.0, p95_s=1.0, p99_s=1.0, max_s=1.0)
         base = SimulationResult(
             label="t",
             spec="a100",

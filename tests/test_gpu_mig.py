@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from placement_oracle import place_on_chip
-from repro.errors import PartitioningError, SpecificationError
+from repro.errors import ConfigurationError, PartitioningError, SpecificationError
 from repro.gpu.mig import (
     CORUN_STATES,
     GPC_TO_MEM_SLICES,
@@ -18,6 +18,7 @@ from repro.gpu.mig import (
     S3,
     S4,
     enumerate_corun_states,
+    enumerate_partition_states,
     solo_state,
     solo_states,
 )
@@ -90,6 +91,50 @@ class TestPartitionState:
     def test_key_ignores_label(self):
         relabeled = PartitionState((4, 3), MemoryOption.SHARED, "other")
         assert relabeled.key() == S1.key()
+
+
+class TestFromDescription:
+    """``PartitionState.from_description`` is the inverse of ``describe()``."""
+
+    @pytest.mark.parametrize("spec_name", sorted(GPU_SPECS))
+    def test_inverts_every_enumerated_state(self, spec_name):
+        spec = GPU_SPECS[spec_name]
+        for n_apps in range(1, spec.scheme.max_co_located(spec) + 1):
+            for state in enumerate_partition_states(n_apps, spec):
+                assert PartitionState.from_description(state.describe()) == state
+
+    @pytest.mark.parametrize("state", CORUN_STATES, ids=lambda s: s.label)
+    def test_inverts_the_labelled_paper_states(self, state):
+        rebuilt = PartitionState.from_description(state.describe())
+        assert rebuilt == state and rebuilt.label == state.label
+
+    @pytest.mark.parametrize(
+        "text, label",
+        [("N1(1GPCs@g0-1GPCs@g0-2GPCs@g1/Mixed)", "N1"), ("a (b)(4GPCs/Private)", "a (b)")],
+    )
+    def test_keeps_any_label(self, text, label):
+        state = PartitionState.from_description(text)
+        assert state.label == label and state.describe() == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "S1(4GPCs-3GPCs/Shared",
+            "4GPCs/Bogus",
+            "9GPCs/Private",
+            "4GPCs/Private ",
+            "4GPCs/private",
+            "04GPCs/Private",
+            "4GPCs@g0-3GPCs@g0/Shared",
+            "1GPCs@g0-1GPCs@g0-2GPCs/Mixed",
+            "1GPCs@g1-1GPCs@g1-2GPCs@g0/Mixed",
+            "(4GPCs/Private)",
+        ],
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ConfigurationError):
+            PartitionState.from_description(text)
 
 
 class TestStateEnumeration:

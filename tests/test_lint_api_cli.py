@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import LintFindingRow, LintRequest, LintResult, PlannerService
+from repro.api import LintRequest, LintResult, PlannerService
 from repro.cli import EXIT_CONFIG, EXIT_LINT_FINDINGS, main
 from repro.errors import ConfigurationError
+from repro.lint.findings import Finding
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 CLEAN = str(FIXTURES / "rl006_ok.py")
@@ -67,7 +68,7 @@ class TestServiceLint:
         result = PlannerService().lint(LintRequest(paths=(DIRTY,)))
         rebuilt = LintResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert rebuilt == result
-        assert all(isinstance(row, LintFindingRow) for row in rebuilt.findings)
+        assert all(isinstance(row, Finding) for row in rebuilt.findings)
 
     def test_describe_ends_with_verdict_line(self):
         result = PlannerService().lint(LintRequest(paths=(CLEAN,), strict=True))
