@@ -11,6 +11,10 @@ surrounding system on the simulated cluster:
 * a cluster-wide GPU power budget distributed across nodes,
 * comparison against an exclusive-execution baseline.
 
+Both drains replay a batch whose jobs all arrive at t=0 through the
+event-driven ``ClusterSimulator``; the baseline is the same replay with one
+job per GPU (``SchedulerConfig(group_size=1)``).
+
 Run with::
 
     python examples/cluster_job_manager.py
@@ -18,8 +22,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro import DEFAULT_SUITE, PaperWorkflow
-from repro.cluster import ClusterPowerManager, JobManager, SchedulerConfig
+from repro import PaperWorkflow, Trace
+from repro.cluster import ClusterPowerManager, ClusterSimulator, SchedulerConfig
 from repro.cluster.powerbudget import PowerRequest
 
 
@@ -32,26 +36,28 @@ def main() -> None:
         "igemm4", "stream", "srad", "needle", "hgemm", "lud",
         "dgemm", "kmeans", "fp16gemm", "leukocyte", "hotspot", "bfs",
     ]
-    kernels = [DEFAULT_SUITE.get(name) for name in job_names]
-    print(f"Submitting {len(kernels)} jobs: {', '.join(job_names)}\n")
+    print(f"Submitting {len(job_names)} jobs: {', '.join(job_names)}\n")
 
     # ------------------------------------------------------------------
     # Co-scheduled execution (throughput policy at 250 W) vs exclusive runs.
     # ------------------------------------------------------------------
     config = SchedulerConfig(policy_name="problem1", power_cap_w=250.0, alpha=0.2, window_size=6)
-    co_manager = JobManager.from_workflow(workflow, n_nodes=2, scheduler_config=config)
-    co_report = co_manager.run_coscheduled(kernels)
+    co_report = ClusterSimulator.from_workflow(
+        workflow, n_nodes=2, scheduler_config=config
+    ).run(Trace.all_at_zero(job_names, label="co-scheduled"))
 
-    baseline_manager = JobManager.from_workflow(workflow, n_nodes=2)
-    baseline_report = baseline_manager.run_exclusive(kernels)
+    baseline_report = ClusterSimulator.from_workflow(
+        workflow, n_nodes=2, scheduler_config=SchedulerConfig(group_size=1)
+    ).run(Trace.all_at_zero(job_names, label="exclusive baseline"))
 
     print(co_report.summary())
     print(baseline_report.summary())
     speedup = baseline_report.makespan_s / co_report.makespan_s
     print(f"Co-scheduling changes the makespan by a factor of {speedup:.2f}x\n")
 
+    # The report lists jobs in completion order; print them by id.
     print("Per-job placement (co-scheduled run):")
-    for job in co_report.jobs:
+    for job in sorted(co_report.jobs, key=lambda job: job.job_id):
         partner = f", partner job {job.co_runner}" if job.co_runner is not None else ""
         print(f"  job {job.job_id:2d} {job.name:12s} finished at t={job.finish_time:.2f}s{partner}")
     print()

@@ -9,14 +9,14 @@ call, and the co-scheduler assembles groups instead of pairs.
 
 from __future__ import annotations
 
-from repro.cluster.manager import JobManager
+from repro.cluster.events import ClusterSimulator
 from repro.cluster.scheduler import SchedulerConfig
 from repro.core.workflow import PaperWorkflow, TrainingPlan, power_caps_for_spec
 from repro.gpu.spec import A100_SPEC
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
+from repro.traces import Trace
 from repro.workloads.groups import corun_group
-from repro.workloads.suite import DEFAULT_SUITE
 
 
 def main() -> None:
@@ -40,18 +40,16 @@ def main() -> None:
         print(f"  measured: {result.summary()}")
 
     # --- drain a queue with groups of up to three jobs --------------------
-    manager = JobManager.from_workflow(
+    simulator = ClusterSimulator.from_workflow(
         workflow,
         n_nodes=1,
         scheduler_config=SchedulerConfig(
             window_size=4, group_size=3, policy_name="problem2", alpha=0.0
         ),
     )
-    kernels = [
-        DEFAULT_SUITE.get(n)
-        for n in ("igemm4", "stream", "bfs", "sgemm", "lud", "kmeans")
-    ]
-    report = manager.run_coscheduled(kernels)
+    report = simulator.run(
+        Trace.all_at_zero(("igemm4", "stream", "bfs", "sgemm", "lud", "kmeans"))
+    )
     print(report.summary())
     largest = max((len(job.co_runners) + 1 for job in report.jobs), default=1)
     print(f"largest dispatched group: {largest} jobs")

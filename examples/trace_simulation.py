@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
 """Trace-driven cluster simulation: online arrivals over the co-scheduler.
 
-The batch job manager (``examples/cluster_job_manager.py``) drains a queue
-that is fully populated at t=0.  This walkthrough runs the *online* story
-through the service layer — one :class:`repro.api.PlannerService` trains
-once and every section reuses the hot session:
+``examples/cluster_job_manager.py`` drains a batch whose jobs all arrive
+at t=0.  This walkthrough runs the *online* story through the service
+layer — one :class:`repro.api.PlannerService` trains once and every
+section reuses the hot session:
 
 * a synthetic Poisson trace of arriving jobs (from a weighted job mix),
 * the event-driven :class:`ClusterSimulator` dispatching them onto nodes,
 * MIG repartitioning priced with a reconfiguration latency plus a
   cluster-wide power budget re-distributed as the load shifts,
-* the batch/event parity check (an all-at-t=0 trace reproduces
-  ``JobManager.drain()``),
 * and trace save/load + a ``SimulationRequest`` replay of the saved file.
 
 Run with::
@@ -25,8 +23,7 @@ import tempfile
 from pathlib import Path
 
 from repro.api import PlannerService, SimulationRequest
-from repro.cluster import JobManager, SchedulerConfig
-from repro.traces import Trace, poisson_trace, save_trace
+from repro.traces import poisson_trace, save_trace
 
 
 def main() -> None:
@@ -71,29 +68,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 3. Parity: the all-at-t=0 trace reproduces the batch job manager.
-    # ------------------------------------------------------------------
-    session = service.session_for("a100", group_size=2)
-    workflow = session.workflow
-    names = ["igemm4", "stream", "srad", "needle", "hgemm", "lud"]
-    batch = JobManager.from_workflow(
-        workflow,
-        n_nodes=2,
-        scheduler_config=SchedulerConfig(
-            policy_name="problem1", power_cap_w=230.0, alpha=0.2, window_size=6
-        ),
-    ).drain([workflow.suite.get(name) for name in names])
-    event = service.simulate_trace(Trace.all_at_zero(names), base_request)
-    print(batch.summary())
-    print(
-        f"event-loop replay: makespan={event.makespan_s:.2f}s "
-        f"mean turnaround={event.turnaround.mean_s:.2f}s "
-        f"(delta={abs(event.makespan_s - batch.makespan_s):.2e}s)"
-    )
-    print()
-
-    # ------------------------------------------------------------------
-    # 4. Persistence: save the trace, then replay the file through a
+    # 3. Persistence: save the trace, then replay the file through a
     #    SimulationRequest — the path the CLI's --trace flag takes.
     # ------------------------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:

@@ -17,8 +17,9 @@ The library is organised in layers (see the Architecture map in
   the linear-regression performance model, least-squares calibration,
   throughput/fairness/energy-efficiency metrics, the two optimization
   problems, and the Resource & Power Allocator.
-* :mod:`repro.cluster` — a compact job manager / co-scheduler around the
-  allocator (the paper's Figure 1 context).
+* :mod:`repro.cluster` — the co-scheduler and the event-driven cluster
+  simulator around the allocator (the paper's Figure 1 job-manager
+  context); a batch of jobs is a trace whose jobs all arrive at ``t=0``.
 * :mod:`repro.analysis` — regeneration of every table and figure of the
   paper's evaluation, plus ablations.
 * :mod:`repro.api` — the typed service layer: frozen request/response
@@ -77,7 +78,6 @@ from repro.gpu import (
 )
 from repro.cluster import (
     ClusterSimulator,
-    JobManager,
     SimulationConfig,
     SimulationReport,
 )
@@ -155,7 +155,6 @@ __all__ = [
     "OnlineAllocator",
     "PaperWorkflow",
     # Cluster + traces
-    "JobManager",
     "ClusterSimulator",
     "SimulationConfig",
     "SimulationReport",

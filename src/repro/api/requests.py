@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.api.serde import build, checked_kwargs
+from repro.cluster.events import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.gpu.spec import GPU_SPECS
 from repro.workloads.mixes import JOB_MIXES
@@ -48,9 +49,9 @@ def _reject_non_finite(request: object, *fields: str) -> None:
     """Fail at the boundary on a NaN or infinite knob.
 
     Every comparison with NaN is false, so deeper range checks would let
-    it through silently; an infinite rate, cap, budget or latency passes
-    them too, and then hangs a trace generator, names a cap no model was
-    fitted for, or is dropped without a word.
+    it through silently; an infinite rate or cap passes them too, and then
+    hangs a trace generator or names a cap no model was fitted for.  The
+    latency and budget knobs are checked by ``SimulationConfig``.
     """
     for name in fields:
         value = getattr(request, name)
@@ -147,9 +148,11 @@ class SimulationRequest:
     generated (Poisson by default, bursty when ``burst_size`` is set) from
     the named job ``mix``.  The scheduling knobs mirror
     :class:`~repro.cluster.scheduler.SchedulerConfig` and
-    :class:`~repro.cluster.events.SimulationConfig`; the request checks
-    the policy knobs and the cluster and queue sizes, and deeper validation
-    (positive rates, budget floors, ...) happens in those layers.
+    :class:`~repro.cluster.events.SimulationConfig`.  The request checks
+    the policy knobs, the cluster and queue sizes, and (through a
+    ``SimulationConfig``) the repartition latency, the power budget and
+    its floor of one minimum cap per node; the trace generators check the
+    rate, duration and job count.  All of this runs before any training.
     """
 
     trace_path: str | None = None
@@ -179,13 +182,7 @@ class SimulationRequest:
                 f"unknown job mix {self.mix!r}; valid mixes: {tuple(sorted(JOB_MIXES))}"
             )
         _reject_non_finite(
-            self,
-            "arrival_rate_per_s",
-            "burst_size",
-            "power_cap_w",
-            "alpha",
-            "repartition_latency_s",
-            "power_budget_w",
+            self, "arrival_rate_per_s", "burst_size", "power_cap_w", "alpha"
         )
         # An infinite window is fine when n_jobs bounds the trace; the
         # generators reject it otherwise.  No arrival time exceeds NaN.
@@ -203,6 +200,10 @@ class SimulationRequest:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {getattr(self, name)}"
                 )
+        SimulationConfig(
+            repartition_latency_s=self.repartition_latency_s,
+            power_budget_w=self.power_budget_w,
+        ).check_budget(self.n_nodes, GPU_SPECS[self.spec])
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-data form (JSON-safe)."""

@@ -14,11 +14,12 @@ it so the allocator can be exercised end to end:
   budget across nodes.
 * :mod:`repro.cluster.scheduler` — the co-scheduler: pair selection from a
   window of the queue, profile-run handling, dispatch.
-* :mod:`repro.cluster.manager` — the job manager tying everything together,
-  plus an exclusive-execution baseline for comparison.
-* :mod:`repro.cluster.events` — the discrete-event simulator replaying job
-  traces with online arrivals, MIG repartitioning latency, and power-budget
-  reallocation (the batch manager is its all-at-t=0 special case).
+* :mod:`repro.cluster.events` — the discrete-event simulator, the one
+  dispatch loop: it replays job traces with online arrivals, MIG
+  repartitioning latency, and power-budget reallocation.  A batch drain is
+  the all-at-t=0 trace (:meth:`repro.traces.Trace.all_at_zero`), and the
+  exclusive-execution baseline is the same replay under
+  ``SchedulerConfig(group_size=1)``.
 """
 
 from repro.cluster.events import (
@@ -27,7 +28,6 @@ from repro.cluster.events import (
     SimulationReport,
 )
 from repro.cluster.job import Job, JobState
-from repro.cluster.manager import JobManager, ScheduleReport
 from repro.cluster.node import ComputeNode
 from repro.cluster.powerbudget import ClusterPowerManager
 from repro.cluster.queue import JobQueue
@@ -44,6 +44,4 @@ __all__ = [
     "SchedulerConfig",
     "SimulationConfig",
     "SimulationReport",
-    "JobManager",
-    "ScheduleReport",
 ]

@@ -6,7 +6,7 @@ timestamps deterministically — completions free nodes before new arrivals
 are enqueued, and both precede the power rebalance that reacts to them —
 and the monotonically increasing sequence number makes the order of equal
 ``(time, priority)`` events stable (insertion order), which is what keeps
-the all-at-t=0 replay bit-identical to the batch job manager.
+an all-at-t=0 batch queued in submission order.
 """
 
 from __future__ import annotations

@@ -112,11 +112,6 @@ class SimulationReport:
         """Total number of completed jobs."""
         return len(self.jobs)
 
-    @property
-    def mean_turnaround_s(self) -> float:
-        """Mean turnaround (parity field with the batch ScheduleReport)."""
-        return self.turnaround.mean_s
-
     def summary(self) -> str:
         """Multi-line human-readable report."""
         lines = [

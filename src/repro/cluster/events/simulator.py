@@ -1,14 +1,15 @@
 """The event-driven cluster simulator: online arrivals over the co-scheduler.
 
-Where :class:`repro.cluster.manager.JobManager` drains a batch queue that is
-fully populated at ``t=0``, this module replays a :class:`repro.traces.Trace`
-through a discrete-event loop: jobs enter the queue at their arrival times,
-dispatch decisions reuse the same :class:`CoScheduler` (and through it the
-batched :class:`OnlineAllocator`), MIG reconfigurations incur a configurable
-latency before the new partition layout serves jobs, and a cluster-wide
-power budget is re-split by the :class:`ClusterPowerManager` whenever the
-load changes.  The all-at-t=0 trace is the degenerate case and reproduces
-the batch job manager's schedule exactly (parity-tested).
+This module holds the cluster's one dispatch loop.  It replays a
+:class:`repro.traces.Trace` through a discrete-event loop: jobs enter the
+queue at their arrival times, dispatch decisions come from the
+:class:`CoScheduler` (and through it the batched :class:`OnlineAllocator`),
+MIG reconfigurations incur a configurable latency before the new partition
+layout serves jobs, and a cluster-wide power budget is re-split by the
+:class:`ClusterPowerManager` whenever the load changes.  A batch drain is
+the all-at-t=0 trace (:meth:`Trace.all_at_zero`), and the exclusive
+baseline is that replay under ``SchedulerConfig(group_size=1)``; both match
+a first-free-node reference loop in the tests (parity-tested).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.cluster.scheduler import CoScheduler, DispatchPlan, SchedulerConfig
 from repro.core.workflow import OnlineAllocator, PaperWorkflow
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.mig import PartitionState
+from repro.gpu.spec import GPUSpec
 from repro.sim.engine import PerformanceSimulator
 from repro.traces.trace import Trace
 from repro.workloads.suite import BenchmarkSuite
@@ -61,8 +63,8 @@ class SimulationConfig:
         last served and the new one; layouts sharing their whole GI
         multiset (e.g. S1 -> S2, which only re-binds jobs to existing
         instances) reconfigure for free, which is how jobs on untouched
-        instances keep running through a reconfiguration.  0 restores the
-        batch manager's free reconfiguration.
+        instances keep running through a reconfiguration.  0 (the default)
+        makes every reconfiguration free.
     power_budget_w:
         Cluster-wide GPU power budget split across nodes by the
         :class:`ClusterPowerManager`.  ``None`` (the default) leaves every
@@ -82,6 +84,16 @@ class SimulationConfig:
         if self.power_budget_w is not None and not 0 < self.power_budget_w < math.inf:
             raise ConfigurationError(
                 f"power_budget_w must be finite and positive, got {self.power_budget_w}"
+            )
+
+    def check_budget(self, n_nodes: int, spec: GPUSpec) -> None:
+        """Fail unless the budget covers ``n_nodes`` nodes at the minimum cap."""
+        minimum = spec.min_power_cap_w * n_nodes
+        if self.power_budget_w is not None and self.power_budget_w < minimum:
+            raise ConfigurationError(
+                f"power budget {self.power_budget_w} W cannot cover "
+                f"{n_nodes} nodes at the minimum cap "
+                f"({spec.min_power_cap_w} W each)"
             )
 
 
@@ -142,14 +154,7 @@ class ClusterSimulator:
         self._power_manager = (
             power_manager if power_manager is not None else ClusterPowerManager(spec)
         )
-        if self._config.power_budget_w is not None:
-            minimum = spec.min_power_cap_w * len(self._nodes)
-            if self._config.power_budget_w < minimum:
-                raise ConfigurationError(
-                    f"power budget {self._config.power_budget_w} W cannot cover "
-                    f"{len(self._nodes)} nodes at the minimum cap "
-                    f"({spec.min_power_cap_w} W each)"
-                )
+        self._config.check_budget(len(self._nodes), spec)
         self._solo_power_cache: dict[str, float] = {}
         self._layout_cache: dict[PartitionState, tuple[int, ...]] = {}
         self._node_ids = [node.node_id for node in self._nodes]
@@ -226,8 +231,7 @@ class ClusterSimulator:
             raise SimulationError("cannot simulate an empty trace")
         kernels = trace.resolve_kernels(suite)
         for node in self._nodes:
-            node.busy_until = 0.0
-            node.release()
+            node.reset()
         state = _RunState(queue=JobQueue())
         # Ascending positions form a valid min-heap as-is.
         state.free_nodes = list(range(len(self._nodes)))

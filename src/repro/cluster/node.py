@@ -48,7 +48,8 @@ class ComputeNode:
     def power_limit_w(self) -> float:
         """The chip power cap last configured on the node.
 
-        Exclusive runs leave it unchanged, and :meth:`release` keeps it.
+        Exclusive runs leave it unchanged, :meth:`release` keeps it, and
+        :meth:`reset` restores the spec's default.
         """
         return self._power_limit_w
 
@@ -72,6 +73,12 @@ class ComputeNode:
     def release(self) -> None:
         """Clear the partition state after the running jobs finished."""
         self._current_state = None
+
+    def reset(self) -> None:
+        """Return to a new node's state: idle from ``t=0`` at the default cap."""
+        self.busy_until = 0.0
+        self._current_state = None
+        self._power_limit_w = self.spec.default_power_limit_w
 
     # ------------------------------------------------------------------
     def execute_group(

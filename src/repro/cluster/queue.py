@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from repro.cluster.job import Job, JobState
+from repro.cluster.job import Job
 from repro.errors import SchedulingError
 from repro.workloads.kernel import KernelCharacteristics
 
@@ -65,10 +65,6 @@ class JobQueue:
         self._clock = when
         return job
 
-    def submit_all(self, kernels: Iterable[KernelCharacteristics]) -> list[Job]:
-        """Submit one job per kernel, in order."""
-        return [self.submit(kernel) for kernel in kernels]
-
     def advance_clock(self, time: float) -> None:
         """Advance the queue's notion of time (used for submit timestamps)."""
         if time < self._clock:
@@ -76,12 +72,6 @@ class JobQueue:
         self._clock = time
 
     # ------------------------------------------------------------------
-    def peek(self) -> Job:
-        """The job at the head of the queue (must be non-empty)."""
-        if not self._jobs:
-            raise SchedulingError("the job queue is empty")
-        return self._jobs[0]
-
     def window(self, size: int) -> tuple[Job, ...]:
         """Up to ``size`` jobs from the head of the queue (for pair selection)."""
         if size < 1:
@@ -96,13 +86,3 @@ class JobQueue:
                 del jobs[index]
                 return
         raise SchedulingError(f"job {job.job_id} is not in the queue")
-
-    def pop(self) -> Job:
-        """Remove and return the head job."""
-        job = self.peek()
-        self.remove(job)
-        return job
-
-    def pending(self) -> tuple[Job, ...]:
-        """All jobs still in the queue (in FIFO order)."""
-        return tuple(job for job in self._jobs if job.state is JobState.PENDING)

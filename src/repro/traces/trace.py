@@ -87,10 +87,11 @@ class Trace:
 
     @classmethod
     def all_at_zero(cls, apps: Sequence[str], label: str = "batch") -> "Trace":
-        """The degenerate batch trace: every job arrives at ``t=0``.
+        """The batch trace: every job arrives at ``t=0``, in ``apps`` order.
 
-        Replaying this trace through the event loop must reproduce the batch
-        :meth:`repro.cluster.manager.JobManager.drain` results exactly.
+        Replaying it through :meth:`repro.cluster.events.ClusterSimulator.run`
+        drains the batch, and under ``SchedulerConfig(group_size=1)`` it
+        gives the exclusive FIFO baseline.
         """
         return cls.from_arrivals(((0.0, app) for app in apps), label=label)
 

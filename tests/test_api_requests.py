@@ -223,6 +223,27 @@ REJECTED_REQUESTS = [
         "window_size",
         id="simulate-zero-window",
     ),
+    pytest.param(
+        "simulate",
+        {"repartition_latency_s": -1.0},
+        ["simulate", "--repartition-latency", "-1"],
+        "repartition_latency_s",
+        id="simulate-negative-latency",
+    ),
+    pytest.param(
+        "simulate",
+        {"power_budget_w": 0.0},
+        ["simulate", "--power-budget", "0"],
+        "power_budget_w",
+        id="simulate-zero-budget",
+    ),
+    pytest.param(
+        "simulate",
+        {"power_budget_w": 150.0, "n_nodes": 2},
+        ["simulate", "--power-budget", "150", "--nodes", "2"],
+        "cannot cover 2 nodes",
+        id="simulate-budget-below-the-floor",
+    ),
 ]
 
 

@@ -51,22 +51,6 @@ class TestJobQueue:
         assert (first.job_id, second.job_id) == (0, 1)
         assert len(queue) == 2
 
-    def test_submit_all(self, queue):
-        jobs = queue.submit_all([DEFAULT_SUITE.get("stream"), DEFAULT_SUITE.get("dgemm")])
-        assert len(jobs) == 2
-
-    def test_peek_and_pop_are_fifo(self, queue):
-        queue.submit(DEFAULT_SUITE.get("stream"))
-        queue.submit(DEFAULT_SUITE.get("dgemm"))
-        assert queue.peek().name == "stream"
-        assert queue.pop().name == "stream"
-        assert queue.pop().name == "dgemm"
-        assert queue.empty
-
-    def test_peek_empty_raises(self, queue):
-        with pytest.raises(SchedulingError):
-            queue.peek()
-
     def test_window_limits_lookahead(self, queue):
         for name in ("stream", "dgemm", "hgemm", "lud"):
             queue.submit(DEFAULT_SUITE.get(name))
@@ -110,7 +94,3 @@ class TestJobQueue:
         first = queue.submit(DEFAULT_SUITE.get("stream"), submit_time=2.0)
         second = queue.submit(DEFAULT_SUITE.get("dgemm"), submit_time=2.0)
         assert first.submit_time == second.submit_time == pytest.approx(2.0)
-
-    def test_pending_lists_unscheduled_jobs(self, queue):
-        queue.submit(DEFAULT_SUITE.get("stream"))
-        assert len(queue.pending()) == 1

@@ -1,11 +1,11 @@
-"""Tests for the co-scheduler and the job manager."""
+"""Tests for the co-scheduler and batch drains through the event loop."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster.events import ClusterSimulator, SimulationConfig
 from repro.cluster.job import JobState
-from repro.cluster.manager import JobManager
 from repro.cluster.node import ComputeNode
 from repro.cluster.queue import JobQueue
 from repro.cluster.scheduler import CoScheduler, SchedulerConfig
@@ -16,6 +16,7 @@ from repro.profiling.database import ProfileDatabase
 from repro.core.workflow import OnlineAllocator
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
+from repro.traces import Trace
 from repro.workloads.suite import DEFAULT_SUITE
 
 
@@ -136,78 +137,73 @@ class TestDispatch:
         assert finish == pytest.approx(5.0 + job.runtime)
 
 
-class TestJobManager:
+class TestBatchDrains:
+    """Batches queued at ``t=0``, drained by the event loop."""
+
     def test_coscheduled_run_completes_all_jobs(self, workflow):
-        manager = JobManager.from_workflow(
+        simulator = ClusterSimulator.from_workflow(
             workflow,
             n_nodes=2,
             scheduler_config=SchedulerConfig(policy_name="problem1", power_cap_w=250.0, window_size=4),
         )
-        kernels = [DEFAULT_SUITE.get(n) for n in ("igemm4", "stream", "srad", "needle", "hgemm", "lud")]
-        report = manager.run_coscheduled(kernels)
+        report = simulator.run(
+            Trace.all_at_zero(("igemm4", "stream", "srad", "needle", "hgemm", "lud"))
+        )
         assert report.n_jobs == 6
         assert report.co_scheduled_jobs + report.exclusive_jobs == 6
         assert report.makespan_s > 0
         assert all(job.state is JobState.COMPLETED for job in report.jobs)
 
     def test_exclusive_baseline(self, workflow):
-        manager = JobManager.from_workflow(workflow, n_nodes=1)
-        kernels = [DEFAULT_SUITE.get(n) for n in ("igemm4", "stream")]
-        report = manager.run_exclusive(kernels)
+        names = ("igemm4", "stream")
+        report = _exclusive_drain(workflow, 1, names)
         assert report.co_scheduled_jobs == 0
         assert report.exclusive_jobs == 2
-        expected = sum(workflow.simulator.reference_time(k) for k in kernels)
+        expected = sum(
+            workflow.simulator.reference_time(DEFAULT_SUITE.get(n)) for n in names
+        )
         assert report.makespan_s == pytest.approx(expected, rel=1e-6)
 
-    def test_empty_job_list_rejected(self, workflow):
-        manager = JobManager.from_workflow(workflow)
-        with pytest.raises(SchedulingError):
-            manager.run_coscheduled([])
-
     def test_more_nodes_reduce_makespan(self, workflow):
-        kernels = [DEFAULT_SUITE.get(n) for n in ("dgemm", "hotspot", "sgemm", "lavaMD")]
-        single = JobManager.from_workflow(workflow, n_nodes=1).run_exclusive(kernels)
-        double = JobManager.from_workflow(workflow, n_nodes=2).run_exclusive(kernels)
+        names = ("dgemm", "hotspot", "sgemm", "lavaMD")
+        single = _exclusive_drain(workflow, 1, names)
+        double = _exclusive_drain(workflow, 2, names)
         assert double.makespan_s < single.makespan_s
 
-    @pytest.mark.parametrize("exclusive", [False, True])
-    def test_consecutive_drains_report_equal(self, workflow, exclusive):
-        # Each drain starts from idle nodes: a reused manager must not
-        # start its next batch at the previous batch's busy_until.
-        manager = JobManager.from_workflow(
-            workflow,
-            n_nodes=2,
-            scheduler_config=SchedulerConfig(policy_name="problem1", power_cap_w=230.0),
+    def test_rerun_over_reused_nodes_matches_a_fresh_simulator(self, workflow):
+        # Each run starts from idle nodes at their default cap, whatever
+        # another simulator left on the same nodes.  Under a budget the
+        # lone first job's exclusive run reads the node's cap.
+        config = SchedulerConfig(policy_name="problem1", power_cap_w=250.0)
+        budget = SimulationConfig(power_budget_w=400.0, repartition_latency_s=0.5)
+        trace = Trace.from_arrivals([(0.0, "dgemm"), (0.5, "igemm4"), (0.5, "stream")])
+        simulator = ClusterSimulator.from_workflow(
+            workflow, n_nodes=2, scheduler_config=config, config=budget
         )
-        kernels = [DEFAULT_SUITE.get(n) for n in ("igemm4", "stream", "srad", "needle")]
-        first = manager.drain(kernels, exclusive=exclusive)
-        second = manager.drain(kernels, exclusive=exclusive)
-        assert second.makespan_s == first.makespan_s
-        assert second.mean_turnaround_s == first.mean_turnaround_s
-        assert second.co_scheduled_jobs == first.co_scheduled_jobs
-
-    @pytest.mark.parametrize("exclusive_first", [False, True])
-    def test_drain_after_the_other_loop_matches_a_fresh_manager(
-        self, workflow, exclusive_first
-    ):
-        # The co-scheduled and exclusive loops both start from idle nodes,
-        # whichever of them ran on the manager before.
-        config = SchedulerConfig(policy_name="problem1", power_cap_w=230.0)
-        kernels = [DEFAULT_SUITE.get(n) for n in ("igemm4", "stream", "srad", "needle")]
-        reused = JobManager.from_workflow(workflow, n_nodes=2, scheduler_config=config)
-        reused.drain(kernels, exclusive=exclusive_first)
-        second = reused.drain(kernels, exclusive=not exclusive_first)
-        fresh = JobManager.from_workflow(
-            workflow, n_nodes=2, scheduler_config=config
-        ).drain(kernels, exclusive=not exclusive_first)
-        assert second.makespan_s == fresh.makespan_s
-        assert second.mean_turnaround_s == fresh.mean_turnaround_s
-        assert second.co_scheduled_jobs == fresh.co_scheduled_jobs
+        first = simulator.run(trace)
+        ClusterSimulator(
+            workflow.online,
+            list(simulator.nodes),
+            config,
+            SimulationConfig(power_budget_w=200.0),
+        ).run(Trace.all_at_zero(("igemm4", "stream", "srad", "needle")))
+        again = simulator.run(trace)
+        fresh = ClusterSimulator.from_workflow(
+            workflow, n_nodes=2, scheduler_config=config, config=budget
+        ).run(trace)
+        assert again == first
+        assert fresh == first
 
     def test_report_summary_text(self, workflow):
-        manager = JobManager.from_workflow(workflow, n_nodes=1)
-        report = manager.run_exclusive([DEFAULT_SUITE.get("dgemm")])
+        report = _exclusive_drain(workflow, 1, ("dgemm",))
         assert "makespan" in report.summary()
+
+
+def _exclusive_drain(workflow, n_nodes, names):
+    """The exclusive FIFO baseline: one job per GPU, all queued at ``t=0``."""
+    return ClusterSimulator.from_workflow(
+        workflow, n_nodes=n_nodes, scheduler_config=SchedulerConfig(group_size=1)
+    ).run(Trace.all_at_zero(names))
 
 
 class TestSchedulerConfigValidation:

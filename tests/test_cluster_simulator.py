@@ -1,19 +1,21 @@
 """Tests for the event-driven cluster simulator.
 
 The key property is parity: an all-at-t=0 trace replayed through the event
-loop must reproduce the batch :class:`JobManager` schedule exactly.  On top
-of that the online behaviours — arrivals over time, MIG repartitioning
-latency, and power-budget reallocation — are exercised separately.
+loop must reproduce the schedule of the first-free-node reference loop in
+``batch_oracle.py`` exactly, co-scheduled and exclusive.  On top of that
+the online behaviours — arrivals over time, MIG repartitioning latency, and
+power-budget reallocation — are exercised separately.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from batch_oracle import drain_batch
 from repro.cluster.events import ClusterSimulator, SimulationConfig
-from repro.cluster.manager import JobManager
 from repro.cluster.scheduler import SchedulerConfig
 from repro.core.workflow import PaperWorkflow, TrainingPlan
 from repro.errors import ConfigurationError, SimulationError, TraceError
@@ -53,46 +55,34 @@ JOB_NAMES = [
 
 
 class TestBatchParity:
+    @pytest.mark.parametrize("group_size", [2, 1], ids=["co-scheduled", "exclusive"])
     @pytest.mark.parametrize("n_nodes", [1, 2, 3])
-    def test_all_at_zero_trace_matches_drain(self, workflow, scheduler_config, n_nodes):
+    def test_all_at_zero_trace_matches_the_reference_loop(
+        self, workflow, scheduler_config, n_nodes, group_size
+    ):
+        config = replace(scheduler_config, group_size=group_size)
         kernels = [DEFAULT_SUITE.get(name) for name in JOB_NAMES]
-        manager = JobManager.from_workflow(
-            workflow, n_nodes=n_nodes, scheduler_config=scheduler_config
-        )
-        batch = manager.drain(kernels)
+        reference = drain_batch(workflow, n_nodes, config, kernels)
 
-        simulator = ClusterSimulator.from_workflow(
-            workflow, n_nodes=n_nodes, scheduler_config=scheduler_config
-        )
-        report = simulator.run(Trace.all_at_zero(JOB_NAMES))
+        report = ClusterSimulator.from_workflow(
+            workflow, n_nodes=n_nodes, scheduler_config=config
+        ).run(Trace.all_at_zero(JOB_NAMES))
 
-        assert report.n_jobs == batch.n_jobs
-        assert report.makespan_s == pytest.approx(batch.makespan_s, rel=1e-12)
-        assert report.mean_turnaround_s == pytest.approx(
-            batch.mean_turnaround_s, rel=1e-12
-        )
-        assert report.co_scheduled_jobs == batch.co_scheduled_jobs
-        assert report.exclusive_jobs == batch.exclusive_jobs
+        def schedule(jobs):
+            return sorted(
+                (job.job_id, job.name, job.start_time, job.finish_time, job.co_runners)
+                for job in jobs
+            )
 
-    def test_parity_schedules_identical_job_intervals(self, workflow, scheduler_config):
-        kernels = [DEFAULT_SUITE.get(name) for name in JOB_NAMES]
-        manager = JobManager.from_workflow(
-            workflow, n_nodes=2, scheduler_config=scheduler_config
+        assert schedule(report.jobs) == schedule(reference)
+        assert report.makespan_s == max(job.finish_time for job in reference)
+        assert report.turnaround.mean_s == pytest.approx(
+            sum(job.turnaround_time for job in reference) / len(reference), rel=1e-12
         )
-        batch = manager.drain(kernels)
-
-        simulator = ClusterSimulator.from_workflow(
-            workflow, n_nodes=2, scheduler_config=scheduler_config
-        )
-        report = simulator.run(Trace.all_at_zero(JOB_NAMES))
-
-        batch_by_name = {
-            job.name: (job.start_time, job.finish_time) for job in batch.jobs
-        }
-        for job in report.jobs:
-            start, finish = batch_by_name[job.name]
-            assert job.start_time == pytest.approx(start, abs=1e-12)
-            assert job.finish_time == pytest.approx(finish, rel=1e-12)
+        if group_size == 1:
+            assert report.co_scheduled_jobs == 0
+        else:
+            assert report.co_scheduled_jobs > 0
 
 
 class TestOnlineArrivals:

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.events import ClusterSimulator
 from repro.cluster.job import JobState
-from repro.cluster.manager import JobManager
 from repro.cluster.node import ComputeNode
 from repro.cluster.queue import JobQueue
 from repro.cluster.scheduler import CoScheduler, SchedulerConfig
@@ -15,6 +15,7 @@ from repro.gpu.mig import MemoryOption
 from repro.gpu.spec import A100_SPEC, H100_SPEC
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
+from repro.traces import Trace
 from repro.workloads.groups import CORUN_QUADS, CORUN_TRIPLES, groups_of_size
 from repro.workloads.suite import DEFAULT_SUITE
 
@@ -122,18 +123,16 @@ class TestGroupScheduling:
 class TestGroupManagerDrain:
     def test_manager_drains_queue_with_groups(self, request, spec_name):
         workflow = _workflow(request, spec_name)
-        manager = JobManager.from_workflow(
+        simulator = ClusterSimulator.from_workflow(
             workflow,
             n_nodes=1,
             scheduler_config=SchedulerConfig(
                 window_size=4, group_size=3, policy_name="problem2", alpha=0.0
             ),
         )
-        kernels = [
-            DEFAULT_SUITE.get(n)
-            for n in ("igemm4", "stream", "bfs", "sgemm", "lud", "kmeans")
-        ]
-        report = manager.run_coscheduled(kernels)
+        report = simulator.run(
+            Trace.all_at_zero(("igemm4", "stream", "bfs", "sgemm", "lud", "kmeans"))
+        )
         assert report.n_jobs == 6
         assert all(job.state is JobState.COMPLETED for job in report.jobs)
         # At least one dispatched group exceeded the pair limit.
@@ -180,25 +179,21 @@ class TestOffGridPowerCap:
         scheduler can be wired up before its model is trained.)"""
         from repro.errors import ConfigurationError
 
-        manager = JobManager.from_workflow(
+        simulator = ClusterSimulator.from_workflow(
             h100_workflow,
             scheduler_config=SchedulerConfig(policy_name="problem1"),  # 230 W default
         )
         with pytest.raises(ConfigurationError) as excinfo:
-            manager.run_coscheduled(
-                [DEFAULT_SUITE.get(n) for n in ("igemm4", "stream")]
-            )
+            simulator.run(Trace.all_at_zero(("igemm4", "stream")))
         assert "trained grid" in str(excinfo.value)
 
     def test_group_size_one_skips_the_cap_check(self, h100_workflow):
         """With co-location disabled the Problem-1 cap is never used, so an
         off-grid value must not block construction."""
-        manager = JobManager.from_workflow(
+        simulator = ClusterSimulator.from_workflow(
             h100_workflow,
             scheduler_config=SchedulerConfig(policy_name="problem1", group_size=1),
         )
-        report = manager.run_coscheduled(
-            [DEFAULT_SUITE.get(n) for n in ("igemm4", "stream")]
-        )
+        report = simulator.run(Trace.all_at_zero(("igemm4", "stream")))
         assert report.co_scheduled_jobs == 0
         assert report.exclusive_jobs == 2
