@@ -26,7 +26,7 @@ from repro.gpu.spec import (
     spec_by_name,
 )
 from repro.gpu.clocks import DVFSModel
-from repro.gpu.power import GPCLoad, InstanceLoad, PowerBreakdown, PowerModel
+from repro.gpu.power import InstanceLoad, PowerBreakdown, PowerModel
 from repro.gpu.mig import (
     CORUN_STATES,
     GPC_TO_MEM_SLICES,
@@ -56,7 +56,6 @@ __all__ = [
     "DVFSModel",
     "PowerModel",
     "PowerBreakdown",
-    "GPCLoad",
     "InstanceLoad",
     "MemoryOption",
     "PartitionState",

@@ -28,7 +28,7 @@ drive the paper's observations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,13 +75,13 @@ class InstanceLoad:
             ("tensor_utilization", self.tensor_utilization),
             ("dram_bw_fraction", self.dram_bw_fraction),
         ):
-            if not (-1e-9 <= value <= 1.0 + 1e-9):
+            if not _in_unit_range(value):
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
 
 
-#: Backwards-compatible alias — a GPC-granularity load is just an
-#: :class:`InstanceLoad` with ``n_gpcs`` GPCs.
-GPCLoad = InstanceLoad
+def _in_unit_range(value: float) -> bool:
+    return -1e-9 <= value <= 1.0 + 1e-9
+
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -190,43 +190,71 @@ class PowerModel:
         """
         if powered_gpcs is None:
             powered_gpcs = self._spec.n_gpcs
-        if not (0 < powered_gpcs <= self._spec.n_gpcs):
-            raise ConfigurationError(
-                f"powered_gpcs must be in (0, {self._spec.n_gpcs}], got {powered_gpcs}"
-            )
-        busy_gpcs = sum(load.n_gpcs for load in loads)
-        if busy_gpcs > powered_gpcs:
-            raise ConfigurationError(
-                f"loads occupy {busy_gpcs} GPCs but only {powered_gpcs} are powered"
-            )
-        scale = self._dvfs.dynamic_power_scale(relative_frequency)
-        gpc_dynamic = 0.0
-        total_bw_fraction = 0.0
-        for load in loads:
-            per_gpc = (
-                self._spec.gpc_cuda_power_w * load.cuda_utilization
-                + self._spec.gpc_tensor_power_w * load.tensor_utilization
-            )
-            gpc_dynamic += load.n_gpcs * per_gpc * scale
-            total_bw_fraction += load.dram_bw_fraction
-        total_bw_fraction = clamp(total_bw_fraction, 0.0, 1.0)
+        gpc_dynamic, bw_fraction = self._dynamic_terms(
+            [astuple(load) for load in loads], relative_frequency, powered_gpcs
+        )
         return PowerBreakdown(
             static_w=self._spec.static_power_w,
             gpc_idle_w=powered_gpcs * self._spec.gpc_idle_power_w,
             gpc_dynamic_w=gpc_dynamic,
             hbm_idle_w=self._spec.hbm_idle_power_w,
-            hbm_dynamic_w=self._spec.hbm_dynamic_power_w * total_bw_fraction,
+            hbm_dynamic_w=self._spec.hbm_dynamic_power_w * bw_fraction,
             relative_frequency=relative_frequency,
         )
 
-    def total_power(
+    def chip_power(
         self,
-        loads: Sequence[InstanceLoad],
+        loads: Sequence[tuple[int, float, float, float]],
         relative_frequency: float,
-        powered_gpcs: int | None = None,
+        powered_gpcs: int,
     ) -> float:
-        """Total chip power in watts at the given operating point."""
-        return self.breakdown(loads, relative_frequency, powered_gpcs).total_w
+        """Total chip power of one row of instance loads, given as tuples.
+
+        Each load is an ``(n_gpcs, cuda_utilization, tensor_utilization,
+        dram_bw_fraction)`` tuple, checked as :class:`InstanceLoad` checks
+        its fields.  The result equals :meth:`breakdown`'s ``total_w`` for
+        the same loads bit for bit, without building the records.
+        """
+        gpc_dynamic, bw_fraction = self._dynamic_terms(loads, relative_frequency, powered_gpcs)
+        spec = self._spec
+        return (
+            spec.static_power_w
+            + powered_gpcs * spec.gpc_idle_power_w
+            + gpc_dynamic
+            + spec.hbm_idle_power_w
+            + spec.hbm_dynamic_power_w * bw_fraction
+        )
+
+    def _dynamic_terms(
+        self,
+        loads: Sequence[tuple[int, float, float, float]],
+        relative_frequency: float,
+        powered_gpcs: int,
+    ) -> tuple[float, float]:
+        """The GPCs' dynamic power and the clamped DRAM bandwidth fraction."""
+        spec = self._spec
+        if not (0 < powered_gpcs <= spec.n_gpcs):
+            raise ConfigurationError(
+                f"powered_gpcs must be in (0, {spec.n_gpcs}], got {powered_gpcs}"
+            )
+        scale = self._dvfs.dynamic_power_scale(relative_frequency)
+        busy_gpcs = 0
+        gpc_dynamic = 0.0
+        total_bw_fraction = 0.0
+        for gpcs, cuda, tensor, dram in loads:
+            in_range = _in_unit_range(cuda) and _in_unit_range(tensor) and _in_unit_range(dram)
+            if not (gpcs > 0 and in_range):
+                # The record's own check names the field out of range.
+                InstanceLoad(gpcs, cuda, tensor, dram)
+            per_gpc = spec.gpc_cuda_power_w * cuda + spec.gpc_tensor_power_w * tensor
+            gpc_dynamic += gpcs * per_gpc * scale
+            total_bw_fraction += dram
+            busy_gpcs += gpcs
+        if busy_gpcs > powered_gpcs:
+            raise ConfigurationError(
+                f"loads occupy {busy_gpcs} GPCs but only {powered_gpcs} are powered"
+            )
+        return gpc_dynamic, clamp(total_bw_fraction, 0.0, 1.0)
 
     def total_powers(
         self,
@@ -234,12 +262,12 @@ class PowerModel:
         relative_frequencies: FloatArray,
         powered_gpcs: int,
     ) -> FloatArray:
-        """Row-wise :meth:`total_power`, one operating point per row.
+        """Row-wise :meth:`chip_power`, one operating point per row.
 
         Each row adds its instances one at a time in column order, as
-        :meth:`breakdown` does, and scales them by the scalar
+        :meth:`chip_power` does, and scales them by the scalar
         :meth:`DVFSModel.dynamic_power_scale`, so every entry equals
-        :meth:`total_power` of that row's loads bit for bit.
+        :meth:`chip_power` of that row's loads bit for bit.
         """
         spec = self._spec
         if not (0 < powered_gpcs <= spec.n_gpcs):

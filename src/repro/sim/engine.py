@@ -20,38 +20,42 @@ governor's bisection.
 Two memos answer repeated questions.  The run memo returns the result of a
 (group, state, cap) seen before, which also skips the noise draws and the
 result records.  Below it, each (group, state) — its *shape* — keeps its
-placements, built and state-validated once, its power curve (the chip
-power at every clock the governor has evaluated on it) and the solved
-placements at the clocks the governor selected.  Under a drifting cap the
-run memo misses, but the governor bisects through the same clocks, so it
-reads their power from the curve and only a clock the shape has never
-seen is solved.  The governor's path is unchanged, and every compared
-value and result field is a pure function of (placements, clock, powered
-GPCs), so each result is bit-identical to a fresh solve.  Shapes are keyed
-on the kernels' signatures, which cover every kernel field the solve
-reads, and the state's content, so equal kernel objects share a shape.
-The curves hold at most ``_CURVE_POINTS`` clock points in total; the
-least-recently-used shape is forgotten first.
+solve tables (everything the fixed point reads before the clock enters,
+built once from placements validated once against the state), its power
+curve (the chip power at every clock the governor has evaluated on it)
+and the solved placements at the clocks the governor selected.  Under a
+drifting cap the run memo misses, but the governor bisects through the
+same clocks, so it reads their power from the curve.  Only a clock the
+shape has never seen runs the fixed point, a scalar loop over the
+tables, and is priced straight from its solved times; solution records
+are built only at the clock the governor selects.  The governor's path
+is unchanged, and every compared value and result field is a pure
+function of (placements, clock, powered GPCs), so each result is
+bit-identical to a fresh solve.  Shapes are keyed on the kernels'
+signatures, which cover every kernel field the solve reads, and the
+state's content, so equal kernel objects share a shape.  The curves hold
+at most ``_CURVE_POINTS`` clock points in total; the least-recently-used
+shape is forgotten first.
 
 :meth:`PerformanceSimulator.co_run_batch` solves many runs at once for the
-offline training sweeps: runs sharing a pool layout go through the governor
-and the fixed point as NumPy arrays, one row per run, with every float
-operation in the scalar solve's order, so each result is bit-identical to
-:meth:`PerformanceSimulator.co_run`'s.
+offline training sweeps: runs sharing a pool layout stack their shapes'
+tables and go through the governor and the fixed point as NumPy arrays,
+one row per run, with every float operation in the scalar solve's order,
+so each result is bit-identical to :meth:`PerformanceSimulator.co_run`'s.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.gpu.mig import MemoryOption, PartitionState, solo_state
-from repro.gpu.power import InstanceLoad, InstanceLoads, PowerModel
+from repro.gpu.power import InstanceLoads, PowerModel
 from repro.gpu.spec import A100_SPEC, GPUSpec
 from repro.numerics import builtin_sum
 from repro.sim.counters import CounterVector, collect_counters
@@ -110,19 +114,146 @@ class _SolvedPlacement:
     dram_bw_fraction: float
 
 
-@dataclass
 class _Shape:
-    """One (group, state)'s placements and what the governor learnt on them.
+    """One (group, state)'s solve tables and what the governor learnt on them.
 
-    Each value is a pure function of the placements and the clock, so the
-    shape serves every run of its group and state, at any cap.
+    Everything the bandwidth fixed point reads before the clock enters is
+    tabulated once, when the shape is built: one entry per application,
+    each computed from its placement exactly as the scalar solve writes
+    it.  Each value is a pure function of the placements and the clock, so
+    the shape serves every run of its group and state, at any cap.
     """
 
-    placements: list[_Placement]
-    #: Chip power at every relative frequency the governor evaluated.
-    power: dict[float, float] = field(default_factory=dict)
-    #: Solved placements at every frequency the governor selected.
-    solved: dict[float, list[_SolvedPlacement]] = field(default_factory=dict)
+    def __init__(self, placements: Sequence[_Placement], n_gpcs: int) -> None:
+        #: Chip power at every relative frequency the governor evaluated.
+        self.power: dict[float, float] = {}
+        #: Solved placements at every frequency the governor selected.
+        self.solved: dict[float, list[_SolvedPlacement]] = {}
+        self.scaled_compute = [p.kernel.compute_time_full_s * (n_gpcs / p.gpcs) for p in placements]
+        self.compute_penalty = [p.compute_penalty for p in placements]
+        # Memory time at full-chip bandwidth, including the pollution penalty.
+        self.memory_full = [p.kernel.memory_time_full_s * p.memory_penalty for p in placements]
+        # The fixed point's initial guess: everyone sees their full capacity.
+        self.initial_memory = [
+            (full / p.bandwidth_capacity if full > 0 else 0.0)
+            for full, p in zip(self.memory_full, placements)
+        ]
+        self.serial = [p.kernel.serial_time_s for p in placements]
+        self.capacity = [p.bandwidth_capacity for p in placements]
+        self.gpcs = [p.gpcs for p in placements]
+        self.cuda_fraction = [p.kernel.cuda_fraction for p in placements]
+        self.tensor_fraction = [p.kernel.tensor_fraction for p in placements]
+        members_of: dict[int, list[int]] = {}
+        for index, placement in enumerate(placements):
+            if placement.pool is not None:
+                members_of.setdefault(placement.pool, []).append(index)
+        #: The shared pools the fixed point iterates: each one's members,
+        #: its capacity (the largest member capacity) and the members'
+        #: ``memory_full``, ``serial`` and ``capacity`` entries.
+        self.pools = [
+            (
+                members,
+                max(self.capacity[i] for i in members),
+                [self.memory_full[i] for i in members],
+                [self.serial[i] for i in members],
+                [self.capacity[i] for i in members],
+            )
+            for members in members_of.values()
+            if len(members) > 1
+        ]
+        #: The pool layout; runs with the same layout can share one
+        #: lockstep solve.
+        self.layout = (len(placements),) + tuple(tuple(pool[0]) for pool in self.pools)
+
+    def solve(self, frequency: float) -> tuple[list[float], list[float]]:
+        """Compute and memory times at ``frequency``, every pool settled."""
+        compute = [c / frequency * p for c, p in zip(self.scaled_compute, self.compute_penalty)]
+        memory = self.initial_memory.copy()
+        self._settle(compute, memory)
+        return compute, memory
+
+    def _settle(self, compute: list[float], memory: list[float]) -> None:
+        """Each pool's damped bandwidth fixed point; settles ``memory`` in place.
+
+        Each member draws what the others leave of the pool, at least its
+        proportional share, at most its own capacity, and its elapsed time
+        is blended with the old one until no member moves.  Comparisons
+        pick the operand the built-in ``max``/``min`` would, and the demands
+        are totalled by the built-in ``sum`` in member order.  The update
+        and the blend share one pass because the demands and their total
+        are fixed for the step.
+        """
+        keep = 1.0 - _DAMPING
+        for members, pool_capacity, memory_full, serial, capacity in self.pools:
+            times = [compute[i] for i in members]
+            settled = [memory[i] for i in members]
+            elapsed = [(m if m > c else c) + s for c, m, s in zip(times, settled, serial)]
+            span = range(len(members))
+            for _ in range(_BANDWIDTH_ITERATIONS):
+                demands = [full / e if e > 0 else 0.0 for full, e in zip(memory_full, elapsed)]
+                # The built-in ``sum`` over Python floats, in member order;
+                # from a float start it adds exactly as from the default 0.
+                total = sum(demands, 0.0)
+                converged = True
+                for k in span:
+                    e = elapsed[k]
+                    full = memory_full[k]
+                    if full <= 0:
+                        new = e
+                    else:
+                        demand = demands[k]
+                        proportional = (
+                            pool_capacity * demand / total if total > 0 else pool_capacity
+                        )
+                        available = pool_capacity - (total - demand)
+                        if proportional > available:
+                            available = proportional
+                        if capacity[k] < available:
+                            available = capacity[k]
+                        if 1e-6 > available:
+                            available = 1e-6
+                        m = settled[k] = full / available
+                        c = times[k]
+                        new = (m if m > c else c) + serial[k]
+                    blended = _DAMPING * new + keep * e
+                    if abs(blended - e) > 1e-9 * (1e-9 if 1e-9 > e else e):
+                        converged = False
+                    elapsed[k] = blended
+                if converged:
+                    break
+            for i, m in zip(members, settled):
+                memory[i] = m
+
+    def loads(
+        self, compute: list[float], memory: list[float]
+    ) -> list[tuple[int, float, float, float]]:
+        """Each application's :class:`~repro.gpu.power.InstanceLoad` fields, as a tuple."""
+        loads = []
+        for gpcs, c, m, s, full, cuda, tensor in zip(
+            self.gpcs, compute, memory, self.serial, self.memory_full,
+            self.cuda_fraction, self.tensor_fraction,
+        ):
+            if c < 0 or m < 0 or s < 0:
+                # The record's own check names the negative component.
+                TimeComponents(compute_s=c, memory_s=m, serial_s=s)
+            elapsed = (m if m > c else c) + s
+            dram = full / elapsed if elapsed > 0 else 0.0
+            busy = 0.0 if elapsed <= 0 else c / elapsed
+            busy = busy if busy < 1.0 else 1.0
+            loads.append((gpcs, busy * cuda, busy * tensor, dram if dram < 1.0 else 1.0))
+        return loads
+
+    def solved_placements(
+        self, compute: list[float], memory: list[float]
+    ) -> list[_SolvedPlacement]:
+        """The solution records of the solved times."""
+        solved = []
+        for c, m, s, full in zip(compute, memory, self.serial, self.memory_full):
+            components = TimeComponents(compute_s=c, memory_s=m, serial_s=s)
+            total = elapsed_time(components)
+            dram_bw_fraction = full / total if total > 0 else 0.0
+            solved.append(_SolvedPlacement(components, total, min(1.0, dram_bw_fraction)))
+        return solved
 
 
 class PerformanceSimulator:
@@ -204,25 +335,16 @@ class PerformanceSimulator:
         full GPU (MIG disabled) at the default power limit.  The value is
         noise free: it is the fixed denominator of every ``RPerf``.
         """
-        key = (
-            kernel.name,
-            kernel.compute_time_full_s,
-            kernel.memory_time_full_s,
-            kernel.serial_time_s,
-        )
+        key = self._kernel_signature(kernel)
         cached = self._reference_cache.get(key)
         if cached is not None:
             return cached
         # The full chip powers all its GPCs where MIG runs power mig_gpcs,
         # so this solve gets a throwaway shape, never a remembered one.
-        placement = _Placement(
-            kernel=kernel,
-            gpcs=self._spec.n_gpcs,
-            bandwidth_capacity=1.0,
-            pool=None,
-        )
+        n_gpcs = self._spec.n_gpcs
+        placement = _Placement(kernel=kernel, gpcs=n_gpcs, bandwidth_capacity=1.0, pool=None)
         solved, _, _ = self._govern(
-            _Shape([placement]), self._spec.default_power_limit_w, self._spec.n_gpcs
+            _Shape([placement], n_gpcs), self._spec.default_power_limit_w, n_gpcs
         )
         reference = solved[0].elapsed_s
         self._reference_cache[key] = reference
@@ -389,7 +511,9 @@ class PerformanceSimulator:
         # Validation is a pure function of the state's content, which the
         # key captures — a known shape implies the state already validated.
         state.validate_against(self._spec)
-        shape = self._shapes[key] = _Shape(self._build_placements(state, kernels))
+        shape = self._shapes[key] = _Shape(
+            self._build_placements(state, kernels), self._spec.n_gpcs
+        )
         return shape
 
     def _assemble(
@@ -539,132 +663,28 @@ class PerformanceSimulator:
         """Resolve clock, bandwidth shares, and elapsed times under the cap.
 
         The governor reads the chip power from the shape's curve; only a
-        clock this shape has never seen is solved, and then remembered.
+        clock this shape has never seen is solved, priced from its solved
+        times, and remembered.  Solution records are built only at the
+        clock the governor selects.
         """
-        placements = shape.placements
-        fresh: dict[float, list[_SolvedPlacement]] = {}
+        fresh: dict[float, tuple[list[float], list[float]]] = {}
 
         def power_at(frequency: float) -> float:
             power = shape.power.get(frequency)
             if power is None:
-                solved = fresh[frequency] = self._solve_at_frequency(placements, frequency)
-                loads = self._loads_from_solution(placements, solved)
-                power = shape.power[frequency] = self._power.total_power(
-                    loads, frequency, powered_gpcs
+                times = fresh[frequency] = shape.solve(frequency)
+                power = shape.power[frequency] = self._power.chip_power(
+                    shape.loads(*times), frequency, powered_gpcs
                 )
             return power
 
         frequency = self._power.max_frequency_under_cap(power_at, power_cap_w)
         chip_power = power_at(frequency)
-        solved = shape.solved.get(frequency) or fresh.get(frequency)
+        solved = shape.solved.get(frequency)
         if solved is None:
-            solved = self._solve_at_frequency(placements, frequency)
-        shape.solved[frequency] = solved
+            times = fresh.get(frequency) or shape.solve(frequency)
+            solved = shape.solved[frequency] = shape.solved_placements(*times)
         return solved, frequency, chip_power
-
-    def _solve_at_frequency(
-        self,
-        placements: Sequence[_Placement],
-        frequency: float,
-    ) -> list[_SolvedPlacement]:
-        """Fixed point of the bandwidth-contention problem at a given clock."""
-        spec = self._spec
-        n = len(placements)
-        compute_times = [
-            p.kernel.compute_time_full_s
-            * (spec.n_gpcs / p.gpcs)
-            / frequency
-            * p.compute_penalty
-            for p in placements
-        ]
-        # Memory time at full-chip bandwidth, including the pollution penalty.
-        memory_full = [
-            p.kernel.memory_time_full_s * p.memory_penalty for p in placements
-        ]
-        serial_times = [p.kernel.serial_time_s for p in placements]
-
-        # Initial guess: everyone sees their full capacity.
-        memory_times = [
-            (memory_full[i] / placements[i].bandwidth_capacity if memory_full[i] > 0 else 0.0)
-            for i in range(n)
-        ]
-        elapsed = [
-            max(compute_times[i], memory_times[i]) + serial_times[i] for i in range(n)
-        ]
-
-        pools: dict[int, list[int]] = {}
-        for i in range(n):
-            if placements[i].pool is not None:
-                pools.setdefault(placements[i].pool, []).append(i)
-        for shared_indices in pools.values():
-            if len(shared_indices) <= 1:
-                continue
-            pool_capacity = max(
-                placements[i].bandwidth_capacity for i in shared_indices
-            )
-            for _ in range(_BANDWIDTH_ITERATIONS):
-                demands = {
-                    i: (memory_full[i] / elapsed[i] if elapsed[i] > 0 else 0.0)
-                    for i in shared_indices
-                }
-                total_demand = sum(demands.values())
-                new_elapsed = list(elapsed)
-                for i in shared_indices:
-                    if memory_full[i] <= 0:
-                        continue
-                    others_demand = total_demand - demands[i]
-                    if total_demand > 0:
-                        proportional = pool_capacity * demands[i] / total_demand
-                    else:
-                        proportional = pool_capacity
-                    available = max(pool_capacity - others_demand, proportional)
-                    available = min(available, placements[i].bandwidth_capacity)
-                    available = max(available, 1e-6)
-                    memory_times[i] = memory_full[i] / available
-                    new_elapsed[i] = (
-                        max(compute_times[i], memory_times[i]) + serial_times[i]
-                    )
-                converged = True
-                for i in shared_indices:
-                    blended = _DAMPING * new_elapsed[i] + (1.0 - _DAMPING) * elapsed[i]
-                    if abs(blended - elapsed[i]) > 1e-9 * max(elapsed[i], 1e-9):
-                        converged = False
-                    elapsed[i] = blended
-                if converged:
-                    break
-            # Recompute elapsed exactly from the final memory times.
-            for i in shared_indices:
-                elapsed[i] = max(compute_times[i], memory_times[i]) + serial_times[i]
-
-        return [
-            _solved_placement(
-                compute_times[i], memory_times[i], serial_times[i], memory_full[i]
-            )
-            for i in range(n)
-        ]
-
-    def _loads_from_solution(
-        self,
-        placements: Sequence[_Placement],
-        solved: Sequence[_SolvedPlacement],
-    ) -> list[InstanceLoad]:
-        loads: list[InstanceLoad] = []
-        for placement, solution in zip(placements, solved):
-            if solution.elapsed_s <= 0:
-                busy_fraction = 0.0
-            else:
-                busy_fraction = min(
-                    1.0, solution.components.compute_s / solution.elapsed_s
-                )
-            loads.append(
-                InstanceLoad(
-                    n_gpcs=placement.gpcs,
-                    cuda_utilization=busy_fraction * placement.kernel.cuda_fraction,
-                    tensor_utilization=busy_fraction * placement.kernel.tensor_fraction,
-                    dram_bw_fraction=solution.dram_bw_fraction,
-                )
-            )
-        return loads
 
     # ------------------------------------------------------------------
     # Lockstep solve (co_run_batch)
@@ -676,20 +696,21 @@ class PerformanceSimulator:
         """Results of the runs the memo cannot answer, keyed like the memo."""
         powered_gpcs = self._spec.mig_gpcs
         # key[:2] is (kernel signatures, state content): placements depend
-        # on neither the cap nor the label, so each (group, state) is
-        # placed once and its runs at every cap share the placements.
-        shapes: dict[tuple, tuple[list[_Placement], tuple]] = {}
+        # on neither the cap nor the label, so each (group, state) gets one
+        # shape and its runs at every cap share its tables.
+        shapes: dict[tuple, _Shape] = {}
         by_layout: dict[tuple, list[tuple]] = {}
         results: dict[tuple, CoRunResult] = {}
         for key, (kernels, state, cap) in pending.items():
             shape = shapes.get(key[:2])
             if shape is None:
                 state.validate_against(self._spec)
-                placements = self._build_placements(state, kernels)
-                shape = shapes[key[:2]] = (placements, _pool_layout(placements))
-            by_layout.setdefault(shape[1], []).append((key, kernels, state, cap))
-        for layout, runs in by_layout.items():
-            rows = _LockstepRows(self._spec, layout, shapes, [run[0][:2] for run in runs])
+                shape = shapes[key[:2]] = _Shape(
+                    self._build_placements(state, kernels), self._spec.n_gpcs
+                )
+            by_layout.setdefault(shape.layout, []).append((key, kernels, state, cap))
+        for runs in by_layout.values():
+            rows = _LockstepRows([shapes[run[0][:2]] for run in runs])
 
             def power_at(index: np.ndarray, frequency: np.ndarray) -> np.ndarray:
                 loads = rows.loads(index, *rows.solve(index, frequency))
@@ -723,94 +744,49 @@ def _check_group(kernels: Sequence[KernelCharacteristics], state: PartitionState
         )
 
 
-def _solved_placement(
-    compute_s: float, memory_s: float, serial_s: float, memory_full_s: float
-) -> _SolvedPlacement:
-    components = TimeComponents(compute_s=compute_s, memory_s=memory_s, serial_s=serial_s)
-    total = elapsed_time(components)
-    dram_bw_fraction = memory_full_s / total if total > 0 else 0.0
-    return _SolvedPlacement(
-        components=components,
-        elapsed_s=total,
-        dram_bw_fraction=min(1.0, dram_bw_fraction),
-    )
-
-
-def _pool_layout(placements: Sequence[_Placement]) -> tuple:
-    """The shared pools ``_solve_at_frequency`` iterates, as index tuples.
-
-    Runs with the same layout can share one lockstep solve.
-    """
-    pools: dict[int, list[int]] = {}
-    for index, placement in enumerate(placements):
-        if placement.pool is not None:
-            pools.setdefault(placement.pool, []).append(index)
-    return (len(placements),) + tuple(
-        tuple(members) for members in pools.values() if len(members) > 1
-    )
-
-
 class _LockstepRows:
     """Runs sharing one pool layout, as ``(run, application)`` arrays.
 
     Row ``r`` holds run ``r`` and column ``i`` its application ``i``.
-    :meth:`solve` and :meth:`loads` repeat ``_solve_at_frequency`` and
-    ``_loads_from_solution`` float operation for float operation, on any
-    subset of rows and at one clock per row.
+    The arrays stack the runs' shape tables; :meth:`solve` and
+    :meth:`loads` repeat :meth:`_Shape.solve` and :meth:`_Shape.loads`
+    float operation for float operation, on any subset of rows and at one
+    clock per row.
     """
 
-    def __init__(
-        self,
-        spec: GPUSpec,
-        layout: tuple,
-        shapes: dict[tuple, tuple[list[_Placement], tuple]],
-        shape_of_row: Sequence[tuple],
-    ) -> None:
-        # One template row per (group, state); every run repeats its
-        # template.  Everything before the clock enters is computed here,
-        # in Python, exactly as the scalar solve writes it.
-        template_of: dict[tuple, int] = {}
+    def __init__(self, shape_of_row: Sequence[_Shape]) -> None:
+        self._shape_of_row = shape_of_row
+        # One template row per shape; every run repeats its template.
+        template_of: dict[_Shape, int] = {}
         for shape in shape_of_row:
             template_of.setdefault(shape, len(template_of))
         rows = np.array([template_of[shape] for shape in shape_of_row], dtype=np.intp)
-        templates = [shapes[shape][0] for shape in template_of]
+        templates = list(template_of)
 
         def table(values: list[list[float]], dtype: type = float) -> np.ndarray:
             return np.array(values, dtype=dtype)[rows]
 
-        memory_full = [
-            [p.kernel.memory_time_full_s * p.memory_penalty for p in row] for row in templates
-        ]
-        self._scaled_compute = table(
-            [[p.kernel.compute_time_full_s * (spec.n_gpcs / p.gpcs) for p in row] for row in templates]
-        )
-        self._compute_penalty = table([[p.compute_penalty for p in row] for row in templates])
-        self._memory_full = table(memory_full)
-        self._initial_memory = table(
-            [
-                [(full / p.bandwidth_capacity if full > 0 else 0.0) for full, p in zip(fulls, row)]
-                for fulls, row in zip(memory_full, templates)
-            ]
-        )
-        self._serial = table([[p.kernel.serial_time_s for p in row] for row in templates])
-        capacity = table([[p.bandwidth_capacity for p in row] for row in templates])
+        self._scaled_compute = table([shape.scaled_compute for shape in templates])
+        self._compute_penalty = table([shape.compute_penalty for shape in templates])
+        self._memory_full = table([shape.memory_full for shape in templates])
+        self._initial_memory = table([shape.initial_memory for shape in templates])
+        self._serial = table([shape.serial for shape in templates])
+        capacity = table([shape.capacity for shape in templates])
         # Per pool: its member columns, their static times, and the pool's
-        # capacity (the largest member capacity) repeated per member.
+        # capacity repeated per member.
         self._pool_tables = [
             (
                 list(pool),
                 self._memory_full[:, pool],
                 self._serial[:, pool],
                 capacity[:, pool],
-                np.repeat(capacity[:, pool].max(axis=1, keepdims=True), len(pool), axis=1),
+                table([[shape.pools[k][1]] * len(pool) for shape in templates]),
             )
-            for pool in layout[1:]
+            for k, pool in enumerate(templates[0].layout[1:])
         ]
-        self._gpcs = table([[p.gpcs for p in row] for row in templates], np.int64)
-        self._cuda_fraction = table([[p.kernel.cuda_fraction for p in row] for row in templates])
-        self._tensor_fraction = table(
-            [[p.kernel.tensor_fraction for p in row] for row in templates]
-        )
+        self._gpcs = table([shape.gpcs for shape in templates], np.int64)
+        self._cuda_fraction = table([shape.cuda_fraction for shape in templates])
+        self._tensor_fraction = table([shape.tensor_fraction for shape in templates])
 
     def solve(self, index: np.ndarray, frequency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Compute and memory times of rows ``index``, each at its own clock."""
@@ -848,13 +824,8 @@ class _LockstepRows:
     ) -> list[list[_SolvedPlacement]]:
         """Every row's scalar solution records, built from its solved times."""
         return [
-            [_solved_placement(*values) for values in zip(*row)]
-            for row in zip(
-                compute.tolist(),
-                memory.tolist(),
-                self._serial.tolist(),
-                self._memory_full.tolist(),
-            )
+            shape.solved_placements(*times)
+            for shape, *times in zip(self._shape_of_row, compute.tolist(), memory.tolist())
         ]
 
 
@@ -869,10 +840,9 @@ def _settle_pool(
     """One pool's damped bandwidth fixed point, for many runs in lockstep.
 
     Every array is ``(run, pool member)``; the settled memory times are
-    returned.  Each step repeats the scalar loop of ``_solve_at_frequency``
-    float operation for float operation, and a run leaves the iteration
-    at the step where the scalar loop would have stopped, freezing its
-    times.
+    returned.  Each step repeats the scalar loop of :meth:`_Shape._settle`
+    float operation for float operation, and a run leaves the iteration at the
+    step where the scalar loop would have stopped, freezing its times.
     """
     settled = memory.copy()
     elapsed = np.maximum(compute, memory) + serial

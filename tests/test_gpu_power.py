@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu.power import InstanceLoad, PowerModel
 from repro.gpu.spec import A100_SPEC
+from solve_oracle import total_power
 
 
 @pytest.fixture()
@@ -28,7 +31,7 @@ def memory_load(n_gpcs: int = 8) -> InstanceLoad:
 
 def power_of(power_model, loads):
     """The governor's power function for loads that do not move with the clock."""
-    return lambda frequency: power_model.total_power(loads, frequency)
+    return lambda frequency: power_model.breakdown(loads, frequency).total_w
 
 
 class TestInstanceLoad:
@@ -63,23 +66,23 @@ class TestBreakdown:
         )
 
     def test_tensor_load_draws_more_than_memory_load(self, power_model):
-        tensor = power_model.total_power([full_tensor_load()], 1.0)
-        memory = power_model.total_power([memory_load()], 1.0)
+        tensor = power_model.breakdown([full_tensor_load()], 1.0).total_w
+        memory = power_model.breakdown([memory_load()], 1.0).total_w
         assert tensor > memory
 
     def test_power_increases_with_frequency(self, power_model):
-        low = power_model.total_power([full_tensor_load()], 0.5)
-        high = power_model.total_power([full_tensor_load()], 1.0)
+        low = power_model.breakdown([full_tensor_load()], 0.5).total_w
+        high = power_model.breakdown([full_tensor_load()], 1.0).total_w
         assert high > low
 
     def test_power_increases_with_gpcs(self, power_model):
-        small = power_model.total_power([full_tensor_load(2)], 1.0)
-        large = power_model.total_power([full_tensor_load(7)], 1.0)
+        small = power_model.breakdown([full_tensor_load(2)], 1.0).total_w
+        large = power_model.breakdown([full_tensor_load(7)], 1.0).total_w
         assert large > small
 
     def test_multi_instance_loads_accumulate(self, power_model):
-        single = power_model.total_power([full_tensor_load(4)], 1.0)
-        both = power_model.total_power([full_tensor_load(4), memory_load(3)], 1.0)
+        single = power_model.breakdown([full_tensor_load(4)], 1.0).total_w
+        both = power_model.breakdown([full_tensor_load(4), memory_load(3)], 1.0).total_w
         assert both > single
 
     def test_rejects_more_busy_than_powered_gpcs(self, power_model):
@@ -90,9 +93,46 @@ class TestBreakdown:
         with pytest.raises(ConfigurationError):
             power_model.breakdown([], 1.0, powered_gpcs=0)
 
+    @pytest.mark.parametrize(
+        "loads",
+        [
+            [],
+            [full_tensor_load()],
+            [memory_load()],
+            [full_tensor_load(4), memory_load(3)],
+            # Their bandwidth fractions sum past 1 and are clamped.
+            [memory_load(2), memory_load(2), full_tensor_load(3)],
+        ],
+    )
+    def test_chip_power_is_the_breakdown_total_bit_for_bit(self, power_model, loads):
+        rows = [dataclasses.astuple(load) for load in loads]
+        busy = sum(load.n_gpcs for load in loads)
+        for frequency in (A100_SPEC.min_relative_frequency, 0.73, 1.0):
+            for powered in sorted({max(busy, 1), A100_SPEC.n_gpcs}):
+                power = power_model.chip_power(rows, frequency, powered)
+                assert power == power_model.breakdown(loads, frequency, powered).total_w
+                assert power == total_power(power_model, loads, frequency, powered)
+
+    @pytest.mark.parametrize(
+        "load", [(0, 0.5, 0.0, 0.3), (4, 1.5, 0.0, 0.3), (4, 0.5, -0.2, 0.3), (4, 0.5, 0.0, 1.2)]
+    )
+    def test_chip_power_checks_each_load_as_instance_load_does(self, power_model, load):
+        with pytest.raises(ConfigurationError) as expected:
+            InstanceLoad(*load)
+        with pytest.raises(ConfigurationError) as got:
+            power_model.chip_power([load], 1.0, 8)
+        assert str(got.value) == str(expected.value)
+
+    def test_chip_power_rejects_what_breakdown_rejects(self, power_model):
+        with pytest.raises(ConfigurationError):
+            power_model.chip_power([(8, 0.1, 0.9, 0.2)], 1.0, 7)
+        with pytest.raises(ConfigurationError):
+            power_model.chip_power([], 1.0, 0)
+
     def test_full_tensor_chip_exceeds_default_limit(self, power_model):
         """A fully-lit Tensor-Core workload must be power-limited at 250 W."""
-        assert power_model.total_power([full_tensor_load()], 1.0) > A100_SPEC.default_power_limit_w
+        power = power_model.breakdown([full_tensor_load()], 1.0).total_w
+        assert power > A100_SPEC.default_power_limit_w
 
 
 class TestGovernor:
@@ -116,7 +156,7 @@ class TestGovernor:
         cap = 170.0
         loads = [full_tensor_load()]
         f = power_model.max_frequency_under_cap(power_of(power_model, loads), cap)
-        assert power_model.total_power(loads, f) <= cap + 1e-6
+        assert power_model.breakdown(loads, f).total_w <= cap + 1e-6
 
     def test_lower_cap_means_lower_frequency(self, power_model):
         power = power_of(power_model, [full_tensor_load()])

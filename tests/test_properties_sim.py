@@ -29,6 +29,7 @@ from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
 from repro.workloads.suite import DEFAULT_SUITE
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
+from solve_oracle import chip_power_at
 
 _SIM = PerformanceSimulator(noise=no_noise())
 _GENERATOR = SyntheticWorkloadGenerator(seed=11)
@@ -132,9 +133,7 @@ def _governor_exit(simulator, kernels, state, cap):
     placements = simulator._build_placements(state, tuple(kernels))
 
     def power(frequency):
-        solved = simulator._solve_at_frequency(placements, frequency)
-        loads = simulator._loads_from_solution(placements, solved)
-        return simulator.power_model.total_power(loads, frequency, simulator.spec.mig_gpcs)
+        return chip_power_at(simulator, placements, frequency, simulator.spec.mig_gpcs)[0]
 
     if power(1.0) <= cap:
         return "uncapped"
@@ -347,6 +346,89 @@ def test_remembered_power_curves_match_the_lockstep_oracle(monkeypatch, spec_nam
         # recently used shape always left first.
         assert list(shapes) == list(recency)[len(recency) - len(shapes):]
     assert rebuilt > 0
+
+
+# ----------------------------------------------------------------------
+# Shape tables against the scalar solve they replaced
+# ----------------------------------------------------------------------
+_ORACLE_KERNELS = list(DEFAULT_SUITE.all()) + [_COMPUTE_ONLY_KERNEL]
+
+
+def _oracle_clocks(simulator):
+    """The floor, the top, the first bisection midpoints and their quantized clocks."""
+    floor = simulator.spec.min_relative_frequency
+    mid = 0.5 * (floor + 1.0)
+    midpoints = [mid, 0.5 * (floor + mid), 0.5 * (mid + 1.0)]
+    quantize = simulator.power_model.dvfs.quantize
+    return [floor, 1.0, *midpoints, *(quantize(f) for f in midpoints)]
+
+
+def _check_shape_against_oracle(simulator, kernels, state):
+    """Check a shape's power and times against the scalar solve, bit for bit.
+
+    At each of :func:`_oracle_clocks`, and at every clock the governor
+    evaluates at the spec's lowest cap, which fills the shape's curve
+    through the engine's own path.  Returns the shape.
+    """
+    spec = simulator.spec
+    powered = spec.mig_gpcs
+    placements = simulator._build_placements(state, tuple(kernels))
+
+    def expect(frequency, power, times):
+        want_power, want_solved = chip_power_at(simulator, placements, frequency, powered)
+        assert _bits(power) == _bits(want_power)
+        assert _bits(tuple(shape.solved_placements(*times))) == _bits(tuple(want_solved))
+
+    shape = engine_module._Shape(placements, spec.n_gpcs)
+    for frequency in _oracle_clocks(simulator):
+        times = shape.solve(frequency)
+        power = simulator.power_model.chip_power(shape.loads(*times), frequency, powered)
+        expect(frequency, power, times)
+    solved, selected, _ = simulator._govern(shape, spec.min_power_cap_w, powered)
+    want_solved = chip_power_at(simulator, placements, selected, powered)[1]
+    assert _bits(tuple(solved)) == _bits(tuple(want_solved))
+    for frequency, power in shape.power.items():
+        expect(frequency, power, shape.solve(frequency))
+    return shape
+
+
+@pytest.mark.parametrize("spec_name", _SPEC_NAMES)
+def test_shape_tables_match_the_scalar_solve_on_every_state(spec_name):
+    """Every enumerated state of 1-4 applications, each with its own group
+    drawn round-robin from the suite and the compute-only kernel."""
+    simulator = PerformanceSimulator(GPU_SPECS[spec_name], noise=no_noise())
+    draw = 0
+    pool_sizes = set()
+    for n in (1, 2, 3, 4):
+        for state in _STATES[(spec_name, n)]:
+            kernels = [_ORACLE_KERNELS[(draw + 7 * i) % len(_ORACLE_KERNELS)] for i in range(n)]
+            draw += 1
+            shape = _check_shape_against_oracle(simulator, kernels, state)
+            pool_sizes.update(len(members) for members in shape.layout[1:])
+    if spec_name in ("a100", "h100"):
+        assert {2, 3, 4} <= pool_sizes
+
+
+def test_shape_tables_match_the_scalar_solve_on_three_member_and_unsettled_pools(monkeypatch):
+    """A 3-member pool with a compute-only member, and a pair pool whose
+    fixed point is still moving after the last damped step."""
+    simulator = PerformanceSimulator(noise=no_noise())
+    suite = DEFAULT_SUITE
+    trio = (suite.get("stream"), _COMPUTE_ONLY_KERNEL, suite.get("srad"))
+    shape = _check_shape_against_oracle(
+        simulator, trio, PartitionState((2, 2, 3), MemoryOption.SHARED)
+    )
+    assert [len(members) for members in shape.layout[1:]] == [3]
+
+    pair = (suite.get("gaussian"), suite.get("stream"))
+    shape = _check_shape_against_oracle(simulator, pair, CORUN_STATES[0])
+    assert [len(members) for members in shape.layout[1:]] == [2]
+    # One more step still moves the times: the pool ran every step unsettled.
+    settled = shape.solve(1.0)
+    monkeypatch.setattr(
+        engine_module, "_BANDWIDTH_ITERATIONS", engine_module._BANDWIDTH_ITERATIONS + 1
+    )
+    assert shape.solve(1.0) != settled
 
 
 def test_builtin_sum_mirrors_the_interpreter_both_ways():

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import PowerCapError, SimulationError
 from repro.gpu.mig import CORUN_STATES, MemoryOption, S1, S3, PartitionState, solo_state
+from repro.gpu.spec import Pipe
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import NoiseModel, no_noise
 from repro.workloads.pairs import corun_pair
@@ -34,6 +37,17 @@ class TestReferenceRun:
     def test_memory_bound_kernel_not_throttled(self, engine):
         kernel = DEFAULT_SUITE.get("stream")
         assert engine.reference_time(kernel) == pytest.approx(kernel.reference_time_s, rel=0.02)
+
+    def test_reference_time_of_a_pipe_mix_variant_does_not_depend_on_call_order(self):
+        """The governed reference solve reads the pipe mix, so a kernel
+        that differs only there has a reference of its own."""
+        hgemm = DEFAULT_SUITE.get("hgemm")
+        variant = dataclasses.replace(hgemm, pipe_fractions={Pipe.FP32: 1.0})
+        engine = PerformanceSimulator(noise=no_noise())
+        engine.reference_time(hgemm)
+        fresh = PerformanceSimulator(noise=no_noise()).reference_time(variant)
+        assert engine.reference_time(variant) == fresh
+        assert fresh != engine.reference_time(hgemm)
 
 
 class TestSoloRun:
