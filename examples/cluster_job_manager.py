@@ -58,7 +58,7 @@ def main() -> None:
     # The report lists jobs in completion order; print them by id.
     print("Per-job placement (co-scheduled run):")
     for job in sorted(co_report.jobs, key=lambda job: job.job_id):
-        partner = f", partner job {job.co_runner}" if job.co_runner is not None else ""
+        partner = f", partner job {job.co_runners[0]}" if job.co_runners else ""
         print(f"  job {job.job_id:2d} {job.name:12s} finished at t={job.finish_time:.2f}s{partner}")
     print()
 

@@ -66,9 +66,7 @@ class SessionKey:
     model_path: str | None = None
 
 
-@dataclass
-# repro: allow[RL005] a session counts the decisions it served in place;
-# it is engine state behind the facade, not a serialized value object
+@dataclass(frozen=True)
 class PlannerSession:
     """One trained workflow the service keeps hot.
 
@@ -80,7 +78,6 @@ class PlannerSession:
     key: SessionKey
     workflow: PaperWorkflow
     power_caps: tuple[float, ...]
-    decisions_served: int = 0
 
     @property
     def default_power_cap_w(self) -> float:
@@ -233,19 +230,12 @@ class PlannerService:
     # ------------------------------------------------------------------
     def decide(self, request: DecisionRequest) -> DecisionResult:
         """Solve one allocation request, reusing the session cache."""
-        result, _ = self._decide(request)
-        return result
-
-    def _decide(
-        self, request: DecisionRequest
-    ) -> tuple[DecisionResult, PlannerSession]:
         session = self.session_for(request.spec, request.group_size, request.model_path)
         decision = self._solve(session, request)
         self.stats.decisions_served += 1
-        result = DecisionResult.from_decision(
+        return DecisionResult.from_decision(
             decision, apps=request.apps, spec=request.spec
         )
-        return result, session
 
     def decide_batch(
         self, requests: Iterable[DecisionRequest]
@@ -257,27 +247,23 @@ class PlannerService:
         request is evaluated through the allocator's batched NumPy
         candidate-grid path, and exact duplicates within the batch are
         answered once and fanned back out in order (they still count as
-        served decisions, on the service and on their session).
+        served decisions).
         """
-        memo: dict[DecisionRequest, tuple[DecisionResult, PlannerSession]] = {}
+        memo: dict[DecisionRequest, DecisionResult] = {}
         results = []
         for request in requests:
-            cached = memo.get(request)
-            if cached is None:
-                cached = self._decide(request)
-                memo[request] = cached
+            result = memo.get(request)
+            if result is None:
+                result = memo[request] = self.decide(request)
             else:
-                _, session = cached
-                session.decisions_served += 1
                 self.stats.decisions_served += 1
-            results.append(cached[0])
+            results.append(result)
         self.stats.batches_served += 1
         return tuple(results)
 
     def _solve(
         self, session: PlannerSession, request: DecisionRequest
     ) -> AllocationDecision:
-        session.decisions_served += 1
         if request.policy == "problem1":
             power_cap = (
                 request.power_cap_w

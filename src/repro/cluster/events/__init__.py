@@ -1,7 +1,7 @@
 """Discrete-event simulation of the cluster: heap, clock, events, simulator.
 
 * :mod:`repro.cluster.events.events` — the event heap, simulation clock,
-  and the four event types (arrival, completion, repartition, rebalance).
+  and the two event types (arrival, completion).
 * :mod:`repro.cluster.events.simulator` — :class:`ClusterSimulator`, the
   event loop driving the co-scheduler, nodes, and power manager.
 * :mod:`repro.cluster.events.report` — :class:`SimulationReport` online
@@ -13,8 +13,6 @@ from repro.cluster.events.events import (
     CompletionEvent,
     Event,
     EventHeap,
-    PowerRebalanceEvent,
-    RepartitionEvent,
     SimulationClock,
 )
 from repro.cluster.events.report import LatencyStats, SimulationReport
@@ -25,8 +23,6 @@ __all__ = [
     "CompletionEvent",
     "Event",
     "EventHeap",
-    "PowerRebalanceEvent",
-    "RepartitionEvent",
     "SimulationClock",
     "LatencyStats",
     "SimulationReport",

@@ -1,12 +1,13 @@
 """Event primitives of the discrete-event cluster simulator.
 
 The simulator's future is a binary heap of typed events ordered by
-``(time, priority, sequence)``.  The priority breaks ties at identical
-timestamps deterministically — completions free nodes before new arrivals
-are enqueued, and both precede the power rebalance that reacts to them —
-and the monotonically increasing sequence number makes the order of equal
-``(time, priority)`` events stable (insertion order), which is what keeps
-an all-at-t=0 batch queued in submission order.
+``(time, priority, sequence)``.  The heap holds only the events that
+change the cluster's state: arrivals and completions.  The priority breaks
+ties at identical timestamps deterministically — completions free nodes
+before new arrivals are enqueued — and the monotonically increasing
+sequence number makes the order of equal ``(time, priority)`` events
+stable (insertion order), which is what keeps an all-at-t=0 batch queued
+in submission order.
 """
 
 from __future__ import annotations
@@ -55,23 +56,6 @@ class CompletionEvent(Event):
 
 
 @dataclass(frozen=True)
-class RepartitionEvent(Event):
-    """A node finished reconfiguring its MIG layout and may serve jobs."""
-
-    priority: ClassVar[int] = 20
-
-    node_id: int
-    previous_layout: str
-    next_layout: str
-
-    def describe(self) -> str:
-        return (
-            f"t={self.time:.2f}s repartition node{self.node_id} "
-            f"{self.previous_layout} -> {self.next_layout}"
-        )
-
-
-@dataclass(frozen=True)
 class ArrivalEvent(Event):
     """One trace entry arrives and is submitted to the job queue."""
 
@@ -82,18 +66,6 @@ class ArrivalEvent(Event):
 
     def describe(self) -> str:
         return f"t={self.time:.2f}s arrive {self.entry.app}"
-
-
-@dataclass(frozen=True)
-class PowerRebalanceEvent(Event):
-    """The cluster power budget is re-distributed across the nodes."""
-
-    priority: ClassVar[int] = 40
-
-    reason: str = "load change"
-
-    def describe(self) -> str:
-        return f"t={self.time:.2f}s power rebalance ({self.reason})"
 
 
 class SimulationClock:

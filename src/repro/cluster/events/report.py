@@ -72,7 +72,9 @@ class SimulationReport:
     co_scheduled_jobs, exclusive_jobs, profile_runs:
         How jobs were executed; profile runs are also exclusive runs.
     events_processed:
-        Total events the loop consumed (heap pops).
+        State changes the loop applied: every arrival and completion it
+        popped off the event heap, plus every repartition and every power
+        rebalance.
     repartitions, repartition_time_s, mig_instance_changes:
         MIG layout changes performed, the total latency they added, and the
         number of GPU Instances created/destroyed across them (the latency

@@ -26,8 +26,6 @@ from repro.cluster.events.events import (
     CompletionEvent,
     Event,
     EventHeap,
-    PowerRebalanceEvent,
-    RepartitionEvent,
     SimulationClock,
 )
 from repro.cluster.events.report import LatencyStats, SimulationReport
@@ -120,7 +118,10 @@ class _RunState:
     #: Whether any node changed busy state (and hence demand) since the
     #: last budget split; clean rebalances reuse the previous shares.
     power_dirty: bool = True
-    events_processed: int = 0
+    #: Solo full-partition chip power per application name; names resolve
+    #: to kernels per run, so the memo lives exactly as long as the run.
+    solo_power_w: dict[str, float] = field(default_factory=dict)
+    events_popped: int = 0
     service_time_s: float = 0.0
     energy_j: float = 0.0
     repartitions: int = 0
@@ -155,7 +156,6 @@ class ClusterSimulator:
             power_manager if power_manager is not None else ClusterPowerManager(spec)
         )
         self._config.check_budget(len(self._nodes), spec)
-        self._solo_power_cache: dict[str, float] = {}
         self._layout_cache: dict[PartitionState, tuple[int, ...]] = {}
         self._node_ids = [node.node_id for node in self._nodes]
         self._node_position = {
@@ -255,7 +255,7 @@ class ClusterSimulator:
         while not state.heap.empty:
             batch = state.heap.pop_batch()
             state.clock.advance(batch[0].time)
-            state.events_processed += len(batch)
+            state.events_popped += len(batch)
             for event in batch:
                 self._handle(event, state)
             if state.rebalance_pending:
@@ -273,15 +273,10 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     def _handle(self, event: Event, state: _RunState) -> None:
         if isinstance(event, ArrivalEvent):
-            state.queue.advance_clock(event.time)
             state.queue.submit(event.kernel, submit_time=event.time)
             state.peak_queue_length = max(state.peak_queue_length, len(state.queue))
             state.rebalance_pending = self._config.power_budget_w is not None
         elif isinstance(event, CompletionEvent):
-            # Keep the queue clock in lockstep with simulation time even
-            # between arrivals, so wait accounting never lags behind a
-            # completion-driven dispatch.
-            state.queue.advance_clock(event.time)
             state.completed.extend(event.jobs)
             position = self._node_position[event.node_id]
             heapq.heappush(state.free_nodes, position)
@@ -289,10 +284,6 @@ class ClusterSimulator:
                 state.rebalance_pending = True
                 state.desired_w[position] = self._free_desired_w
                 state.power_dirty = True
-        elif isinstance(event, (RepartitionEvent, PowerRebalanceEvent)):
-            # Bookkeeping markers: the state change was applied when the
-            # event was scheduled; popping them only records the timeline.
-            pass
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unhandled event {event.describe()}")
 
@@ -317,19 +308,15 @@ class ClusterSimulator:
         )
 
     def _rebalance(self, state: _RunState) -> None:
-        # The rebalance is always recorded (counters and timeline events are
-        # part of the report's contract); only the budget split itself is
-        # skipped when no node changed busy state since the last split — the
-        # demands are unchanged, so redistribution would reproduce the same
-        # shares.
+        # The rebalance is always counted (the count is part of the report's
+        # contract); only the budget split itself is skipped when no node
+        # changed busy state since the last split — the demands are
+        # unchanged, so redistribution would reproduce the same shares.
         if state.power_dirty:
             state.shares = self._distribute(state)
             state.power_dirty = False
         state.rebalances += 1
         state.rebalance_pending = False
-        state.heap.push(
-            PowerRebalanceEvent(time=state.clock.now, reason="arrival/completion burst")
-        )
 
     def _effective_plan(self, plan: DispatchPlan, node: ComputeNode, state: _RunState) -> DispatchPlan:
         """Clamp the plan's power cap to the node's share of the budget."""
@@ -364,7 +351,7 @@ class ClusterSimulator:
                 state.profile_runs += 1
             finish = self._scheduler.dispatch(plan, state.queue, node, start)
             state.service_time_s += finish - start
-            state.energy_j += self._dispatch_energy(plan, node, finish - start)
+            state.energy_j += self._dispatch_energy(plan, node, finish - start, state)
             state.heap.push(
                 CompletionEvent(time=finish, node_id=node.node_id, jobs=plan.jobs)
             )
@@ -409,15 +396,6 @@ class ClusterSimulator:
         mode_toggle = int((previous == _EXCLUSIVE_LAYOUT) != (layout == _EXCLUSIVE_LAYOUT))
         return created + destroyed + mode_toggle
 
-    @staticmethod
-    def _layout_label(layout: tuple[int, ...] | None) -> str:
-        """Human-readable GI multiset for the repartition event timeline."""
-        if layout is None:
-            return "(none)"
-        if layout == _EXCLUSIVE_LAYOUT:
-            return "exclusive-full"
-        return "+".join(f"{gpcs}GPC" for gpcs in layout)
-
     def _repartition_delay(
         self, plan: DispatchPlan, node: ComputeNode, state: _RunState
     ) -> float:
@@ -442,18 +420,10 @@ class ClusterSimulator:
         state.repartitions += 1
         state.instance_changes += changes
         state.repartition_time_s += delay
-        state.heap.push(
-            RepartitionEvent(
-                time=state.clock.now + delay,
-                node_id=node.node_id,
-                previous_layout=self._layout_label(previous),
-                next_layout=self._layout_label(layout),
-            )
-        )
         return delay
 
     def _dispatch_energy(
-        self, plan: DispatchPlan, node: ComputeNode, duration_s: float
+        self, plan: DispatchPlan, node: ComputeNode, duration_s: float, state: _RunState
     ) -> float:
         """Modelled chip energy of one dispatch window in joules."""
         if plan.decision is not None:
@@ -462,14 +432,15 @@ class ClusterSimulator:
                 return result.chip_power_w * duration_s
         # Exclusive/profile runs execute through reference_time, which does
         # not expose power; approximate with the solo full-partition run's
-        # chip power, memoized per kernel name (it is deterministic, and a
-        # long trace revisits the same applications thousands of times).
+        # chip power, memoized per kernel name for the run (it is
+        # deterministic, and a long trace revisits the same applications
+        # thousands of times).
         kernel = plan.jobs[0].kernel
-        power = self._solo_power_cache.get(kernel.name)
+        power = state.solo_power_w.get(kernel.name)
         if power is None:
             assert node.simulator is not None
             power = node.simulator.solo_run(kernel).chip_power_w
-            self._solo_power_cache[kernel.name] = power
+            state.solo_power_w[kernel.name] = power
         return power * duration_s
 
     # ------------------------------------------------------------------
@@ -483,7 +454,7 @@ class ClusterSimulator:
             raise SimulationError("the simulation produced a non-positive makespan")
         waits = [job.start_time - job.submit_time for job in jobs]  # type: ignore[operator]
         turnarounds = [job.turnaround_time for job in jobs]
-        co_scheduled = sum(1 for job in jobs if job.co_runner is not None)
+        co_scheduled = sum(1 for job in jobs if job.co_runners)
         return SimulationReport(
             label=trace.label,
             jobs=jobs,
@@ -497,7 +468,7 @@ class ClusterSimulator:
             co_scheduled_jobs=co_scheduled,
             exclusive_jobs=len(jobs) - co_scheduled,
             profile_runs=state.profile_runs,
-            events_processed=state.events_processed,
+            events_processed=state.events_popped + state.repartitions + state.rebalances,
             repartitions=state.repartitions,
             repartition_time_s=state.repartition_time_s,
             mig_instance_changes=state.instance_changes,

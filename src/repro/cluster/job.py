@@ -1,8 +1,8 @@
-"""Jobs as seen by the cluster-level job manager."""
+"""Jobs as seen by the cluster's queue and co-scheduler."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import SchedulingError
@@ -10,7 +10,7 @@ from repro.workloads.kernel import KernelCharacteristics
 
 
 class JobState(str, Enum):
-    """Lifecycle of a job inside the job manager."""
+    """Lifecycle of a job inside the cluster."""
 
     #: Submitted, waiting in the queue.
     PENDING = "pending"
@@ -39,15 +39,9 @@ class Job:
     submit_time:
         Simulated submission time in seconds.
     state:
-        Current lifecycle state.
+        Current lifecycle state (forward-only; see :meth:`transition`).
     start_time, finish_time:
         Simulated execution interval (set by the scheduler).
-    assigned_device:
-        The node, partition state and application slot the job ran on
-        (``"node<id>-<state>-app<index>"``), if it was co-scheduled.
-    co_runner:
-        ``job_id`` of the first job it was co-scheduled with, if any (kept
-        for pair-era compatibility; see ``co_runners``).
     co_runners:
         ``job_id`` of every job sharing the GPU in the same co-location
         group (empty for exclusive runs).
@@ -59,10 +53,7 @@ class Job:
     state: JobState = JobState.PENDING
     start_time: float | None = None
     finish_time: float | None = None
-    assigned_device: str | None = None
-    co_runner: int | None = None
     co_runners: tuple[int, ...] = ()
-    history: list[str] = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -82,10 +73,6 @@ class Job:
         if self.finish_time is None or self.start_time is None:
             raise SchedulingError(f"job {self.job_id} has not finished yet")
         return self.finish_time - self.start_time
-
-    def mark(self, event: str) -> None:
-        """Append a human-readable event to the job's history."""
-        self.history.append(event)
 
     def transition(self, new_state: JobState) -> None:
         """Move the job to ``new_state`` (enforcing a forward-only lifecycle)."""

@@ -54,12 +54,7 @@ class JobQueue:
                 f"job submitted at t={when:.2f} behind the queue clock "
                 f"t={self._clock:.2f}; arrivals must be time-ordered"
             )
-        job = Job(
-            job_id=self._next_id,
-            kernel=kernel,
-            submit_time=when,
-        )
-        job.mark(f"submitted at t={job.submit_time:.2f}")
+        job = Job(job_id=self._next_id, kernel=kernel, submit_time=when)
         self._jobs.append(job)
         self._next_id += 1
         self._clock = when

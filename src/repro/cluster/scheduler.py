@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable
 
 from repro.cluster.job import Job, JobState
 from repro.cluster.node import ComputeNode
@@ -37,6 +36,9 @@ from repro.core.policies import POLICY_NAMES, Policy, make_policy
 from repro.core.workflow import OnlineAllocator
 from repro.errors import ConfigurationError, InfeasibleProblemError, SchedulingError
 from repro.sim.results import CoRunResult
+
+#: Capacity of :meth:`CoScheduler.plan_next`'s LRU plan memo.
+_PLAN_MEMO_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -120,43 +122,6 @@ class _CachedPlan:
         )
 
 
-class PlanCache:
-    """A small LRU cache of memoized dispatch plans."""
-
-    _CAPACITY = 8192
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict[Hashable, _CachedPlan] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable) -> _CachedPlan | None:
-        """Look up ``key``, refreshing its recency on a hit."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: Hashable, entry: _CachedPlan) -> None:
-        """Insert ``key``, evicting the least recently used entry if full."""
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._CAPACITY:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
 @dataclass
 class SchedulerStats:
     """Planning/dispatch counters of one :class:`CoScheduler` instance.
@@ -193,7 +158,8 @@ class CoScheduler:
         self._allocator = allocator
         self._config = config if config is not None else SchedulerConfig()
         self._last_result: CoRunResult | None = None
-        self._plan_cache = PlanCache()
+        # Plans by window signature and model version, LRU-ordered.
+        self._plans: OrderedDict[tuple, _CachedPlan] = OrderedDict()
         self._policy_cache: Policy | None = None
         self.stats = SchedulerStats()
 
@@ -239,21 +205,6 @@ class CoScheduler:
         """
         return self._last_result
 
-    @property
-    def plan_cache(self) -> PlanCache:
-        """The memoized-plan cache (hit/miss counters for observability)."""
-        return self._plan_cache
-
-    def invalidate_plan_cache(self) -> None:
-        """Drop every memoized plan.
-
-        Queue mutations and model refits invalidate implicitly (the window
-        signature and model version are part of the cache key); this is the
-        explicit escape hatch for out-of-band changes such as editing the
-        profile database directly.
-        """
-        self._plan_cache.clear()
-
     # ------------------------------------------------------------------
     def _policy(self) -> Policy:
         # Problem 2 may only choose caps the allocator's model was trained
@@ -294,12 +245,15 @@ class CoScheduler:
         has_profile = self._allocator.database.has
         signature = tuple((job.name, has_profile(job.name)) for job in window)
         key = (signature, self._allocator.allocator.model.coefficients_version)
-        cached = self._plan_cache.get(key)
+        memo = self._plans
+        cached = memo.get(key)
         if cached is None:
-            cached = self._compute_plan(window)
-            self._plan_cache.put(key, cached)
+            cached = memo[key] = self._compute_plan(window)
+            if len(memo) > _PLAN_MEMO_SIZE:
+                memo.popitem(last=False)
             self.stats.plans_computed += 1
         else:
+            memo.move_to_end(key)
             self.stats.plan_cache_hits += 1
         return cached.rebuild(window)
 
@@ -427,10 +381,8 @@ class CoScheduler:
             if not self._is_profiled(job):
                 job.transition(JobState.PROFILING)
                 self._allocator.ensure_profiled(job.kernel)
-                job.mark("profile run (exclusive)")
             else:
                 job.transition(JobState.RUNNING)
-                job.mark("exclusive run (no partner)")
             runtime = node.execute_exclusive(job.kernel)
             finish = time + runtime
             job.finish_time = finish
@@ -441,17 +393,9 @@ class CoScheduler:
             result = node.execute_group(kernels, decision.state, decision.power_cap_w)
             self._last_result = result
             finish = time
-            described = decision.state.describe()
             for job, run in zip(plan.jobs, result.per_app):
                 job.transition(JobState.RUNNING)
-                others = tuple(j.job_id for j in plan.jobs if j is not job)
-                job.co_runner = others[0]
-                job.co_runners = others
-                job.assigned_device = f"node{node.node_id}-{described}-app{run.app_index}"
-                job.mark(
-                    f"co-run on {described} @ {decision.power_cap_w:.0f}W "
-                    f"(RPerf={run.relative_performance:.3f})"
-                )
+                job.co_runners = tuple(j.job_id for j in plan.jobs if j is not job)
                 job.finish_time = time + run.elapsed_s
                 job.transition(JobState.COMPLETED)
                 finish = max(finish, job.finish_time)

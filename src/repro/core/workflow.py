@@ -389,11 +389,11 @@ class OnlineAllocator:
 
         This is the one decision memo: outcomes are memoized on (group
         names, policy signature, model version), 4096 entries in LRU
-        order.  Profiles are append-only (a name's counters never change
-        once stored), so the full lookup — counters, candidate states, and
-        the allocator's solve — is a pure function of that key.  Infeasible
-        outcomes are memoized too: a repeat raises a fresh
-        :class:`InfeasibleProblemError` with the same message.
+        order.  The profile database is append-only (a name's counters
+        never change once stored), so the full lookup — counters,
+        candidate states, and the allocator's solve — is a pure function
+        of that key.  Infeasible outcomes are memoized too: a repeat raises
+        a fresh :class:`InfeasibleProblemError` with the same message.
         """
         key = (
             tuple(app_names),

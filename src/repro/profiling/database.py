@@ -17,7 +17,12 @@ from repro.profiling.records import ProfileRecord
 
 
 class ProfileDatabase:
-    """In-memory profile store with optional JSON persistence."""
+    """Append-only in-memory profile store with optional JSON persistence.
+
+    A stored profile is never replaced or dropped, so everything derived
+    from a name's counters (the allocator's decision memo, the scheduler's
+    plan memo) stays valid for the life of the database.
+    """
 
     def __init__(self) -> None:
         self._records: dict[str, ProfileRecord] = {}
@@ -62,21 +67,11 @@ class ProfileDatabase:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add(self, record: ProfileRecord, overwrite: bool = False) -> None:
-        """Store a profile record."""
-        if record.name in self._records and not overwrite:
+    def add(self, record: ProfileRecord) -> None:
+        """Store a profile record for a name that has none yet."""
+        if record.name in self._records:
             raise ProfileError(f"profile for {record.name!r} already exists")
         self._records[record.name] = record
-
-    def remove(self, name: str) -> None:
-        """Delete the profile for ``name`` (must exist)."""
-        if name not in self._records:
-            raise MissingProfileError(f"no profile recorded for application {name!r}")
-        del self._records[name]
-
-    def clear(self) -> None:
-        """Delete every stored profile."""
-        self._records.clear()
 
     # ------------------------------------------------------------------
     # Persistence

@@ -51,14 +51,10 @@ class ProfileCollector:
         return {kernel.name: self.collect(kernel) for kernel in kernels}
 
     def collect_into(
-        self,
-        kernels: Iterable[KernelCharacteristics],
-        database: ProfileDatabase,
-        overwrite: bool = False,
+        self, kernels: Iterable[KernelCharacteristics], database: ProfileDatabase
     ) -> ProfileDatabase:
-        """Profile several applications directly into a database."""
+        """Profile the applications ``database`` has no profile for yet."""
         for kernel in kernels:
-            if database.has(kernel.name) and not overwrite:
-                continue
-            database.add(self.collect(kernel), overwrite=overwrite)
+            if not database.has(kernel.name):
+                database.add(self.collect(kernel))
         return database

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -42,6 +44,13 @@ class TestSessionCache:
         assert second == first
         assert service.stats.trainings_run == 1
         assert service.stats.session_reuses == 1
+
+    def test_sessions_are_frozen(self):
+        service = PlannerService()
+        service.decide(DecisionRequest(apps=("igemm4", "stream")))
+        (session,) = service.sessions.values()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            session.power_caps = ()
 
     def test_different_pairs_share_the_session(self, training_counter):
         service = PlannerService()
@@ -119,10 +128,9 @@ class TestDecideBatch:
         request = DecisionRequest(apps=("igemm4", "stream"), power_cap_w=230.0)
         batch = service.decide_batch([request, request, request])
         assert batch[0] == batch[1] == batch[2]
+        # Duplicates count as served decisions without re-entering a session.
         assert service.stats.decisions_served == 3
-        # Per-session and service-wide counters agree, memo hits included.
-        (session,) = service.sessions.values()
-        assert session.decisions_served == 3
+        assert service.stats.session_reuses == 0
 
     def test_batch_counts_session_reuses_accurately(self):
         service = PlannerService()

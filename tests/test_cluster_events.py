@@ -8,8 +8,6 @@ from repro.cluster.events.events import (
     ArrivalEvent,
     CompletionEvent,
     EventHeap,
-    PowerRebalanceEvent,
-    RepartitionEvent,
     SimulationClock,
 )
 from repro.errors import SimulationError
@@ -48,16 +46,14 @@ class TestSimulationClock:
 class TestEventValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
-            PowerRebalanceEvent(time=-1.0)
+            CompletionEvent(time=-1.0, node_id=0, jobs=())
 
     def test_non_finite_time_rejected(self):
         with pytest.raises(SimulationError):
-            PowerRebalanceEvent(time=float("nan"))
+            CompletionEvent(time=float("nan"), node_id=0, jobs=())
 
     def test_describe_mentions_time_and_kind(self):
-        event = RepartitionEvent(
-            time=4.0, node_id=1, previous_layout="(none)", next_layout="S1"
-        )
+        event = CompletionEvent(time=4.0, node_id=1, jobs=())
         assert "t=4.00s" in event.describe()
         assert "node1" in event.describe()
 
@@ -74,20 +70,9 @@ class TestEventHeap:
     def test_priority_breaks_time_ties(self):
         heap = EventHeap()
         heap.push(_arrival(2.0))
-        heap.push(PowerRebalanceEvent(time=2.0))
         heap.push(CompletionEvent(time=2.0, node_id=0, jobs=()))
-        heap.push(
-            RepartitionEvent(
-                time=2.0, node_id=0, previous_layout="(none)", next_layout="S1"
-            )
-        )
-        order = [type(heap.pop()).__name__ for _ in range(4)]
-        assert order == [
-            "CompletionEvent",
-            "RepartitionEvent",
-            "ArrivalEvent",
-            "PowerRebalanceEvent",
-        ]
+        order = [type(heap.pop()).__name__ for _ in range(2)]
+        assert order == ["CompletionEvent", "ArrivalEvent"]
 
     def test_equal_time_and_priority_is_fifo(self):
         heap = EventHeap()

@@ -37,11 +37,9 @@ class TestJob:
         assert job.turnaround_time == pytest.approx(4.0)
         assert job.runtime == pytest.approx(3.0)
 
-    def test_name_and_history(self):
+    def test_name(self):
         job = Job(job_id=3, kernel=DEFAULT_SUITE.get("dgemm"))
-        job.mark("hello")
         assert job.name == "dgemm"
-        assert job.history == ["hello"]
 
 
 class TestJobQueue:

@@ -113,9 +113,11 @@ class TestDispatch:
         assert queue.empty
         assert finish > 0
         assert node.busy_until == pytest.approx(finish)
+        first, second = plan.jobs
+        assert first.co_runners == (second.job_id,)
+        assert second.co_runners == (first.job_id,)
         for job in plan.jobs:
             assert job.state is JobState.COMPLETED
-            assert job.co_runner is not None
             assert job.finish_time is not None and job.finish_time <= finish + 1e-9
 
     def test_dispatch_respects_busy_node(self, scheduler, node):
@@ -133,7 +135,7 @@ class TestDispatch:
         finish = scheduler.dispatch(plan, queue, node, time=5.0)
         job = plan.jobs[0]
         assert job.state is JobState.COMPLETED
-        assert job.co_runner is None
+        assert job.co_runners == ()
         assert finish == pytest.approx(5.0 + job.runtime)
 
 
@@ -193,6 +195,22 @@ class TestBatchDrains:
         ).run(trace)
         assert again == first
         assert fresh == first
+
+    def test_rerun_with_another_suite_prices_its_own_kernels(self, workflow):
+        # A name may resolve to another kernel on the next run, so an
+        # exclusive run's energy must come from this run's kernel.
+        renamed = DEFAULT_SUITE.subset(["stream"])
+        renamed.register(DEFAULT_SUITE.get("hgemm").with_name("stream"), overwrite=True)
+        trace = Trace.all_at_zero(("stream",))
+        config = SchedulerConfig(group_size=1)
+        simulator = ClusterSimulator.from_workflow(workflow, scheduler_config=config)
+        simulator.run(trace)
+        again = simulator.run(trace, suite=renamed)
+        fresh = ClusterSimulator.from_workflow(workflow, scheduler_config=config).run(
+            trace, suite=renamed
+        )
+        assert again.energy_wh == fresh.energy_wh
+        assert again == fresh
 
     def test_report_summary_text(self, workflow):
         report = _exclusive_drain(workflow, 1, ("dgemm",))
@@ -290,8 +308,7 @@ class TestPlanMemoization:
         assert second.decision is first.decision
         # The plan LRU answers the repeat: one miss, then a hit.
         assert scheduler.stats.plans_computed == 1
-        assert scheduler.plan_cache.misses == 1
-        assert scheduler.plan_cache.hits == 1
+        assert scheduler.stats.plan_cache_hits == 1
 
     def test_queue_mutation_invalidates_the_fast_path(self, workflow):
         scheduler = self._scheduler(workflow)
@@ -303,14 +320,27 @@ class TestPlanMemoization:
         replanned = scheduler.plan_next(queue)
         assert [job.name for job in replanned.jobs] == ["dgemm"]
 
-    def test_invalidate_plan_cache_forces_recompute(self, workflow):
+    def test_plan_memo_evicts_the_least_recently_used_window(
+        self, workflow, monkeypatch
+    ):
+        monkeypatch.setattr("repro.cluster.scheduler._PLAN_MEMO_SIZE", 2)
         scheduler = self._scheduler(workflow)
-        queue = self._pair_queue()
-        scheduler.plan_next(queue)
-        scheduler.invalidate_plan_cache()
-        assert len(scheduler.plan_cache) == 0
-        scheduler.plan_next(queue)
-        assert scheduler.stats.plans_computed == 2
+
+        def plan(*names):
+            queue = JobQueue()
+            for name in names:
+                queue.submit(DEFAULT_SUITE.get(name))
+            scheduler.plan_next(queue)
+
+        plan("igemm4", "stream")
+        plan("hgemm", "bfs")
+        plan("igemm4", "stream")  # hit: now the most recently used
+        plan("srad", "needle")  # evicts ("hgemm", "bfs")
+        assert scheduler.stats.plans_computed == 3
+        plan("igemm4", "stream")
+        assert scheduler.stats.plan_cache_hits == 2
+        plan("hgemm", "bfs")
+        assert scheduler.stats.plans_computed == 4
 
     def test_stats_as_dict_roundtrip(self, workflow, node):
         scheduler = self._scheduler(workflow)
@@ -341,4 +371,4 @@ class TestGroupSizeOne:
         assert plan.decision is None
         assert "group_size=1" in plan.reason
         scheduler.dispatch(plan, queue, node, time=0.0)
-        assert plan.jobs[0].co_runner is None
+        assert plan.jobs[0].co_runners == ()

@@ -15,7 +15,12 @@ from dataclasses import replace
 import pytest
 
 from batch_oracle import drain_batch
-from repro.cluster.events import ClusterSimulator, SimulationConfig
+from repro.cluster.events import (
+    ClusterSimulator,
+    CompletionEvent,
+    EventHeap,
+    SimulationConfig,
+)
 from repro.cluster.scheduler import SchedulerConfig
 from repro.core.workflow import PaperWorkflow, TrainingPlan
 from repro.errors import ConfigurationError, SimulationError, TraceError
@@ -229,6 +234,30 @@ class TestPowerBudget:
             config=SimulationConfig(power_budget_w=2 * spec.min_power_cap_w),
         ).run(trace)
         assert tight.makespan_s > unlimited.makespan_s
+
+    def test_heap_holds_only_arrivals_and_completions(
+        self, workflow, scheduler_config, monkeypatch
+    ):
+        # Repartitions and rebalances are applied and counted in place;
+        # the only events scheduled after the trace loads are completions.
+        pushed = []
+        push = EventHeap.push
+
+        def recording_push(heap, event):
+            pushed.append(type(event))
+            push(heap, event)
+
+        monkeypatch.setattr(EventHeap, "push", recording_push)
+        simulator = ClusterSimulator.from_workflow(
+            workflow,
+            n_nodes=2,
+            scheduler_config=scheduler_config,
+            config=SimulationConfig(repartition_latency_s=1.0, power_budget_w=460.0),
+        )
+        report = simulator.run(poisson_trace(2.0, n_jobs=30, seed=5))
+        assert report.repartitions > 0
+        assert report.power_rebalances > 0
+        assert pushed == [CompletionEvent] * simulator.scheduler.stats.dispatches
 
     def test_budget_below_cluster_minimum_rejected(self, workflow):
         spec = workflow.simulator.spec

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.model import HardwareStateKey, required_state_keys
-from repro.core.policies import Problem1Policy
+from repro.core.policies import Problem1Policy, Problem2Policy
 from repro.core.workflow import OfflineTrainer, OnlineAllocator, PaperWorkflow, TrainingPlan
-from repro.errors import MissingProfileError
+from repro.errors import MissingProfileError, ProfileError
 from repro.gpu.mig import CORUN_STATES, MemoryOption
 from repro.gpu.spec import A100_SPEC
 from repro.profiling.database import ProfileDatabase
@@ -99,6 +99,41 @@ class TestOnlineAllocator:
         assert allocator.database.has("igemm4")
         decision = allocator.decide(["igemm4", "stream"], Problem1Policy(power_cap_w=250.0))
         assert decision.state in CORUN_STATES
+
+    def test_decide_matches_a_fresh_solve_after_refused_profile_changes(
+        self, small_workflow
+    ):
+        # The decision memo assumes a name's counters never change; the
+        # database makes that hold by refusing every way to change them.
+        collector = ProfileCollector(small_workflow.simulator)
+        allocator = OnlineAllocator(
+            small_workflow.model,
+            database=ProfileDatabase(),
+            collector=collector,
+            power_caps=(230.0, 250.0),
+        )
+        database = allocator.database
+        names = ["igemm4", "stream"]
+        policy = Problem2Policy(alpha=0.2, power_caps=(230.0, 250.0))
+        collector.collect_into([DEFAULT_SUITE.get(name) for name in names], database)
+        stored = database.get("stream")
+
+        def fresh_solve():
+            return allocator.allocator.solve(
+                [database.get(name).counters for name in names],
+                policy,
+                states=allocator.candidate_states_for(2, policy.candidate_power_caps()),
+            )
+
+        first = allocator.decide(names, policy)
+        assert first == fresh_solve()
+        impostor = DEFAULT_SUITE.get("igemm4").with_name("stream")
+        with pytest.raises(ProfileError):
+            database.add(collector.collect(impostor))
+        assert allocator.decide(names, policy) == fresh_solve() == first
+        collector.collect_into([impostor, DEFAULT_SUITE.get("igemm4")], database)
+        assert database.get("stream") is stored
+        assert allocator.decide(names, policy) == fresh_solve() == first
 
     def test_ensure_profiled_is_idempotent(self, small_workflow):
         allocator = small_workflow.online

@@ -103,6 +103,22 @@ def fingerprint(report):
     }
 
 
+def replay(simulator, trace):
+    """Replay ``trace`` and check what ``events_processed`` counts.
+
+    Each popped arrival and completion (one per dispatch) is one event,
+    and so is each repartition and each power rebalance the loop applied.
+    """
+    report = simulator.run(trace)
+    assert report.events_processed == (
+        report.n_jobs
+        + simulator.scheduler.stats.dispatches
+        + report.repartitions
+        + report.power_rebalances
+    )
+    return report
+
+
 def assert_matches_pin(report, name):
     """Compare a report against its pinned fingerprint field by field."""
     actual = fingerprint(report)
@@ -310,19 +326,20 @@ PINS = {
 }
 
 def test_plain_problem1_matches_pin(workflow, trace):
-    report = ClusterSimulator.from_workflow(
+    simulator = ClusterSimulator.from_workflow(
         workflow,
         n_nodes=4,
         scheduler_config=SchedulerConfig(
             policy_name="problem1", power_cap_w=230.0, window_size=4
         ),
-    ).run(trace)
+    )
+    report = replay(simulator, trace)
     assert_matches_pin(report, "plain_problem1")
 
 
 def test_power_budget_and_repartition_latency_match_pin(workflow, trace):
     spec = workflow.simulator.spec
-    report = ClusterSimulator.from_workflow(
+    simulator = ClusterSimulator.from_workflow(
         workflow,
         n_nodes=4,
         scheduler_config=SchedulerConfig(
@@ -332,43 +349,50 @@ def test_power_budget_and_repartition_latency_match_pin(workflow, trace):
             repartition_latency_s=2.0,
             power_budget_w=4 * spec.min_power_cap_w + 300.0,
         ),
-    ).run(trace)
+    )
+    report = replay(simulator, trace)
     assert_matches_pin(report, "budget_latency")
 
 
 def test_problem2_nway_groups_match_pin(workflow):
-    report = ClusterSimulator.from_workflow(
+    simulator = ClusterSimulator.from_workflow(
         workflow,
         n_nodes=2,
         scheduler_config=SchedulerConfig(
             policy_name="problem2", window_size=6, group_size=3
         ),
-    ).run(poisson_trace(2.0, n_jobs=80, seed=11))
+    )
+    report = replay(simulator, poisson_trace(2.0, n_jobs=80, seed=11))
     assert_matches_pin(report, "problem2_groups")
 
 
 def test_bursty_arrivals_with_budget_match_pin(workflow):
     spec = workflow.simulator.spec
-    report = ClusterSimulator.from_workflow(
+    simulator = ClusterSimulator.from_workflow(
         workflow,
         n_nodes=3,
         scheduler_config=SchedulerConfig(
             policy_name="problem1", power_cap_w=250.0, window_size=4
         ),
         config=SimulationConfig(power_budget_w=3 * spec.min_power_cap_w + 120.0),
-    ).run(bursty_trace(0.5, mean_burst_size=4.0, duration_s=120.0, n_jobs=60, seed=3))
+    )
+    report = replay(
+        simulator,
+        bursty_trace(0.5, mean_burst_size=4.0, duration_s=120.0, n_jobs=60, seed=3),
+    )
     assert_matches_pin(report, "bursty_budget")
 
 
 def test_noisy_model_matches_pin(noisy_workflow, trace):
-    report = ClusterSimulator.from_workflow(
+    simulator = ClusterSimulator.from_workflow(
         noisy_workflow,
         n_nodes=4,
         scheduler_config=SchedulerConfig(
             policy_name="problem1", power_cap_w=230.0, window_size=4
         ),
         config=SimulationConfig(repartition_latency_s=1.0),
-    ).run(trace)
+    )
+    report = replay(simulator, trace)
     assert_matches_pin(report, "noisy_problem1")
 
 
@@ -376,14 +400,16 @@ def test_noisy_model_under_power_budget_matches_pin(noisy_workflow):
     # The noise-free model's quantized clocks hide sub-milliwatt cap
     # changes; the noisy one makes the budget split sensitive to how the
     # node stores its clamped cap.
-    report = ClusterSimulator.from_workflow(
+    simulator = ClusterSimulator.from_workflow(
         noisy_workflow,
         n_nodes=8,
         scheduler_config=SchedulerConfig(
             policy_name="problem1", power_cap_w=230.0, window_size=6
         ),
         config=SimulationConfig(repartition_latency_s=0.5, power_budget_w=1360.0),
-    ).run(
+    )
+    report = replay(
+        simulator,
         bursty_trace(
             0.8,
             mean_burst_size=4.0,
@@ -391,6 +417,6 @@ def test_noisy_model_under_power_budget_matches_pin(noisy_workflow):
             n_jobs=600,
             seed=2,
             mix=mix_by_name("memory-heavy"),
-        )
+        ),
     )
     assert_matches_pin(report, "noisy_bursty_budget")

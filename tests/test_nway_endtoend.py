@@ -116,7 +116,9 @@ class TestGroupScheduling:
         for job in plan.jobs:
             assert job.state is JobState.COMPLETED
             assert len(job.co_runners) == group_size - 1
-            assert job.co_runner == job.co_runners[0]
+            assert set(job.co_runners) == {
+                other.job_id for other in plan.jobs if other is not job
+            }
 
 
 @pytest.mark.parametrize("spec_name", ("a100", "h100"))

@@ -63,13 +63,6 @@ class TestProfileCollector:
         collector.collect_into([DEFAULT_SUITE.get("stream")], database)
         assert database.get("stream").reference_time_s == 123.0
 
-    def test_collect_into_overwrite(self, sim):
-        collector = ProfileCollector(sim)
-        database = ProfileDatabase()
-        database.add(make_record("stream", reference=123.0))
-        collector.collect_into([DEFAULT_SUITE.get("stream")], database, overwrite=True)
-        assert database.get("stream").reference_time_s != 123.0
-
     def test_default_simulator_is_created(self):
         collector = ProfileCollector()
         assert collector.simulator is not None
@@ -92,17 +85,8 @@ class TestProfileDatabase:
         database = ProfileDatabase()
         database.add(make_record())
         with pytest.raises(ProfileError):
-            database.add(make_record())
-        database.add(make_record(reference=9.0), overwrite=True)
-        assert database.get("stream").reference_time_s == 9.0
-
-    def test_remove(self):
-        database = ProfileDatabase()
-        database.add(make_record())
-        database.remove("stream")
-        assert not database.has("stream")
-        with pytest.raises(MissingProfileError):
-            database.remove("stream")
+            database.add(make_record(reference=9.0))
+        assert database.get("stream").reference_time_s == 1.0
 
     def test_names_and_iteration_sorted(self):
         database = ProfileDatabase()
@@ -110,12 +94,6 @@ class TestProfileDatabase:
         database.add(make_record("alpha"))
         assert database.names() == ("alpha", "zeta")
         assert list(database) == ["alpha", "zeta"]
-
-    def test_clear(self):
-        database = ProfileDatabase()
-        database.add(make_record())
-        database.clear()
-        assert len(database) == 0
 
     def test_save_and_load_roundtrip(self, tmp_path):
         database = ProfileDatabase()

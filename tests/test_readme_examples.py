@@ -6,6 +6,7 @@ so an import or signature drift in the docs fails the tier-1 suite.
 
 from __future__ import annotations
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -40,3 +41,24 @@ def test_engine_layer_example_runs():
     decision = namespace["decision"]
     assert decision.state.n_apps == 4
     assert decision.power_cap_w in namespace["caps"]
+
+
+def test_readme_bash_commands_are_joined_and_filtered():
+    # CI runs these commands (scripts/readme_commands.py); pin what it picks.
+    path = README.parent / "scripts" / "readme_commands.py"
+    spec = importlib.util.spec_from_file_location("readme_commands", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    text = (
+        "```bash\npip install -e .\nrepro states 2\n"
+        "repro simulate --nodes 2 \\\n    --json  # joined\n"
+        "python -m pytest -q\n# repro in a comment\n```\n"
+        "```python\nrepro = 1\n```\n"
+    )
+    assert module.readme_commands(text) == [
+        "repro states 2",
+        "repro simulate --nodes 2 --json  # joined",
+    ]
+    commands = module.readme_commands(README.read_text())
+    assert all("\\" not in command for command in commands)
+    assert "repro lint --strict src tests   # the CI gate: warnings fail too" in commands
