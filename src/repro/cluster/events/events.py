@@ -36,10 +36,6 @@ class Event:
         if not math.isfinite(self.time) or self.time < 0:
             raise SimulationError(f"event time must be finite and >= 0, got {self.time}")
 
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        return f"t={self.time:.2f}s {type(self).__name__}"
-
 
 @dataclass(frozen=True)
 class CompletionEvent(Event):
@@ -50,10 +46,6 @@ class CompletionEvent(Event):
     node_id: int
     jobs: tuple[Job, ...]
 
-    def describe(self) -> str:
-        names = ", ".join(job.name for job in self.jobs)
-        return f"t={self.time:.2f}s complete node{self.node_id} [{names}]"
-
 
 @dataclass(frozen=True)
 class ArrivalEvent(Event):
@@ -63,9 +55,6 @@ class ArrivalEvent(Event):
 
     entry: TraceEntry
     kernel: KernelCharacteristics
-
-    def describe(self) -> str:
-        return f"t={self.time:.2f}s arrive {self.entry.app}"
 
 
 class SimulationClock:

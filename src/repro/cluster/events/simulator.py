@@ -285,7 +285,7 @@ class ClusterSimulator:
                 state.desired_w[position] = self._free_desired_w
                 state.power_dirty = True
         else:  # pragma: no cover - defensive
-            raise SimulationError(f"unhandled event {event.describe()}")
+            raise SimulationError(f"unhandled event {event!r}")
 
     # ------------------------------------------------------------------
     # Power budget

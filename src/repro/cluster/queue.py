@@ -34,11 +34,6 @@ class JobQueue:
         """Whether no pending jobs remain."""
         return not self._jobs
 
-    @property
-    def clock(self) -> float:
-        """The queue's current notion of time (latest accepted timestamp)."""
-        return self._clock
-
     # ------------------------------------------------------------------
     def submit(self, kernel: KernelCharacteristics, submit_time: float | None = None) -> Job:
         """Submit one job for ``kernel`` and return it.
@@ -59,12 +54,6 @@ class JobQueue:
         self._next_id += 1
         self._clock = when
         return job
-
-    def advance_clock(self, time: float) -> None:
-        """Advance the queue's notion of time (used for submit timestamps)."""
-        if time < self._clock:
-            raise SchedulingError("the queue clock cannot move backwards")
-        self._clock = time
 
     # ------------------------------------------------------------------
     def window(self, size: int) -> tuple[Job, ...]:

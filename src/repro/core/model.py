@@ -120,6 +120,26 @@ class HardwareStateKey:
         )
 
 
+@dataclass(frozen=True)
+class CandidateCoefficients:
+    """A candidate grid's coefficients, from :meth:`LinearPerfModel.gather_candidates`.
+
+    Every tensor's first axis is the candidate and its second the
+    application; ``version`` is the model's coefficients version at the
+    gather.  The interference tensors are ``None`` for solo grids and the
+    composition pair for grids of fewer than three applications.
+    """
+
+    version: int
+    scalability: np.ndarray
+    interference: np.ndarray | None
+    partner_mask: np.ndarray | None
+    sub_chip: np.ndarray | None
+    pool_fractions: np.ndarray | None
+    comp_mask: np.ndarray | None
+    composition: np.ndarray | None
+
+
 class LinearPerfModel:
     """Per-hardware-state linear regression over profiled features.
 
@@ -128,10 +148,6 @@ class LinearPerfModel:
     Training happens in :mod:`repro.core.training`; this class only holds
     coefficients and evaluates predictions.
     """
-
-    #: Candidate-grid coefficient gathers memoized per model (see
-    #: :meth:`predict_candidates`); bounded so stale grids are dropped.
-    _GATHER_CACHE_SIZE = 8
 
     def __init__(
         self, basis: BasisFunctions = DEFAULT_BASIS, spec: GPUSpec = A100_SPEC
@@ -142,19 +158,6 @@ class LinearPerfModel:
         self._interference: dict[HardwareStateKey, np.ndarray] = {}
         self._composition: dict[HardwareStateKey, np.ndarray] = {}
         self._coefficients_version = 0
-        self._gather_cache: dict[
-            tuple,
-            tuple[
-                np.ndarray,
-                np.ndarray | None,
-                np.ndarray | None,
-                np.ndarray | None,
-                np.ndarray | None,
-                np.ndarray | None,
-                np.ndarray | None,
-            ],
-        ] = {}
-        self._gather_builds = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -173,20 +176,11 @@ class LinearPerfModel:
     def coefficients_version(self) -> int:
         """Counter bumped whenever a coefficient vector is (re)installed.
 
-        Caches keyed on model predictions (the gather memo here, the
-        allocator's decision cache, the online layer's state cache) include
+        Caches keyed on model predictions (the allocator's candidate
+        tables, the online layer's decision memo and state cache) include
         this so refitting invalidates them.
         """
         return self._coefficients_version
-
-    @property
-    def gather_cache_builds(self) -> int:
-        """How many candidate-grid coefficient gathers were actually built.
-
-        A scheduling loop that re-solves the same grids should see this
-        stay constant after warm-up; it only grows on memo misses.
-        """
-        return self._gather_builds
 
     def fitted_scalability_states(self) -> tuple[HardwareStateKey, ...]:
         """Hardware states with a fitted scalability term."""
@@ -440,34 +434,47 @@ class LinearPerfModel:
     def predict_candidates(
         self,
         counters_list: Sequence[CounterVector],
-        candidates: Sequence[tuple[PartitionState, float]],
+        candidates: Sequence[tuple[PartitionState, float]] | CandidateCoefficients,
     ) -> np.ndarray:
         """Batched predictions over a grid of ``(state, power_cap)`` candidates.
 
         Returns an array of shape ``(len(candidates), n_apps)`` whose rows
         match :meth:`predict_corun` for the corresponding candidate.  The
         basis features of each application are computed once and the
-        per-candidate work reduces to coefficient gathers plus vectorized
-        matrix-vector products — this is the allocator's hot path when the
-        candidate space grows beyond the paper's 24-point grid.
+        per-candidate work reduces to vectorized matrix-vector products
+        over the grid's gathered coefficients — this is the allocator's hot
+        path when the candidate space grows beyond the paper's 24-point
+        grid.  ``candidates`` may also be a grid's coefficients gathered
+        by :meth:`gather_candidates`, so a caller predicting one grid for
+        many groups skips the per-candidate lookups after the first.
         """
         n_apps = len(counters_list)
         if n_apps == 0:
             raise ModelError("predict_candidates needs at least one application")
-        n_candidates = len(candidates)
+        grid = (
+            candidates
+            if isinstance(candidates, CandidateCoefficients)
+            else self.gather_candidates(candidates, n_apps)
+        )
+        if grid.version != self._coefficients_version:
+            raise ModelError(
+                f"candidate coefficients gathered at coefficients version "
+                f"{grid.version} cannot predict at version {self._coefficients_version}"
+            )
+        scalability = grid.scalability
+        n_candidates = scalability.shape[0]
+        if scalability.shape[1] != n_apps:
+            raise ModelError(
+                f"the candidate grid has {scalability.shape[1]} applications "
+                f"but {n_apps} profiles were supplied"
+            )
+        interference, partner_mask = grid.interference, grid.partner_mask
+        sub_chip, pool_fractions = grid.sub_chip, grid.pool_fractions
+        comp_mask, composition = grid.comp_mask, grid.composition
         j_dim = self._basis.j_dim
         h_vecs = [self._basis.h(c) for c in counters_list]
         j_vecs = [self._basis.j(c) for c in counters_list]
         demands = [dram_demand(c) for c in counters_list]
-        (
-            scalability,
-            interference,
-            partner_mask,
-            sub_chip,
-            pool_fractions,
-            comp_mask,
-            composition,
-        ) = self._gather_coefficients(candidates, n_apps)
         predictions = np.empty((n_candidates, n_apps), dtype=float)
         for i in range(n_apps):
             # Accumulate in the same order as the scalar path (own term,
@@ -543,28 +550,18 @@ class LinearPerfModel:
             + coefficients[:, h_dim + 1] * terms[:, 2]
         )
 
-    def _gather_coefficients(
+    def gather_candidates(
         self,
         candidates: Sequence[tuple[PartitionState, float]],
         n_apps: int,
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray | None,
-        np.ndarray | None,
-        np.ndarray | None,
-        np.ndarray | None,
-        np.ndarray | None,
-        np.ndarray | None,
-    ]:
-        """Coefficient tensors and partner mask for a grid, memoized per grid.
+    ) -> CandidateCoefficients:
+        """Coefficient tensors and partner mask of a grid of ``n_apps``-app candidates.
 
         The gather depends only on the grid and the fitted coefficients —
-        not on the profiles being predicted — so scheduling loops that
-        re-solve the same grid for different application groups skip the
-        per-candidate dictionary lookups entirely.  The memo is invalidated
-        whenever a coefficient vector is (re)installed, and evicts the
-        least-recently-used grid when full, so a loop alternating a few hot
-        grids never rebuilds them.
+        not on the profiles being predicted — so a caller that predicts one
+        grid for many application groups gathers it once and hands the
+        result to :meth:`predict_candidates`, which rejects it once a
+        coefficient vector is (re)installed.
 
         The interference tensor is padded to ``j_dim + h_dim +
         POOL_TERM_DIM`` columns; full-chip keys leave the capacity-aware
@@ -573,18 +570,6 @@ class LinearPerfModel:
         allocated when a candidate can co-locate three or more
         applications — the N=2 hot path never pays for it.
         """
-        cache_key = (
-            self._coefficients_version,
-            n_apps,
-            tuple((state.key(), float(cap)) for state, cap in candidates),
-        )
-        cached = self._gather_cache.get(cache_key)
-        if cached is not None:
-            # Refresh recency (dicts preserve insertion order) so the
-            # eviction below drops stale grids, never the hot ones.
-            self._gather_cache.pop(cache_key)
-            self._gather_cache[cache_key] = cached
-            return cached
         n_candidates = len(candidates)
         scalability = np.empty((n_candidates, n_apps, self._basis.h_dim), dtype=float)
         interference = (
@@ -652,19 +637,8 @@ class LinearPerfModel:
                         assert composition is not None
                         comp_mask[ci, i] = 1.0
                         composition[ci, i] = self._composition[key]
-        self._gather_builds += 1
-        if len(self._gather_cache) >= self._GATHER_CACHE_SIZE:
-            self._gather_cache.pop(next(iter(self._gather_cache)))
-        self._gather_cache[cache_key] = (
-            scalability,
-            interference,
-            partner_mask,
-            sub_chip,
-            pool_fractions,
-            comp_mask,
-            composition,
-        )
-        return (
+        return CandidateCoefficients(
+            self._coefficients_version,
             scalability,
             interference,
             partner_mask,

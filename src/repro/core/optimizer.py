@@ -5,28 +5,49 @@ allocator evaluates every candidate combination of partition state and power
 cap with the linear performance model, filters by the fairness constraint,
 and returns the combination that maximizes the policy's objective.
 
-When the candidate space grows beyond the paper's 24-point grid (more
-applications, finer partitioning), the whole ``(S, P)`` grid is predicted
-in one **batched** NumPy call (see
-:meth:`LinearPerfModel.predict_candidates`) whenever the search strategy
-can consume it.  Every call solves; repeated decisions are memoized one
-layer up, by :meth:`repro.core.workflow.OnlineAllocator.decide`.
+When an exhaustive search's candidate space grows beyond the paper's
+24-point grid (more applications, finer partitioning), the allocator
+decides from a **candidate table** instead: one per (candidate states,
+policy caps, model coefficients version), built on first use, holding the
+grid's ``(S, P)`` rows in search order, its cap column and the model's
+coefficients gathered for every row.  A solve predicts the whole grid in
+one NumPy call (:meth:`LinearPerfModel.predict_candidates`), scores it by
+calling the policy's ``objective`` and ``is_feasible`` once on whole
+columns, and takes the first maximal feasible row — the row ``max`` picks
+on the scalar path.  Every call solves; repeated decisions are memoized
+one layer up, by :meth:`repro.core.workflow.OnlineAllocator.decide`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.config import DEFAULT_POWER_CAPS
 from repro.core.decision import AllocationDecision, CandidateEvaluation
 from repro.core.metrics import fairness as fairness_metric
 from repro.core.metrics import fairness_batch, weighted_speedup, weighted_speedup_batch
-from repro.core.model import LinearPerfModel
+from repro.core.model import CandidateCoefficients, LinearPerfModel
 from repro.core.policies import Policy, Problem1Policy, Problem2Policy
 from repro.core.search import ExhaustiveSearch, SearchCandidate, SearchStrategy
 from repro.errors import InfeasibleProblemError, OptimizationError
 from repro.gpu.mig import CORUN_STATES, PartitionState
 from repro.sim.counters import CounterVector
+
+#: Candidate tables one allocator keeps; the oldest goes first.
+_TABLE_CACHE_SIZE = 8
+
+
+@dataclass(frozen=True)
+class _CandidateTable:
+    """One candidate grid: its ``(state, cap)`` rows in search order, the
+    cap column and the model's coefficients gathered for every row."""
+
+    rows: tuple[tuple[PartitionState, float], ...]
+    caps: np.ndarray
+    coefficients: CandidateCoefficients
 
 
 class ResourcePowerAllocator:
@@ -48,12 +69,14 @@ class ResourcePowerAllocator:
         Search strategy over the candidate space (exhaustive by default, as
         in the paper).
     batch_threshold:
-        Candidate-grid size above which the batched NumPy evaluation is
-        used.  The default equals the paper's 4-state × 6-cap grid, so the
-        original evaluation stays bit-identical to the scalar path while
-        every larger (N-way / finer-grained) grid is vectorized; batched
-        and scalar results agree to floating-point associativity either
-        way.  Set to 0 to always batch.
+        Candidate-grid size above which an exhaustive search decides from
+        the allocator's candidate table (one vectorized predict and
+        column-wise scoring of the whole grid) instead of candidate by
+        candidate.  The default equals the paper's 4-state × 6-cap grid,
+        so pair decisions keep the scalar path bit for bit while every
+        larger (N-way / finer-grained) grid is vectorized; batched and
+        scalar results agree to floating-point associativity either way.
+        Set to 0 to always batch.  Hill climbing is always scalar.
     """
 
     def __init__(
@@ -77,6 +100,8 @@ class ResourcePowerAllocator:
         if batch_threshold < 0:
             raise OptimizationError(f"batch_threshold must be >= 0, got {batch_threshold}")
         self._batch_threshold = batch_threshold
+        # Candidate tables keyed on (states, caps, coefficients version).
+        self._tables: dict[tuple, _CandidateTable] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -110,40 +135,6 @@ class ResourcePowerAllocator:
             predictions, state, power_cap_w, policy
         )
 
-    def evaluate_candidates_batch(
-        self,
-        counters_list: Sequence[CounterVector],
-        candidates: Sequence[SearchCandidate],
-        policy: Policy,
-    ) -> tuple[CandidateEvaluation, ...]:
-        """Metrics of many ``(S, P)`` combinations via one vectorized call.
-
-        The per-candidate records are identical to what
-        :meth:`evaluate_candidate` produces; only the model evaluation is
-        batched.
-        """
-        predictions = self._model.predict_candidates(
-            counters_list, [(c.state, c.power_cap_w) for c in candidates]
-        )
-        throughputs = weighted_speedup_batch(predictions)
-        fairnesses = fairness_batch(predictions)
-        evaluations = []
-        for index, candidate in enumerate(candidates):
-            throughput = float(throughputs[index])
-            fairness = float(fairnesses[index])
-            evaluations.append(
-                CandidateEvaluation(
-                    state=candidate.state,
-                    power_cap_w=float(candidate.power_cap_w),
-                    predicted_rperfs=tuple(float(v) for v in predictions[index]),
-                    predicted_throughput=throughput,
-                    predicted_fairness=fairness,
-                    objective=policy.objective(throughput, candidate.power_cap_w),
-                    feasible=policy.is_feasible(fairness),
-                )
-            )
-        return tuple(evaluations)
-
     def _evaluation_from_predictions(
         self,
         predictions: tuple[float, ...],
@@ -160,8 +151,69 @@ class ResourcePowerAllocator:
             predicted_throughput=throughput,
             predicted_fairness=fairness,
             objective=policy.objective(throughput, power_cap_w),
-            feasible=policy.is_feasible(fairness),
+            feasible=bool(policy.is_feasible(fairness)),
         )
+
+    def _table(
+        self, states: tuple[PartitionState, ...], caps: tuple[float, ...]
+    ) -> _CandidateTable:
+        """The candidate table of ``states`` × ``caps``, built on first use.
+
+        Keyed on the states themselves (labels included, so a relabelled
+        grid renders its own labels), the caps and the model's
+        coefficients version.  A refit drops every older version's table,
+        and past ``_TABLE_CACHE_SIZE`` tables the oldest goes.
+        """
+        version = self._model.coefficients_version
+        key = (states, caps, version)
+        tables = self._tables
+        table = tables.get(key)
+        if table is None:
+            for stale in [k for k in tables if k[2] != version]:
+                del tables[stale]
+            if len(tables) >= _TABLE_CACHE_SIZE:
+                del tables[next(iter(tables))]
+            rows = tuple((state, cap) for state in states for cap in caps)
+            table = tables[key] = _CandidateTable(
+                rows,
+                np.array([cap for _, cap in rows], dtype=float),
+                self._model.gather_candidates(rows, states[0].n_apps),
+            )
+        return table
+
+    def _decide_from_table(
+        self,
+        counters_list: Sequence[CounterVector],
+        policy: Policy,
+        table: _CandidateTable,
+    ) -> tuple[CandidateEvaluation, tuple[CandidateEvaluation, ...]]:
+        """The first maximal feasible row of ``table`` and every row's record.
+
+        The records hold the values :meth:`evaluate_candidate` gives up to
+        the batched predict's float associativity, and the pick is the row
+        ``max`` takes over the feasible records.
+        """
+        predictions = self._model.predict_candidates(counters_list, table.coefficients)
+        throughputs = weighted_speedup_batch(predictions)
+        fairnesses = fairness_batch(predictions)
+        objectives = policy.objective(throughputs, table.caps)
+        feasible = policy.is_feasible(fairnesses)
+        feasible_rows = np.flatnonzero(feasible)
+        if not feasible_rows.size:
+            raise OptimizationError("no evaluated candidate satisfies the fairness constraint")
+        evaluations = tuple(
+            CandidateEvaluation(state, cap, rperfs, throughput, fairness, objective, ok)
+            for (state, cap), rperfs, throughput, fairness, objective, ok in zip(
+                table.rows,
+                map(tuple, predictions.tolist()),
+                throughputs.tolist(),
+                fairnesses.tolist(),
+                objectives.tolist(),
+                feasible.tolist(),
+            )
+        )
+        best = int(feasible_rows[np.argmax(objectives[feasible_rows])])
+        return evaluations[best], evaluations
 
     def _states_for(
         self, n_apps: int, states: Sequence[PartitionState] | None
@@ -174,15 +226,6 @@ class ResourcePowerAllocator:
                 f"available group sizes: {sorted({s.n_apps for s in pool})}"
             )
         return matching
-
-    def _candidates(
-        self, policy: Policy, states: Sequence[PartitionState]
-    ) -> list[SearchCandidate]:
-        return [
-            SearchCandidate(state=state, power_cap_w=float(power_cap))
-            for state in states
-            for power_cap in policy.candidate_power_caps()
-        ]
 
     # ------------------------------------------------------------------
     # Solving
@@ -200,33 +243,32 @@ class ResourcePowerAllocator:
         either way only states matching the group size are considered.
         """
         matching_states = self._states_for(len(counters_list), states)
-        candidates = self._candidates(policy, matching_states)
+        caps = tuple(float(cap) for cap in policy.candidate_power_caps())
+        n_candidates = len(matching_states) * len(caps)
 
         def evaluate(candidate: SearchCandidate) -> CandidateEvaluation:
             return self.evaluate_candidate(
                 counters_list, candidate.state, candidate.power_cap_w, policy
             )
 
-        def evaluate_batch(
-            batch: Sequence[SearchCandidate],
-        ) -> tuple[CandidateEvaluation, ...]:
-            return self.evaluate_candidates_batch(counters_list, batch, policy)
-
-        use_batch = (
-            getattr(self._search, "accepts_batch", False)
-            and len(candidates) > self._batch_threshold
-        )
         try:
-            if use_batch:
-                best, evaluations = self._search.search(
-                    candidates, evaluate, evaluate_batch=evaluate_batch
-                )
+            if (
+                isinstance(self._search, ExhaustiveSearch)
+                and n_candidates > self._batch_threshold
+            ):
+                table = self._table(matching_states, caps)
+                best, evaluations = self._decide_from_table(counters_list, policy, table)
             else:
+                candidates = [
+                    SearchCandidate(state=state, power_cap_w=cap)
+                    for state in matching_states
+                    for cap in caps
+                ]
                 best, evaluations = self._search.search(candidates, evaluate)
         except OptimizationError as exc:
             raise InfeasibleProblemError(
                 f"policy {policy.name}: {exc} "
-                f"(alpha={policy.alpha}, {len(candidates)} candidates)"
+                f"(alpha={policy.alpha}, {n_candidates} candidates)"
             ) from exc
         return AllocationDecision(
             state=best.state,

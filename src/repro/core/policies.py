@@ -11,16 +11,23 @@ Both are expressed through a tiny common interface so the allocator and the
 search strategies don't need to know which problem they are solving:
 ``candidate_power_caps()`` enumerates the allowed caps, ``objective()`` maps
 predicted metrics to the quantity being maximized, and ``is_feasible()``
-encodes the constraint.
+encodes the constraint.  The last two are elementwise arithmetic: the
+allocator calls them on one candidate's floats, or once on the NumPy
+columns of a whole candidate grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, TypeVar, runtime_checkable
+
+import numpy as np
 
 from repro.config import DEFAULT_POWER_CAPS
 from repro.errors import ConfigurationError
+
+#: One candidate's value, or a NumPy column holding one per candidate.
+Column = TypeVar("Column", float, np.ndarray)
 
 
 @runtime_checkable
@@ -34,12 +41,12 @@ class Policy(Protocol):
         """Power caps the search may choose from."""
         ...
 
-    def objective(self, throughput: float, power_cap_w: float) -> float:
+    def objective(self, throughput: Column, power_cap_w: Column) -> Column:
         """The quantity to maximize, from predicted throughput and the cap."""
         ...
 
-    def is_feasible(self, fairness: float) -> bool:
-        """Whether the fairness constraint is satisfied."""
+    def is_feasible(self, fairness: Column) -> Column:
+        """Whether the fairness constraint is satisfied (elementwise)."""
         ...
 
 
@@ -61,11 +68,11 @@ class Problem1Policy:
         """Problem 1 has no freedom in the cap: only the given value."""
         return (float(self.power_cap_w),)
 
-    def objective(self, throughput: float, power_cap_w: float) -> float:
+    def objective(self, throughput: Column, power_cap_w: Column) -> Column:
         """Throughput (weighted speedup) is maximized directly."""
         return throughput
 
-    def is_feasible(self, fairness: float) -> bool:
+    def is_feasible(self, fairness: Column) -> Column:
         """The paper's constraint ``Fairness > α``."""
         return fairness > self.alpha
 
@@ -91,11 +98,11 @@ class Problem2Policy:
         """All caps of the evaluation grid (Table 5 by default)."""
         return self.power_caps
 
-    def objective(self, throughput: float, power_cap_w: float) -> float:
+    def objective(self, throughput: Column, power_cap_w: Column) -> Column:
         """Energy efficiency: throughput divided by the chosen cap."""
         return throughput / power_cap_w
 
-    def is_feasible(self, fairness: float) -> bool:
+    def is_feasible(self, fairness: Column) -> Column:
         """The paper's constraint ``Fairness > α``."""
         return fairness > self.alpha
 

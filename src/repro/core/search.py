@@ -35,19 +35,13 @@ class SearchCandidate:
 #: An evaluator maps a candidate to its model-predicted metrics.
 Evaluator = Callable[[SearchCandidate], CandidateEvaluation]
 
-#: A batch evaluator maps many candidates to their metrics in one call
-#: (backed by the model's vectorized grid prediction).
-BatchEvaluator = Callable[
-    [Sequence[SearchCandidate]], tuple[CandidateEvaluation, ...]
-]
-
 
 class SearchStrategy(Protocol):
     """Interface of a search strategy over candidates.
 
-    Strategies that can exploit a vectorized evaluator advertise it with a
-    class attribute ``accepts_batch = True`` and receive an optional
-    ``evaluate_batch`` callable; the scalar ``evaluate`` is always supplied.
+    The allocator decides grids larger than its ``batch_threshold`` from
+    its own candidate table when the strategy is :class:`ExhaustiveSearch`;
+    every other strategy, and every smaller grid, is searched here.
     """
 
     name: str
@@ -73,27 +67,23 @@ def _best_feasible(
 class ExhaustiveSearch:
     """Evaluate every candidate (the paper's approach for the 24-point grid).
 
-    When the caller supplies a vectorized ``evaluate_batch`` the whole grid
-    is evaluated in one call, which is what keeps the allocator fast on the
-    much larger N-way candidate spaces.
+    On larger grids the allocator runs the same search over its candidate
+    table, scoring the whole grid at once (see
+    :mod:`repro.core.optimizer`), which is what keeps it fast on the much
+    larger N-way candidate spaces.
     """
 
     name = "exhaustive"
-    accepts_batch = True
 
     def search(
         self,
         candidates: Sequence[SearchCandidate],
         evaluate: Evaluator,
-        evaluate_batch: BatchEvaluator | None = None,
     ) -> tuple[CandidateEvaluation, tuple[CandidateEvaluation, ...]]:
         """Evaluate every candidate and return the best feasible one."""
         if not candidates:
             raise OptimizationError("the candidate space is empty")
-        if evaluate_batch is not None:
-            evaluations = tuple(evaluate_batch(candidates))
-        else:
-            evaluations = tuple(evaluate(candidate) for candidate in candidates)
+        evaluations = tuple(evaluate(candidate) for candidate in candidates)
         return _best_feasible(evaluations), evaluations
 
 

@@ -15,10 +15,10 @@ a relative (1/RPerf) weighting.  These tests lock the contracts:
   to main (pinned values captured immediately before the basis change),
   and the scalar and batched paths agree on tiny-pool mixed states.
 * **Robustness** — the victim-side interference scale is clamped into
-  ``[0, 1]`` on both paths, the gather memo evicts least-recently-used
-  grids instead of clearing wholesale, and the error summaries raise
-  :class:`~repro.errors.AnalysisError` on empty inputs instead of a bare
-  ``ZeroDivisionError``.
+  ``[0, 1]`` on both paths, a grid's gathered coefficients predict the
+  same bytes as the grid itself and are refused once the model is refit,
+  and the error summaries raise :class:`~repro.errors.AnalysisError` on
+  empty inputs instead of a bare ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -361,48 +361,36 @@ class TestInterferenceScaleClamp:
 
 
 # ----------------------------------------------------------------------
-# Gather memo: least-recently-used eviction keeps hot grids resident
+# Gathered coefficients: the same predictions, refused after a refit
 # ----------------------------------------------------------------------
-class TestGatherCacheEviction:
-    def _pair_grids(self, count):
-        """Distinct single-candidate pair grids (distinct memo keys)."""
-        states = list(
-            enumerate_partition_states(
-                2, A100_SPEC, (MemoryOption.SHARED, MemoryOption.PRIVATE)
-            )
-        )
-        grids = []
-        for index in range(count):
-            state = states[index % len(states)]
-            cap = NWAY_CAPS[(index // len(states)) % len(NWAY_CAPS)]
-            grids.append([(state, cap)])
-        return grids
+class TestGatheredCoefficients:
+    def _grid(self, workflow):
+        states = workflow.online.candidate_states_for(3)
+        return [(state, cap) for state in states for cap in NWAY_CAPS]
 
-    def test_alternating_hot_grids_never_regather(self, nway_workflow):
+    def test_gathered_grid_predicts_the_same_bytes(self, nway_workflow):
         model = nway_workflow.model
-        counters = _counters(nway_workflow, ["stream", "hgemm"])
-        capacity = LinearPerfModel._GATHER_CACHE_SIZE
-        grids = self._pair_grids(capacity + 4)
-        hot_a, hot_b, cold = grids[0], grids[1], grids[2:]
-        model.predict_candidates(counters, hot_a)
-        model.predict_candidates(counters, hot_b)
-        warm = model.gather_cache_builds
-        # A scheduling loop alternating two grids while unrelated one-off
-        # grids churn through (enough to overflow the memo several times):
-        # the hot grids' recency is refreshed on every hit, so only the
-        # one-off grids are ever (re)built.
-        for grid in cold * 2:
-            model.predict_candidates(counters, grid)
-            model.predict_candidates(counters, hot_a)
-            model.predict_candidates(counters, hot_b)
-        assert model.gather_cache_builds == warm + 2 * len(cold)
+        counters = _counters(nway_workflow, ["stream", "randomaccess", "hgemm"])
+        candidates = self._grid(nway_workflow)
+        gathered = model.gather_candidates(candidates, 3)
+        direct = model.predict_candidates(counters, candidates)
+        assert model.predict_candidates(counters, gathered).tobytes() == direct.tobytes()
 
-    def test_memo_stays_bounded(self, nway_workflow):
+    def test_refit_refuses_coefficients_gathered_before_it(self, nway_workflow):
+        model = LinearPerfModel.from_dict(nway_workflow.model.to_dict())
+        counters = _counters(nway_workflow, ["stream", "randomaccess", "hgemm"])
+        gathered = model.gather_candidates(self._grid(nway_workflow), 3)
+        key = model.fitted_scalability_states()[0]
+        model.set_scalability_coefficients(key, model.scalability_coefficients(key))
+        with pytest.raises(ModelError, match="coefficients version"):
+            model.predict_candidates(counters, gathered)
+
+    def test_group_size_must_match_the_gathered_grid(self, nway_workflow):
         model = nway_workflow.model
-        counters = _counters(nway_workflow, ["stream", "hgemm"])
-        for grid in self._pair_grids(LinearPerfModel._GATHER_CACHE_SIZE * 3):
-            model.predict_candidates(counters, grid)
-        assert len(model._gather_cache) <= LinearPerfModel._GATHER_CACHE_SIZE
+        gathered = model.gather_candidates(self._grid(nway_workflow), 3)
+        counters = _counters(nway_workflow, ["stream", "randomaccess"])
+        with pytest.raises(ModelError, match="3 applications but 2 profiles"):
+            model.predict_candidates(counters, gathered)
 
 
 # ----------------------------------------------------------------------

@@ -52,11 +52,6 @@ class TestEventValidation:
         with pytest.raises(SimulationError):
             CompletionEvent(time=float("nan"), node_id=0, jobs=())
 
-    def test_describe_mentions_time_and_kind(self):
-        event = CompletionEvent(time=4.0, node_id=1, jobs=())
-        assert "t=4.00s" in event.describe()
-        assert "node1" in event.describe()
-
 
 class TestEventHeap:
     def test_pops_in_time_order(self):

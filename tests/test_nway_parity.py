@@ -4,14 +4,16 @@ scalar path."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import decide_oracle
 from repro.core import workflow as workflow_module
-from repro.core.model import LinearPerfModel
+from repro.core.model import HardwareStateKey, LinearPerfModel
 from repro.core.optimizer import ResourcePowerAllocator
 from repro.core.policies import Problem1Policy, Problem2Policy
-from repro.core.search import SearchCandidate
 from repro.core.workflow import OnlineAllocator
 from repro.errors import InfeasibleProblemError
 from repro.gpu.mig import CORUN_STATES, MemoryOption, PartitionState, S1, solo_state
@@ -55,22 +57,21 @@ class TestBatchedEvaluationParity:
 
     @pytest.fixture(scope="class")
     def allocator(self, context):
-        return ResourcePowerAllocator(context.model)
+        return ResourcePowerAllocator(context.model, batch_threshold=0)
 
     @pytest.mark.parametrize("pair_name", ("TI-MI2", "CI-MI1", "US-US1"))
     def test_batch_matches_scalar_for_pairs(self, context, allocator, pair_name):
         counters = list(context.pair_profiles(corun_pair(pair_name)))
         policy = Problem2Policy(alpha=0.2)
         candidates = [
-            SearchCandidate(state=state, power_cap_w=float(cap))
+            (state, float(cap))
             for state in CORUN_STATES
             for cap in policy.candidate_power_caps()
         ]
-        batch = allocator.evaluate_candidates_batch(counters, candidates, policy)
-        for candidate, batched in zip(candidates, batch):
-            scalar = allocator.evaluate_candidate(
-                counters, candidate.state, candidate.power_cap_w, policy
-            )
+        batch = allocator.solve(counters, policy).evaluations
+        assert [(e.state, e.power_cap_w) for e in batch] == candidates
+        for (state, cap), batched in zip(candidates, batch):
+            scalar = allocator.evaluate_candidate(counters, state, cap, policy)
             np.testing.assert_allclose(
                 batched.predicted_rperfs, scalar.predicted_rperfs, rtol=1e-12
             )
@@ -109,6 +110,73 @@ class TestBatchedEvaluationParity:
             np.testing.assert_allclose(
                 scalar.predicted_objective, batched.predicted_objective, rtol=1e-12
             )
+
+
+class TestCandidateTables:
+    """The allocator's candidate tables: one per (states, caps, model version)."""
+
+    @staticmethod
+    def _counters(context):
+        return list(context.pair_profiles(corun_pair("TI-MI2")))
+
+    def test_exact_tie_goes_to_the_first_listed_row(self, context):
+        counters = self._counters(context)
+        policy = Problem1Policy(power_cap_w=230.0, alpha=0.0)
+        allocator = ResourcePowerAllocator(context.model, batch_threshold=0)
+        first, second = (dataclasses.replace(S1, label=label) for label in ("A", "B"))
+        for states in ((first, second), (second, first)):
+            decision = allocator.solve(counters, policy, states=states)
+            tied = decision.evaluations
+            assert tied[0].objective == tied[1].objective and tied[0].feasible
+            # ``max`` keeps the first of equal objectives; so must the table.
+            assert decision.state.label == states[0].label
+            assert decision == decide_oracle.solve(
+                context.model, CORUN_STATES, counters, policy, states=states
+            )
+
+    def test_relabelled_rerun_renders_its_own_labels(self, context):
+        counters = self._counters(context)
+        policy = Problem2Policy(alpha=0.2)
+        allocator = ResourcePowerAllocator(context.model, batch_threshold=0)
+        first = allocator.solve(counters, policy, states=CORUN_STATES)
+        relabelled = tuple(
+            dataclasses.replace(state, label=f"R{index}")
+            for index, state in enumerate(CORUN_STATES, start=1)
+        )
+        again = allocator.solve(counters, policy, states=relabelled)
+        caps = policy.candidate_power_caps()
+        assert [e.state.label for e in again.evaluations] == [
+            state.label for state in relabelled for _ in caps
+        ]
+        assert again.state == relabelled[CORUN_STATES.index(first.state)]
+        assert [e.objective for e in again.evaluations] == [
+            e.objective for e in first.evaluations
+        ]
+
+    def test_refit_rebuilds_the_table_and_a_repeat_does_not(self, context, monkeypatch):
+        model = LinearPerfModel.from_dict(context.model.to_dict())
+        allocator = ResourcePowerAllocator(model, batch_threshold=0)
+        gathered_at = []
+        gather = model.gather_candidates
+
+        def counted(*args, **kwargs):
+            gathered_at.append(model.coefficients_version)
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(model, "gather_candidates", counted)
+        counters = self._counters(context)
+        policy = Problem2Policy(alpha=0.2)
+        first = allocator.solve(counters, policy)
+        assert allocator.solve(counters, policy) == first
+        assert len(gathered_at) == 1
+        key = HardwareStateKey.from_state(S1, 0, 230.0, model.spec)
+        model.set_scalability_coefficients(key, model.scalability_coefficients(key) * 0.5)
+        refit = allocator.solve(counters, policy)
+        assert gathered_at == [gathered_at[0], model.coefficients_version]
+        assert refit != first
+        assert refit == decide_oracle.solve(model, CORUN_STATES, counters, policy)
+        # The older version's table is dropped, not kept alongside.
+        assert len(allocator._tables) == 1
 
 
 class TestDecisionMemo:
