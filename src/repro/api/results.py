@@ -1,10 +1,11 @@
 """Typed response dataclasses — the output half of the service-layer API.
 
 Responses are frozen value objects.  Where the engine already keeps a fact
-in a frozen record, the response carries that record itself instead of a
-copy: a decision's candidate table is the solve's own tuple of
-:class:`~repro.core.decision.CandidateEvaluation`, and a simulation's
-latency populations are the report's
+in an immutable record, the response carries that record itself instead of
+a copy: a decision's candidate table is the solve's own sequence of
+:class:`~repro.core.decision.CandidateEvaluation` (a table solve's
+:class:`~repro.core.decision.CandidateColumns` builds each record only when
+it is read), and a simulation's latency populations are the report's
 :class:`~repro.cluster.events.report.LatencyStats`.  ``to_dict()`` renders
 every response as plain JSON-safe data and ``from_dict()`` rebuilds an
 equal value from it, so a response survives a JSON round trip unchanged.
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.api.serde import build, checked_kwargs
 from repro.cluster.events.report import LatencyStats
-from repro.core.decision import CandidateEvaluation
+from repro.core.decision import CandidateColumns, CandidateEvaluation
 from repro.errors import ConfigurationError
 from repro.gpu.mig import PartitionState
 
@@ -80,9 +81,13 @@ class DecisionResult:
 
     ``state`` is the human-readable description of the chosen partition /
     allocation state (including its ``S1``-style label when it has one);
-    ``evaluations`` is the solve's own tuple of every candidate the search
-    examined, in search order, so clients can render the full comparison
-    table or re-rank by their own criteria.
+    ``evaluations`` is the solve's own sequence of every candidate the
+    search examined, in search order, so clients can render the full
+    comparison table or re-rank by their own criteria.  A table solve's
+    :class:`~repro.core.decision.CandidateColumns` is kept as it is and
+    builds each record when it is read; any other sequence becomes a
+    tuple.  Either way the result compares and hashes as if it held the
+    tuple of records, so a ``from_dict`` rebuild equals it.
     """
 
     policy: str
@@ -96,14 +101,15 @@ class DecisionResult:
     predicted_fairness: float
     predicted_objective: float
     candidates_evaluated: int
-    evaluations: tuple[CandidateEvaluation, ...] = ()
+    evaluations: Sequence[CandidateEvaluation] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "apps", tuple(str(app) for app in self.apps))
         object.__setattr__(
             self, "predicted_rperfs", tuple(float(v) for v in self.predicted_rperfs)
         )
-        object.__setattr__(self, "evaluations", tuple(self.evaluations))
+        if not isinstance(self.evaluations, CandidateColumns):
+            object.__setattr__(self, "evaluations", tuple(self.evaluations))
 
     def describe(self) -> str:
         """One-line summary, identical to the engine decision's wording."""
@@ -122,7 +128,7 @@ class DecisionResult:
         spec: str,
     ) -> "DecisionResult":
         """Convert an engine-level :class:`AllocationDecision` (sharing,
-        not copying, its candidate tuple)."""
+        not copying, its candidate sequence)."""
         return cls(
             policy=decision.policy_name,
             apps=tuple(apps),

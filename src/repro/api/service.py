@@ -244,10 +244,12 @@ class PlannerService:
 
         Sessions are shared across the batch (each distinct
         ``(spec, grid, model path)`` trains at most once), every unique
-        request is evaluated through the allocator's batched NumPy
-        candidate-grid path, and exact duplicates within the batch are
-        answered once and fanned back out in order (they still count as
-        served decisions).
+        request is decided once through :meth:`decide` (a grid of more
+        than 24 candidates, such as every N-way group's, from the
+        allocator's candidate table; the paper's 24-point pair grid and
+        smaller ones candidate by candidate), and exact duplicates
+        within the batch are answered once and fanned back out in order
+        (they still count as served decisions).
         """
         memo: dict[DecisionRequest, DecisionResult] = {}
         results = []

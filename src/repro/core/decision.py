@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import overload
+
+import numpy as np
 
 from repro.gpu.mig import PartitionState
 
@@ -18,6 +23,74 @@ class CandidateEvaluation:
     predicted_fairness: float
     objective: float
     feasible: bool
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class CandidateColumns(Sequence[CandidateEvaluation]):
+    """A table solve's candidate records, held as the solve's columns.
+
+    ``rows`` are the grid's ``(state, cap)`` pairs in search order; the
+    read-only arrays hold every row's predictions (one column per
+    application), throughput, fairness, objective and feasibility.  Reading
+    a row builds its :class:`CandidateEvaluation` from them, and nothing
+    read is kept, so a decision nobody renders never builds its records.
+    Otherwise it is the tuple of those records: equal to it in both operand
+    orders, with its hash, length and ``repr``, and a slice is a tuple.
+    """
+
+    rows: tuple[tuple[PartitionState, float], ...]
+    predictions: np.ndarray
+    throughputs: np.ndarray
+    fairnesses: np.ndarray
+    objectives: np.ndarray
+    feasible: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (
+            self.predictions,
+            self.throughputs,
+            self.fairnesses,
+            self.objectives,
+            self.feasible,
+        ):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @overload
+    def __getitem__(self, index: int) -> CandidateEvaluation: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> tuple[CandidateEvaluation, ...]: ...
+
+    def __getitem__(
+        self, index: int | slice
+    ) -> CandidateEvaluation | tuple[CandidateEvaluation, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self.rows))[index]))
+        state, cap = self.rows[index]
+        row = operator.index(index)
+        return CandidateEvaluation(
+            state,
+            cap,
+            tuple(self.predictions[row].tolist()),
+            self.throughputs.item(row),
+            self.fairnesses.item(row),
+            self.objectives.item(row),
+            self.feasible.item(row),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, CandidateColumns)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -39,8 +112,11 @@ class AllocationDecision:
     candidates_evaluated:
         How many ``(S, P)`` combinations the search examined.
     evaluations:
-        The full list of candidate evaluations (useful for reports and for
-        comparing against the measured best/worst).
+        Every candidate the search examined, in search order (useful for
+        reports and for comparing against the measured best/worst): a
+        tuple of records from a candidate-by-candidate search, the solve's
+        :class:`CandidateColumns` from a table solve.  Either compares and
+        hashes as the tuple of records.
     """
 
     state: PartitionState
@@ -51,7 +127,7 @@ class AllocationDecision:
     predicted_objective: float
     policy_name: str
     candidates_evaluated: int
-    evaluations: tuple[CandidateEvaluation, ...] = ()
+    evaluations: Sequence[CandidateEvaluation] = ()
 
     def describe(self) -> str:
         """One-line human-readable summary."""

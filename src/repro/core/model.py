@@ -101,11 +101,19 @@ class HardwareStateKey:
         longer reuse (and overestimate) full-chip shared bandwidth
         coefficients.
         """
-        return cls(
-            gpcs=state.gpc_allocations[app_index],
-            mem_slices=state.mem_slices_for(app_index, spec),
-            option=state.effective_option(app_index),
-            power_cap_w=float(power_cap_w),
+        return cls(*cls.cap_free_fields(state, app_index, spec), power_cap_w)
+
+    @staticmethod
+    def cap_free_fields(
+        state: PartitionState, app_index: int, spec: GPUSpec
+    ) -> tuple[int, int, MemoryOption]:
+        """The cap-free fields of :meth:`from_state`'s key: GPCs, memory
+        slices and effective option.  A caller keying one state at many caps
+        derives them once and varies only the cap."""
+        return (
+            state.gpc_allocations[app_index],
+            state.mem_slices_for(app_index, spec),
+            state.effective_option(app_index),
         )
 
     def sort_key(self) -> tuple:
@@ -568,7 +576,9 @@ class LinearPerfModel:
         columns zero (and their pool fraction 1.0, keeping the batched
         divisions well-defined).  The composition mask/tensor pair is only
         allocated when a candidate can co-locate three or more
-        applications — the N=2 hot path never pays for it.
+        applications — the N=2 hot path never pays for it.  Each distinct
+        state's GI layout is derived once per application; its rows differ
+        only in the cap.
         """
         n_candidates = len(candidates)
         scalability = np.empty((n_candidates, n_apps, self._basis.h_dim), dtype=float)
@@ -606,14 +616,25 @@ class LinearPerfModel:
             if n_apps > 2
             else None
         )
+        # Per state: each application's cap-free key fields and partners.
+        layouts: dict[PartitionState, list[tuple[tuple, list[int]]]] = {}
         for ci, (state, power_cap_w) in enumerate(candidates):
-            if state.n_apps != n_apps:
-                raise ModelError(
-                    f"candidate state {state.describe()} has {state.n_apps} "
-                    f"applications but {n_apps} profiles were supplied"
-                )
-            for i in range(n_apps):
-                key = HardwareStateKey.from_state(state, i, power_cap_w, self._spec)
+            layout = layouts.get(state)
+            if layout is None:
+                if state.n_apps != n_apps:
+                    raise ModelError(
+                        f"candidate state {state.describe()} has {state.n_apps} "
+                        f"applications but {n_apps} profiles were supplied"
+                    )
+                layout = layouts[state] = [
+                    (
+                        HardwareStateKey.cap_free_fields(state, i, self._spec),
+                        list(state.interference_partners(i)),
+                    )
+                    for i in range(n_apps)
+                ]
+            for i, (fields, partners) in enumerate(layout):
+                key = HardwareStateKey(*fields, power_cap_w)
                 self._require_scalability(key)
                 scalability[ci, i] = self._scalability[key]
                 if interference is not None and partner_mask is not None:
@@ -623,7 +644,6 @@ class LinearPerfModel:
                         )
                     coefficients = self._interference[key]
                     interference[ci, i, : coefficients.shape[0]] = coefficients
-                    partners = list(state.interference_partners(i))
                     partner_mask[ci, i, partners] = 1.0
                     if self.is_sub_chip_shared(key):
                         assert sub_chip is not None and pool_fractions is not None
@@ -662,9 +682,11 @@ class LinearPerfModel:
         needs_interference = (
             state.n_apps > 1 if with_interference is None else with_interference
         )
-        for power_cap in power_caps:
-            for index in range(state.n_apps):
-                key = HardwareStateKey.from_state(state, index, power_cap, self._spec)
+        caps = tuple(power_caps)
+        for index in range(state.n_apps):
+            fields = HardwareStateKey.cap_free_fields(state, index, self._spec)
+            for power_cap in caps:
+                key = HardwareStateKey(*fields, power_cap)
                 if key not in self._scalability:
                     return False
                 if needs_interference and key not in self._interference:

@@ -7,15 +7,18 @@ and returns the combination that maximizes the policy's objective.
 
 When an exhaustive search's candidate space grows beyond the paper's
 24-point grid (more applications, finer partitioning), the allocator
-decides from a **candidate table** instead: one per (candidate states,
-policy caps, model coefficients version), built on first use, holding the
-grid's ``(S, P)`` rows in search order, its cap column and the model's
-coefficients gathered for every row.  A solve predicts the whole grid in
-one NumPy call (:meth:`LinearPerfModel.predict_candidates`), scores it by
-calling the policy's ``objective`` and ``is_feasible`` once on whole
+decides from a **candidate table** instead: one per (candidate state pool,
+group size, policy caps, model coefficients version), built on first use,
+holding the grid's ``(S, P)`` rows in search order, its cap column and the
+model's coefficients gathered for every row.  A solve predicts the whole
+grid in one NumPy call (:meth:`LinearPerfModel.predict_candidates`), scores
+it by calling the policy's ``objective`` and ``is_feasible`` once on whole
 columns, and takes the first maximal feasible row — the row ``max`` picks
-on the scalar path.  Every call solves; repeated decisions are memoized
-one layer up, by :meth:`repro.core.workflow.OnlineAllocator.decide`.
+on the scalar path.  The decision carries those columns as a
+:class:`~repro.core.decision.CandidateColumns`, which builds a candidate's
+record only when someone reads it.  Every call solves; repeated decisions
+are memoized one layer up, by
+:meth:`repro.core.workflow.OnlineAllocator.decide`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import DEFAULT_POWER_CAPS
-from repro.core.decision import AllocationDecision, CandidateEvaluation
+from repro.core.decision import AllocationDecision, CandidateColumns, CandidateEvaluation
 from repro.core.metrics import fairness as fairness_metric
 from repro.core.metrics import fairness_batch, weighted_speedup, weighted_speedup_batch
 from repro.core.model import CandidateCoefficients, LinearPerfModel
@@ -154,31 +157,32 @@ class ResourcePowerAllocator:
             feasible=bool(policy.is_feasible(fairness)),
         )
 
-    def _table(
-        self, states: tuple[PartitionState, ...], caps: tuple[float, ...]
+    def _add_table(
+        self,
+        key: tuple,
+        states: tuple[PartitionState, ...],
+        caps: tuple[float, ...],
     ) -> _CandidateTable:
-        """The candidate table of ``states`` × ``caps``, built on first use.
+        """Build and keep the candidate table of ``states`` × ``caps``.
 
-        Keyed on the states themselves (labels included, so a relabelled
-        grid renders its own labels), the caps and the model's
-        coefficients version.  A refit drops every older version's table,
-        and past ``_TABLE_CACHE_SIZE`` tables the oldest goes.
+        ``key`` is (state pool, group size, caps, coefficients version):
+        the pool as the caller passed it, labels included (a relabelled
+        grid renders its own labels), so a repeat finds its table without
+        filtering the pool again.  A refit drops every older version's
+        table, and past ``_TABLE_CACHE_SIZE`` tables the oldest goes.
         """
-        version = self._model.coefficients_version
-        key = (states, caps, version)
         tables = self._tables
-        table = tables.get(key)
-        if table is None:
-            for stale in [k for k in tables if k[2] != version]:
-                del tables[stale]
-            if len(tables) >= _TABLE_CACHE_SIZE:
-                del tables[next(iter(tables))]
-            rows = tuple((state, cap) for state in states for cap in caps)
-            table = tables[key] = _CandidateTable(
-                rows,
-                np.array([cap for _, cap in rows], dtype=float),
-                self._model.gather_candidates(rows, states[0].n_apps),
-            )
+        version = key[-1]
+        for stale in [k for k in tables if k[-1] != version]:
+            del tables[stale]
+        if len(tables) >= _TABLE_CACHE_SIZE:
+            del tables[next(iter(tables))]
+        rows = tuple((state, cap) for state in states for cap in caps)
+        table = tables[key] = _CandidateTable(
+            rows,
+            np.array([cap for _, cap in rows], dtype=float),
+            self._model.gather_candidates(rows, states[0].n_apps),
+        )
         return table
 
     def _decide_from_table(
@@ -186,12 +190,13 @@ class ResourcePowerAllocator:
         counters_list: Sequence[CounterVector],
         policy: Policy,
         table: _CandidateTable,
-    ) -> tuple[CandidateEvaluation, tuple[CandidateEvaluation, ...]]:
-        """The first maximal feasible row of ``table`` and every row's record.
+    ) -> tuple[CandidateEvaluation, CandidateColumns]:
+        """The first maximal feasible row of ``table`` and every row's columns.
 
-        The records hold the values :meth:`evaluate_candidate` gives up to
+        The rows read as the records :meth:`evaluate_candidate` gives up to
         the batched predict's float associativity, and the pick is the row
-        ``max`` takes over the feasible records.
+        ``max`` takes over the feasible records.  Only the pick's record is
+        built here.
         """
         predictions = self._model.predict_candidates(counters_list, table.coefficients)
         throughputs = weighted_speedup_batch(predictions)
@@ -201,24 +206,16 @@ class ResourcePowerAllocator:
         feasible_rows = np.flatnonzero(feasible)
         if not feasible_rows.size:
             raise OptimizationError("no evaluated candidate satisfies the fairness constraint")
-        evaluations = tuple(
-            CandidateEvaluation(state, cap, rperfs, throughput, fairness, objective, ok)
-            for (state, cap), rperfs, throughput, fairness, objective, ok in zip(
-                table.rows,
-                map(tuple, predictions.tolist()),
-                throughputs.tolist(),
-                fairnesses.tolist(),
-                objectives.tolist(),
-                feasible.tolist(),
-            )
+        evaluations = CandidateColumns(
+            table.rows, predictions, throughputs, fairnesses, objectives, feasible
         )
         best = int(feasible_rows[np.argmax(objectives[feasible_rows])])
         return evaluations[best], evaluations
 
+    @staticmethod
     def _states_for(
-        self, n_apps: int, states: Sequence[PartitionState] | None
+        n_apps: int, pool: tuple[PartitionState, ...]
     ) -> tuple[PartitionState, ...]:
-        pool = self._states if states is None else tuple(states)
         matching = tuple(state for state in pool if state.n_apps == n_apps)
         if not matching:
             raise InfeasibleProblemError(
@@ -242,28 +239,37 @@ class ResourcePowerAllocator:
         (used by the online layer to supply spec-derived N-way states);
         either way only states matching the group size are considered.
         """
-        matching_states = self._states_for(len(counters_list), states)
+        n_apps = len(counters_list)
+        pool = self._states if states is None else tuple(states)
         caps = tuple(float(cap) for cap in policy.candidate_power_caps())
-        n_candidates = len(matching_states) * len(caps)
-
-        def evaluate(candidate: SearchCandidate) -> CandidateEvaluation:
-            return self.evaluate_candidate(
-                counters_list, candidate.state, candidate.power_cap_w, policy
-            )
-
-        try:
+        key = (pool, n_apps, caps, self._model.coefficients_version)
+        table = self._tables.get(key)
+        candidates: list[SearchCandidate] = []
+        if table is None:
+            matching_states = self._states_for(n_apps, pool)
             if (
                 isinstance(self._search, ExhaustiveSearch)
-                and n_candidates > self._batch_threshold
+                and len(matching_states) * len(caps) > self._batch_threshold
             ):
-                table = self._table(matching_states, caps)
-                best, evaluations = self._decide_from_table(counters_list, policy, table)
+                table = self._add_table(key, matching_states, caps)
             else:
                 candidates = [
                     SearchCandidate(state=state, power_cap_w=cap)
                     for state in matching_states
                     for cap in caps
                 ]
+        n_candidates = len(candidates) if table is None else len(table.rows)
+
+        def evaluate(candidate: SearchCandidate) -> CandidateEvaluation:
+            return self.evaluate_candidate(
+                counters_list, candidate.state, candidate.power_cap_w, policy
+            )
+
+        evaluations: Sequence[CandidateEvaluation]
+        try:
+            if table is not None:
+                best, evaluations = self._decide_from_table(counters_list, policy, table)
+            else:
                 best, evaluations = self._search.search(candidates, evaluate)
         except OptimizationError as exc:
             raise InfeasibleProblemError(

@@ -143,6 +143,25 @@ class PartitionState:
             raise SpecificationError(
                 f"gi_groups is only meaningful for the mixed option, not {option.value}"
             )
+        # Hashed once, to the value the dataclass hash would compute: the
+        # allocator's candidate tables key on whole pools of states.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.gpc_allocations, option, self.label, self.gi_groups)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined,no-any-return]
+
+    def __reduce__(self) -> tuple[type["PartitionState"], tuple[object, ...]]:
+        # Rebuilt through the constructor: string hashes differ between
+        # processes, so the stored hash (like the render memos) never
+        # travels in a pickle.
+        return (
+            type(self),
+            (self.gpc_allocations, self.option, self.label, self.gi_groups),
+        )
 
     def _validate_gi_groups(self) -> None:
         groups = self.gi_groups

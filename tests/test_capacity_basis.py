@@ -15,10 +15,11 @@ a relative (1/RPerf) weighting.  These tests lock the contracts:
   to main (pinned values captured immediately before the basis change),
   and the scalar and batched paths agree on tiny-pool mixed states.
 * **Robustness** — the victim-side interference scale is clamped into
-  ``[0, 1]`` on both paths, a grid's gathered coefficients predict the
-  same bytes as the grid itself and are refused once the model is refit,
-  and the error summaries raise :class:`~repro.errors.AnalysisError` on
-  empty inputs instead of a bare ``ZeroDivisionError``.
+  ``[0, 1]`` on both paths, a grid's gathered coefficients equal a
+  row-by-row gather bit for bit, predict the same bytes as the grid
+  itself and are refused once the model is refit, and the error
+  summaries raise :class:`~repro.errors.AnalysisError` on empty inputs
+  instead of a bare ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from repro.core.features import (
     servable_fraction,
 )
 from repro.core.model import KEY_SCHEMA_VERSION, HardwareStateKey, LinearPerfModel
-from repro.core.workflow import PaperWorkflow, TrainingPlan
-from repro.errors import AnalysisError, ModelError
+from repro.core.workflow import PaperWorkflow, TrainingPlan, power_caps_for_spec
+from repro.errors import AnalysisError, ModelError, NotFittedError
 from repro.gpu.mig import MemoryOption, PartitionState, enumerate_partition_states
-from repro.gpu.spec import A100_SPEC
+from repro.gpu.spec import A100_SPEC, MI300X_SPEC
 from repro.sim.counters import CounterVector
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
@@ -363,10 +364,107 @@ class TestInterferenceScaleClamp:
 # ----------------------------------------------------------------------
 # Gathered coefficients: the same predictions, refused after a refit
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def mi300x_workflow():
+    caps = power_caps_for_spec(MI300X_SPEC)[-2:]
+    workflow = PaperWorkflow(
+        simulator=PerformanceSimulator(MI300X_SPEC, noise=no_noise()),
+        plan=TrainingPlan.for_spec(MI300X_SPEC, power_caps=caps),
+        power_caps=caps,
+    )
+    workflow.train()
+    return workflow
+
+
+def _decode_key(entry):
+    return HardwareStateKey(
+        entry["gpcs"], entry["mem_slices"], MemoryOption(entry["option"]), entry["power_cap_w"]
+    )
+
+
+def _gather_row_by_row(model, candidates, n_apps):
+    """The tensors of ``gather_candidates`` for N >= 3, one (row,
+    application) at a time, each key derived from its state afresh."""
+    basis = model.basis
+    composition = {
+        _decode_key(entry): np.array(entry["coefficients"])
+        for entry in model.to_dict()["composition"]
+    }
+    n = len(candidates)
+    tensors = {
+        "scalability": np.empty((n, n_apps, basis.h_dim)),
+        "interference": np.zeros((n, n_apps, basis.j_dim + basis.h_dim + POOL_TERM_DIM)),
+        "partner_mask": np.zeros((n, n_apps, n_apps)),
+        "sub_chip": np.zeros((n, n_apps)),
+        "pool_fractions": np.ones((n, n_apps)),
+        "comp_mask": np.zeros((n, n_apps)),
+        "composition": np.zeros((n, n_apps, basis.h_dim + POOL_TERM_DIM)),
+    }
+    for ci, (state, cap) in enumerate(candidates):
+        for i in range(n_apps):
+            key = HardwareStateKey.from_state(state, i, cap, model.spec)
+            tensors["scalability"][ci, i] = model.scalability_coefficients(key)
+            coefficients = model.interference_coefficients(key)
+            tensors["interference"][ci, i, : coefficients.shape[0]] = coefficients
+            partners = list(state.interference_partners(i))
+            tensors["partner_mask"][ci, i, partners] = 1.0
+            if model.is_sub_chip_shared(key):
+                tensors["sub_chip"][ci, i] = 1.0
+                tensors["pool_fractions"][ci, i] = model.pool_fraction(key)
+            elif len(partners) >= 2 and key in composition:
+                tensors["comp_mask"][ci, i] = 1.0
+                tensors["composition"][ci, i] = composition[key]
+    return tensors
+
+
+def _error_of(call):
+    with pytest.raises(NotFittedError) as raised:
+        call()
+    return str(raised.value)
+
+
 class TestGatheredCoefficients:
-    def _grid(self, workflow):
-        states = workflow.online.candidate_states_for(3)
-        return [(state, cap) for state in states for cap in NWAY_CAPS]
+    def _grid(self, workflow, n_apps=3, cap_major=False):
+        states = workflow.online.candidate_states_for(n_apps)
+        caps = workflow.online.allocator.power_caps
+        if cap_major:
+            return [(state, cap) for cap in caps for state in states]
+        return [(state, cap) for state in states for cap in caps]
+
+    @pytest.mark.parametrize(
+        "spec_name, n_apps, cap_major",
+        [("a100", 3, False), ("a100", 3, True), ("a100", 4, False), ("mi300x", 4, False)],
+    )
+    def test_gather_equals_the_row_by_row_loop(
+        self, nway_workflow, mi300x_workflow, spec_name, n_apps, cap_major
+    ):
+        workflow = nway_workflow if spec_name == "a100" else mi300x_workflow
+        model = workflow.model
+        candidates = self._grid(workflow, n_apps, cap_major)
+        states = {state for state, _ in candidates}
+        # Several states at several caps, some with sub-chip shared keys.
+        assert len(candidates) > len(states) > 1
+        gathered = model.gather_candidates(candidates, n_apps)
+        expected = _gather_row_by_row(model, candidates, n_apps)
+        assert expected["sub_chip"].any()
+        assert gathered.version == model.coefficients_version
+        for name, tensor in expected.items():
+            got = getattr(gathered, name)
+            assert got.dtype == tensor.dtype and got.shape == tensor.shape, name
+            assert got.tobytes() == tensor.tobytes(), name
+
+    @pytest.mark.parametrize("table", ["scalability", "interference"])
+    def test_a_missing_key_raises_the_row_by_row_error(self, nway_workflow, table):
+        model = nway_workflow.model
+        candidates = self._grid(nway_workflow)
+        state, cap = candidates[11]
+        missing = HardwareStateKey.from_state(state, 1, cap, model.spec)
+        document = model.to_dict()
+        document[table] = [e for e in document[table] if _decode_key(e) != missing]
+        broken = LinearPerfModel.from_dict(document, spec=model.spec)
+        message = _error_of(lambda: broken.gather_candidates(candidates, 3))
+        assert missing.describe() in message
+        assert message == _error_of(lambda: _gather_row_by_row(broken, candidates, 3))
 
     def test_gathered_grid_predicts_the_same_bytes(self, nway_workflow):
         model = nway_workflow.model

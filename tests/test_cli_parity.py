@@ -9,11 +9,13 @@ path (training plan, candidate grid, rendering) fails these assertions.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.analysis.report import ascii_table
+from repro.api import PlannerService
 from repro.cli import main
 from repro.core.workflow import PaperWorkflow
 from repro.gpu.mig import enumerate_partition_states
@@ -88,6 +90,36 @@ class TestDecideParity:
             DEFAULT_POWER_CAPS[-2],
             0.2,
         )
+
+
+#: SHA-256 of the stdout of ``repro decide <argv>`` (every line newline-
+#: terminated) for N-way groups on the A100, where the candidate table is
+#: the only reader of every record.  Captured while each table solve still
+#: built all of its candidate records up front.
+NWAY_DECIDE_TEXT_PINS = {
+    "igemm4 stream bfs --policy problem1": (
+        "07d8a725be095c964c637ce4ae0533735d1e9a2bec92db73eb77760e4f69f9e9"
+    ),
+    "igemm4 stream bfs --policy problem2": (
+        "6fc8d0c0876d2e6f66fbdfaf84cf0efa7475444fb06f26c0c31637cbafc67c0e"
+    ),
+    "igemm4 stream bfs lud --policy problem2": (
+        "7ca42be8ed199ee63c1e0d00cad1e009da0b4b990c8d5b4b365d91ade9e0db8e"
+    ),
+}
+
+
+class TestNWayDecideText:
+    @pytest.fixture(scope="class")
+    def service(self):
+        return PlannerService()
+
+    @pytest.mark.parametrize("argv", sorted(NWAY_DECIDE_TEXT_PINS))
+    def test_text_is_pinned(self, service, argv):
+        lines: list[str] = []
+        assert main(["decide", *argv.split()], out=lines.append, service=service) == 0
+        text = "".join(f"{line}\n" for line in lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == NWAY_DECIDE_TEXT_PINS[argv]
 
 
 class TestStatesParity:

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from placement_oracle import place_on_chip
@@ -91,6 +99,51 @@ class TestPartitionState:
     def test_key_ignores_label(self):
         relabeled = PartitionState((4, 3), MemoryOption.SHARED, "other")
         assert relabeled.key() == S1.key()
+
+
+#: A labelled mixed state's fields: its hash mixes strings, so it differs
+#: between processes.
+_MIXED = ((1, 1, 2), "mixed", "X", (0, 0, 1))
+
+
+class TestStoredHash:
+    def test_hash_is_the_field_tuple_hash(self):
+        state = PartitionState(*_MIXED)
+        assert hash(state) == hash(((1, 1, 2), MemoryOption.MIXED, "X", (0, 0, 1)))
+        assert hash(S1) == hash(((4, 3), MemoryOption.SHARED, "S1", None))
+        relabelled = dataclasses.replace(S1, label="other")
+        assert hash(relabelled) == hash(((4, 3), MemoryOption.SHARED, "other", None))
+
+    def test_copies_and_pickles_hash_as_the_original(self):
+        state = PartitionState(*_MIXED)
+        state.describe()
+        for twin in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert twin == state and hash(twin) == hash(state)
+            assert {state: "found"}[twin] == "found"
+
+    def test_a_state_pickled_by_another_process_hashes_as_here(self):
+        state = PartitionState(*_MIXED)
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import pickle, sys\n"
+            "from repro.gpu.mig import PartitionState\n"
+            f"state = PartitionState(*{_MIXED!r})\n"
+            "print(hash(state))\n"
+            "print(pickle.dumps(state).hex())\n"
+        )
+        remote_hash, payload = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        # The premise: the two processes hash the state differently.
+        assert int(remote_hash) != hash(state)
+        loaded = pickle.loads(bytes.fromhex(payload))
+        assert loaded == state and hash(loaded) == hash(state)
+        assert {state: "found"}[loaded] == "found"
 
 
 class TestFromDescription:
