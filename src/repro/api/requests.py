@@ -4,7 +4,8 @@ A request is a frozen, hashable value object that fully describes one call
 into the :class:`~repro.api.service.PlannerService`: which applications,
 which optimization problem, which hardware spec, and (for simulations)
 which trace.  Requests validate their fields at construction (policy, spec,
-job mix and application names resolve; knobs are finite and in range) so
+job mix and application names resolve; counts are integers, and knobs are
+finite and in range) so
 an embedding caller fails at the boundary with a
 :class:`~repro.errors.ConfigurationError` before any training runs,
 and they round-trip through ``to_dict()``/``from_dict()`` so the same
@@ -20,6 +21,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.api.serde import build, checked_kwargs
 from repro.cluster.events import SimulationConfig
+from repro.config import check_count
 from repro.errors import ConfigurationError
 from repro.gpu.spec import GPU_SPECS
 from repro.workloads.mixes import JOB_MIXES
@@ -149,7 +151,8 @@ class SimulationRequest:
     the named job ``mix``.  The scheduling knobs mirror
     :class:`~repro.cluster.scheduler.SchedulerConfig` and
     :class:`~repro.cluster.events.SimulationConfig`.  The request checks
-    the policy knobs, the cluster and queue sizes, and (through a
+    the policy knobs, that every count (sizes, job count, seed) is an
+    integer, the cluster and queue sizes, and (through a
     ``SimulationConfig``) the repartition latency, the power budget and
     its floor of one minimum cap per node; the trace generators check the
     rate, duration and job count.  All of this runs before any training.
@@ -196,10 +199,13 @@ class SimulationRequest:
             object.__setattr__(self, "power_cap_w", float(self.power_cap_w))
         _check_policy_knobs(self)
         for name in ("n_nodes", "window_size", "group_size"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        # Any integer seeds; the trace generators range-check the job count.
+        object.__setattr__(self, "seed", check_count("seed", self.seed, minimum=None))
+        if self.n_jobs is not None:
+            object.__setattr__(
+                self, "n_jobs", check_count("n_jobs", self.n_jobs, minimum=None)
+            )
         SimulationConfig(
             repartition_latency_s=self.repartition_latency_s,
             power_budget_w=self.power_budget_w,
@@ -223,8 +229,7 @@ class StatesRequest:
     spec: str = "a100"
 
     def __post_init__(self) -> None:
-        if self.n_apps < 1:
-            raise ConfigurationError(f"n_apps must be >= 1, got {self.n_apps}")
+        object.__setattr__(self, "n_apps", check_count("n_apps", self.n_apps))
         _check_spec(self.spec)
 
     def to_dict(self) -> dict[str, Any]:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from repro.cluster.job import Job, JobState
 from repro.cluster.node import ComputeNode
 from repro.cluster.queue import JobQueue
+from repro.config import check_count
 from repro.core.decision import AllocationDecision
 from repro.core.policies import POLICY_NAMES, Policy, make_policy
 from repro.core.workflow import OnlineAllocator
@@ -48,11 +49,12 @@ class SchedulerConfig:
     Attributes
     ----------
     window_size:
-        How many queued jobs may be inspected when looking for partners.
+        How many queued jobs may be inspected when looking for partners
+        (an integer >= 1).
     group_size:
-        Maximum number of jobs co-located on one GPU (2 reproduces the
-        paper's pair scheduling exactly; larger values enable N-way groups
-        when the allocator's model supports them).
+        Maximum number of jobs co-located on one GPU (an integer >= 1; 2
+        reproduces the paper's pair scheduling exactly; larger values
+        enable N-way groups when the allocator's model supports them).
     policy_name:
         ``"problem1"`` (throughput at a fixed cap) or ``"problem2"``
         (energy efficiency, cap chosen per group).
@@ -60,9 +62,9 @@ class SchedulerConfig:
         The fixed cap used by Problem 1.
     alpha:
         Fairness threshold for either policy.
-    allow_solo:
-        Whether a job may run alone (full MIG partition) when no feasible
-        partner is found.
+
+    A job with no feasible partner in the window runs alone (the plan's
+    reason is ``"no feasible partner"``).
     """
 
     window_size: int = 4
@@ -70,15 +72,10 @@ class SchedulerConfig:
     policy_name: str = "problem2"
     power_cap_w: float = 230.0
     alpha: float = 0.2
-    allow_solo: bool = True
 
     def __post_init__(self) -> None:
-        if self.window_size < 1:
-            raise ConfigurationError(
-                f"window_size must be >= 1, got {self.window_size}"
-            )
-        if self.group_size < 1:
-            raise ConfigurationError(f"group_size must be >= 1, got {self.group_size}")
+        for name in ("window_size", "group_size"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if self.policy_name.lower() not in POLICY_NAMES:
             raise ConfigurationError(
                 f"unknown policy {self.policy_name!r}; valid names: {POLICY_NAMES}"
@@ -297,11 +294,6 @@ class CoScheduler:
             )
         if best_plan is not None:
             return best_plan
-        if not self._config.allow_solo:
-            raise SchedulingError(
-                f"no feasible co-location partner found for job {head.job_id} "
-                "and solo execution is disabled"
-            )
         return _CachedPlan(positions=(0,), decision=None, reason="no feasible partner")
 
     def _grow_group(

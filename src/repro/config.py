@@ -5,12 +5,15 @@ Section 5): the explored power caps, the candidate partition states, and the
 fairness thresholds used by the two optimization problems.  They are
 gathered here so that benchmarks, examples, and tests agree on a single
 source of truth, while every API also accepts explicit overrides.
+:func:`check_count` is the one check for the integer knobs of the
+requests and the scheduler configuration.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.gpu.mig import CORUN_STATES, PartitionState
@@ -34,6 +37,22 @@ ALPHA_SWEEP: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.42)
 SCALABILITY_GPC_COUNTS: tuple[int, ...] = (1, 2, 3, 4, 7)
 
 
+def check_count(name: str, value: Any, minimum: int | None = 1) -> int:
+    """``value`` as a plain ``int``, else a ConfigurationError naming ``name``.
+
+    A count accepts what :func:`operator.index` accepts (``int``,
+    ``numpy.int64``, ...) except ``bool``.  A fractional, NaN or infinite
+    float would pass a range check and then fail, or be ignored, deep in
+    a replay.  ``minimum`` is the smallest count allowed (``None``: any).
+    """
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
+    if minimum is not None and count < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class EvaluationConfig:
     """Bundle of evaluation parameters shared by benches and examples."""
@@ -46,7 +65,6 @@ class EvaluationConfig:
     alpha_sweep: tuple[float, ...] = ALPHA_SWEEP
     scalability_gpc_counts: tuple[int, ...] = SCALABILITY_GPC_COUNTS
     noise_sigma: float = 0.03
-    random_seed: int = 2022
 
     def __post_init__(self) -> None:
         if not self.power_caps:
@@ -59,20 +77,6 @@ class EvaluationConfig:
             raise ConfigurationError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be non-negative")
-
-    def with_power_caps(self, power_caps: Sequence[float]) -> "EvaluationConfig":
-        """A copy with a different power-cap grid."""
-        return EvaluationConfig(
-            power_caps=tuple(float(p) for p in power_caps),
-            candidate_states=self.candidate_states,
-            alpha=self.alpha,
-            problem1_power_cap_w=self.problem1_power_cap_w,
-            problem2_alphas=self.problem2_alphas,
-            alpha_sweep=self.alpha_sweep,
-            scalability_gpc_counts=self.scalability_gpc_counts,
-            noise_sigma=self.noise_sigma,
-            random_seed=self.random_seed,
-        )
 
 
 #: The configuration used throughout the benchmark harnesses.

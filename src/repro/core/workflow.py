@@ -25,7 +25,6 @@ from repro.core.features import DEFAULT_BASIS, BasisFunctions
 from repro.core.model import LinearPerfModel
 from repro.core.optimizer import ResourcePowerAllocator
 from repro.core.policies import Policy, Problem1Policy, Problem2Policy
-from repro.core.search import SearchStrategy
 from repro.core.training import (
     ModelTrainer,
     collect_corun_measurements,
@@ -297,7 +296,6 @@ class OnlineAllocator:
         collector: ProfileCollector | None = None,
         candidate_states: Sequence[PartitionState] = CORUN_STATES,
         power_caps: Sequence[float] = DEFAULT_POWER_CAPS,
-        search: SearchStrategy | None = None,
         spec: GPUSpec = A100_SPEC,
     ) -> None:
         self._database = database if database is not None else ProfileDatabase()
@@ -311,7 +309,6 @@ class OnlineAllocator:
             model,
             candidate_states=candidate_states,
             power_caps=power_caps,
-            search=search,
         )
 
     @property
@@ -454,7 +451,6 @@ class PaperWorkflow:
         basis: BasisFunctions = DEFAULT_BASIS,
         candidate_states: Sequence[PartitionState] | None = None,
         power_caps: Sequence[float] | None = None,
-        search: SearchStrategy | None = None,
     ) -> None:
         self._simulator = simulator if simulator is not None else PerformanceSimulator()
         self._suite = suite
@@ -468,7 +464,6 @@ class PaperWorkflow:
             )
         self._candidate_states = tuple(candidate_states)
         self._power_caps = tuple(float(p) for p in power_caps)
-        self._search = search
         self._model: LinearPerfModel | None = None
         self._online: OnlineAllocator | None = None
 
@@ -544,7 +539,6 @@ class PaperWorkflow:
             collector=collector,
             candidate_states=self._candidate_states,
             power_caps=self._power_caps,
-            search=self._search,
             spec=self._simulator.spec,
         )
         return self._model

@@ -22,7 +22,6 @@ from repro.gpu.spec import (
     GPUSpec,
     H100_SPEC,
     Pipe,
-    PipeThroughput,
     spec_by_name,
 )
 from repro.gpu.clocks import DVFSModel
@@ -52,7 +51,6 @@ __all__ = [
     "spec_by_name",
     "GPUSpec",
     "Pipe",
-    "PipeThroughput",
     "DVFSModel",
     "PowerModel",
     "PowerBreakdown",

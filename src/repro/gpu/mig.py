@@ -150,14 +150,30 @@ class PartitionState:
             "_hash",
             hash((self.gpc_allocations, option, self.label, self.gi_groups)),
         )
+        # The GI groups, derived once: every model key reads them.
+        n_apps = len(self.gpc_allocations)
+        if option is MemoryOption.PRIVATE:
+            groups = tuple((i,) for i in range(n_apps))
+        elif option is MemoryOption.SHARED:
+            groups = (tuple(range(n_apps)),)
+        else:
+            assert self.gi_groups is not None
+            groups = tuple(
+                tuple(i for i, g in enumerate(self.gi_groups) if g == group)
+                for group in range(max(self.gi_groups) + 1)
+            )
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(
+            self, "_group_of", {i: members for members in groups for i in members}
+        )
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined,no-any-return]
 
     def __reduce__(self) -> tuple[type["PartitionState"], tuple[object, ...]]:
         # Rebuilt through the constructor: string hashes differ between
-        # processes, so the stored hash (like the render memos) never
-        # travels in a pickle.
+        # processes, so the stored hash (like the stored groups and the
+        # render memos) never travels in a pickle.
         return (
             type(self),
             (self.gpc_allocations, self.option, self.label, self.gi_groups),
@@ -207,23 +223,14 @@ class PartitionState:
         under the shared option one GI hosts everyone; under the mixed
         option the grouping follows ``gi_groups``.
         """
-        if self.option is MemoryOption.PRIVATE:
-            return tuple((i,) for i in range(self.n_apps))
-        if self.option is MemoryOption.SHARED:
-            return (tuple(range(self.n_apps)),)
-        assert self.gi_groups is not None
-        n_groups = max(self.gi_groups) + 1
-        return tuple(
-            tuple(i for i, g in enumerate(self.gi_groups) if g == group)
-            for group in range(n_groups)
-        )
+        return self._groups  # type: ignore[attr-defined,no-any-return]
 
     def group_of(self, index: int) -> tuple[int, ...]:
         """The application indices sharing a GPU Instance with ``index``."""
-        for members in self.groups():
-            if index in members:
-                return members
-        raise IndexError(f"application index {index} out of range")
+        members: tuple[int, ...] | None = self._group_of.get(index)  # type: ignore[attr-defined]
+        if members is None:
+            raise IndexError(f"application index {index} out of range")
+        return members
 
     def interference_partners(self, index: int) -> tuple[int, ...]:
         """Application indices whose interference term couples to ``index``.

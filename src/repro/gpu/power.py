@@ -145,15 +145,14 @@ class PowerModel:
     Parameters
     ----------
     spec:
-        Hardware specification supplying the power-model constants.
-    dvfs:
-        DVFS model used for power scaling and clock quantization; a default
-        one is built from ``spec`` when omitted.
+        Hardware specification supplying the power-model constants; the
+        governor's :class:`~repro.gpu.clocks.DVFSModel` (power scaling and
+        clock quantization) is built from it.
     """
 
-    def __init__(self, spec: GPUSpec = A100_SPEC, dvfs: DVFSModel | None = None) -> None:
+    def __init__(self, spec: GPUSpec = A100_SPEC) -> None:
         self._spec = spec
-        self._dvfs = dvfs if dvfs is not None else DVFSModel(spec)
+        self._dvfs = DVFSModel(spec)
 
     @property
     def spec(self) -> GPUSpec:

@@ -66,29 +66,6 @@ CUDA_PIPES: tuple[Pipe, ...] = (Pipe.FP32, Pipe.FP64)
 
 
 @dataclass(frozen=True)
-class PipeThroughput:
-    """Peak throughput of one computational pipe on the *full* chip.
-
-    Attributes
-    ----------
-    pipe:
-        Which pipe this entry describes.
-    tflops:
-        Peak throughput in TFLOP/s (or TOP/s for the integer Tensor pipe) of
-        the whole chip (all GPCs) at the maximum boost clock.
-    """
-
-    pipe: Pipe
-    tflops: float
-
-    def __post_init__(self) -> None:
-        if self.tflops <= 0.0:
-            raise SpecificationError(
-                f"pipe {self.pipe.value} must have positive throughput, got {self.tflops}"
-            )
-
-
-@dataclass(frozen=True)
 class GPUSpec:
     """Complete hardware description of a simulated, MIG-capable GPU.
 
@@ -295,20 +272,6 @@ class GPUSpec:
     def base_relative_frequency(self) -> float:
         """Base clock expressed as a fraction of the boost clock."""
         return self.base_clock_ghz / self.max_clock_ghz
-
-    def pipe_throughput(self, pipe: Pipe, n_gpcs: int | None = None) -> float:
-        """Peak throughput of ``pipe`` in TFLOP/s for ``n_gpcs`` GPCs.
-
-        Compute throughput scales linearly with the number of GPCs; when
-        ``n_gpcs`` is ``None`` the full chip is assumed.
-        """
-        if n_gpcs is None:
-            n_gpcs = self.n_gpcs
-        if not (0 < n_gpcs <= self.n_gpcs):
-            raise SpecificationError(
-                f"n_gpcs must be in (0, {self.n_gpcs}], got {n_gpcs}"
-            )
-        return self.pipe_tflops[pipe] * n_gpcs / self.n_gpcs
 
     def slice_bandwidth_gbs(self, n_slices: int) -> float:
         """Peak DRAM bandwidth available through ``n_slices`` LLC/HBM slices."""

@@ -11,9 +11,10 @@ Modules
     Composition of the per-kernel time components (compute / memory /
     serial) for a given allocation and clock.
 :mod:`repro.sim.interference`
-    LLC and HBM-bandwidth contention between Compute Instances sharing a
-    GPU Instance (the *shared* option); the *private* option is interference
-    free by construction, as on the real hardware.
+    LLC pollution between Compute Instances sharing a GPU Instance (the
+    *shared* option; the engine arbitrates their HBM bandwidth); the
+    *private* option is interference free by construction, as on the real
+    hardware.
 :mod:`repro.sim.noise`
     Deterministic measurement noise so that "measured" values differ from
     model predictions the way real runs do.

@@ -4,8 +4,9 @@
 
 * the **roofline** composition scales a kernel's time components to its
   allocation (GPCs, memory slices) and to the current clock;
-* the **interference model** adds LLC pollution and HBM-bandwidth contention
-  between Compute Instances that share a GPU Instance (shared option);
+* the **interference model** adds LLC pollution between Compute Instances
+  that share a GPU Instance (shared option), and the pool fixed point
+  below arbitrates their HBM bandwidth;
 * the **power model** plays the role of the driver's power-cap governor and
   throttles the chip clock until the modelled power fits under the cap;
 * the **noise model** perturbs the final elapsed time the way real
@@ -262,30 +263,24 @@ class PerformanceSimulator:
     Parameters
     ----------
     spec:
-        Hardware specification of the simulated GPU.
-    interference:
-        Interference model for the shared memory option (defaults to the
-        calibrated :class:`~repro.sim.interference.InterferenceModel`).
+        Hardware specification of the simulated GPU.  The calibrated
+        :class:`~repro.sim.interference.InterferenceModel` (LLC pollution
+        under the shared option) and the :class:`~repro.gpu.power.PowerModel`
+        (chip power and power-cap governor) are built from it.
     noise:
         Measurement-noise model; pass ``NoiseModel(sigma=0.0)`` (or
         :func:`repro.sim.noise.no_noise`) for exact, repeatable numbers.
-    power_model:
-        Chip power model / power-cap governor.
     """
 
     def __init__(
         self,
         spec: GPUSpec = A100_SPEC,
-        interference: InterferenceModel | None = None,
         noise: NoiseModel | None = None,
-        power_model: PowerModel | None = None,
     ) -> None:
         self._spec = spec
-        self._interference = (
-            interference if interference is not None else InterferenceModel(spec=spec)
-        )
+        self._interference = InterferenceModel(spec=spec)
         self._noise = noise if noise is not None else NoiseModel()
-        self._power = power_model if power_model is not None else PowerModel(spec)
+        self._power = PowerModel(spec)
         self._reference_cache: dict[tuple, float] = {}
         self._run_cache: OrderedDict[tuple, CoRunResult] = OrderedDict()
         # Shapes in LRU order and the clock points their curves hold.
@@ -305,11 +300,6 @@ class PerformanceSimulator:
     def spec(self) -> GPUSpec:
         """The hardware specification in use."""
         return self._spec
-
-    @property
-    def interference(self) -> InterferenceModel:
-        """The interference model in use."""
-        return self._interference
 
     @property
     def noise(self) -> NoiseModel:

@@ -17,8 +17,10 @@ Two effects are modelled:
   working-set size relative to the LLC capacity and with its bandwidth
   appetite.
 * **Bandwidth contention** — when the combined DRAM demand exceeds the
-  available bandwidth, each application receives a share proportional to its
-  demand (a reasonable approximation of HBM arbitration under saturation).
+  pool's bandwidth, each application draws what the others leave, and at
+  least a share proportional to its demand.  That arbitration lives in the
+  engine's pool fixed point (``_Shape._settle`` in :mod:`repro.sim.engine`);
+  this module supplies the LLC-pollution penalties.
 
 Under the private option both effects are zero by construction, mirroring
 the hardware guarantee the paper relies on.
@@ -157,52 +159,3 @@ class InterferenceModel:
             self.cache_pressure(other, pool_mem_slices) for other in co_runners
         )
         return 1.0 + self._params.memory_l2_alpha * kernel.l2_sensitivity * pressure
-
-    # ------------------------------------------------------------------
-    # Bandwidth arbitration
-    # ------------------------------------------------------------------
-    def share_bandwidth(
-        self,
-        demands_gbs: Sequence[float],
-        capacity_gbs: float,
-    ) -> tuple[float, ...]:
-        """Bandwidth granted to each application under contention.
-
-        When the summed demand fits within ``capacity_gbs`` every application
-        receives exactly what it asks for; otherwise the capacity is split in
-        proportion to demand.
-        """
-        if capacity_gbs <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity_gbs}")
-        demands = [max(0.0, float(d)) for d in demands_gbs]
-        total = sum(demands)
-        if total <= capacity_gbs or total <= 0.0:
-            return tuple(demands)
-        scale = capacity_gbs / total
-        return tuple(d * scale for d in demands)
-
-
-class NoInterference(InterferenceModel):
-    """An interference model with every effect disabled.
-
-    Used by the ablation benchmarks to quantify how much of the shared-option
-    behaviour (and of the model's interference term) comes from contention.
-    """
-
-    def __init__(self, spec: GPUSpec = A100_SPEC) -> None:
-        super().__init__(
-            InterferenceParams(
-                compute_l2_alpha=0.0,
-                memory_l2_alpha=0.0,
-                bandwidth_pressure_weight=0.0,
-            ),
-            spec,
-        )
-
-    def share_bandwidth(
-        self,
-        demands_gbs: Sequence[float],
-        capacity_gbs: float,
-    ) -> tuple[float, ...]:
-        """Still arbitrate bandwidth (physics), but exert no cache pressure."""
-        return super().share_bandwidth(demands_gbs, capacity_gbs)

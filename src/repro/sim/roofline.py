@@ -12,6 +12,9 @@ allocation and clock the components scale differently:
   clock;
 * **serial** does not scale at all.
 
+The engine's solve tables (:class:`repro.sim.engine._Shape`) apply that
+scaling; this module holds the scaled components and their composition.
+
 The elapsed time is the roofline composition ``max(compute, memory) +
 serial``: compute and memory can overlap (GPUs overlap them aggressively),
 the serial part cannot.
@@ -22,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.gpu.spec import GPUSpec
-from repro.workloads.kernel import KernelCharacteristics
 
 
 @dataclass(frozen=True)
@@ -63,59 +64,3 @@ def bound_of(components: TimeComponents) -> str:
         return "compute"
     return "memory"
 
-
-def scale_components(
-    kernel: KernelCharacteristics,
-    spec: GPUSpec,
-    gpcs: int,
-    bandwidth_fraction: float,
-    relative_frequency: float,
-    compute_penalty: float = 1.0,
-    memory_penalty: float = 1.0,
-) -> TimeComponents:
-    """Scale a kernel's full-chip time components to a concrete allocation.
-
-    Parameters
-    ----------
-    kernel:
-        The kernel model (times expressed for the full chip at boost clock).
-    spec:
-        Hardware specification (supplies the total GPC count).
-    gpcs:
-        Number of GPCs allocated to the application.
-    bandwidth_fraction:
-        DRAM bandwidth available to the application as a fraction of the
-        full-chip peak (slice share for the private option, contention-
-        adjusted share for the shared option).
-    relative_frequency:
-        Core clock as a fraction of the boost clock.
-    compute_penalty, memory_penalty:
-        Multiplicative interference penalties (>= 1) applied to the compute
-        and memory components (1.0 when running alone or with the private
-        option).
-    """
-    if not (0 < gpcs <= spec.n_gpcs):
-        raise SimulationError(f"gpcs must be in (0, {spec.n_gpcs}], got {gpcs}")
-    if not (0.0 < bandwidth_fraction <= 1.0 + 1e-9):
-        raise SimulationError(
-            f"bandwidth_fraction must be in (0, 1], got {bandwidth_fraction}"
-        )
-    if not (0.0 < relative_frequency <= 1.0 + 1e-9):
-        raise SimulationError(
-            f"relative_frequency must be in (0, 1], got {relative_frequency}"
-        )
-    if compute_penalty < 1.0 or memory_penalty < 1.0:
-        raise SimulationError("interference penalties must be >= 1")
-
-    compute = (
-        kernel.compute_time_full_s
-        * (spec.n_gpcs / gpcs)
-        / relative_frequency
-        * compute_penalty
-    )
-    memory = kernel.memory_time_full_s / bandwidth_fraction * memory_penalty
-    return TimeComponents(
-        compute_s=compute,
-        memory_s=memory,
-        serial_s=kernel.serial_time_s,
-    )

@@ -14,7 +14,7 @@ These helpers produce the raw data behind the paper's observation figures
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.config import DEFAULT_POWER_CAPS, SCALABILITY_GPC_COUNTS
 from repro.gpu.mig import CORUN_STATES, MemoryOption, PartitionState, solo_state
@@ -106,27 +106,3 @@ def corun_sweep(
             )
     return results
 
-
-def group_points_by_option(
-    points: Sequence[ScalabilityPoint],
-) -> Mapping[MemoryOption, tuple[ScalabilityPoint, ...]]:
-    """Group scalability points by memory option (curve per option)."""
-    grouped: dict[MemoryOption, list[ScalabilityPoint]] = {}
-    for point in points:
-        grouped.setdefault(point.option, []).append(point)
-    return {
-        option: tuple(sorted(pts, key=lambda p: (p.power_cap_w, p.gpcs)))
-        for option, pts in grouped.items()
-    }
-
-
-def group_points_by_power(
-    points: Sequence[ScalabilityPoint],
-) -> Mapping[float, tuple[ScalabilityPoint, ...]]:
-    """Group scalability points by power cap (curve per cap)."""
-    grouped: dict[float, list[ScalabilityPoint]] = {}
-    for point in points:
-        grouped.setdefault(point.power_cap_w, []).append(point)
-    return {
-        cap: tuple(sorted(pts, key=lambda p: p.gpcs)) for cap, pts in grouped.items()
-    }

@@ -1,94 +1,11 @@
-"""Small unit-conversion helpers used throughout the library.
+"""The one numeric helper shared across the library: :func:`clamp`.
 
-The simulator keeps every quantity in SI-ish base units:
-
-* time in **seconds**
-* power in **watts**
-* energy in **joules**
-* bandwidth in **GB/s** (gigabytes per second; this is the one deliberate
-  deviation from strict SI because GPU data sheets quote GB/s)
-* compute throughput in **TFLOP/s**
-* clock frequency in **GHz**
-
-These helpers exist so that call sites read naturally (``ms(3.2)``) and so
-that the conversion factors live in exactly one place.
+The simulator keeps every quantity in SI-ish base units (seconds, watts,
+joules, GB/s, TFLOP/s, GHz) and writes them straight into the field names
+(``elapsed_s``, ``power_cap_w``, ...), so no conversion helpers are needed.
 """
 
 from __future__ import annotations
-
-#: Number of bytes in a gigabyte (decimal, as used by GPU data sheets).
-BYTES_PER_GB = 1e9
-
-#: Number of FLOPs in a TFLOP.
-FLOPS_PER_TFLOP = 1e12
-
-#: Number of bytes in a mebibyte (used for cache sizes).
-BYTES_PER_MIB = 1024.0 * 1024.0
-
-
-def ms(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return value * 1e-3
-
-
-def us(value: float) -> float:
-    """Convert microseconds to seconds."""
-    return value * 1e-6
-
-
-def seconds_to_ms(value: float) -> float:
-    """Convert seconds to milliseconds."""
-    return value * 1e3
-
-
-def gb(value: float) -> float:
-    """Convert gigabytes to bytes."""
-    return value * BYTES_PER_GB
-
-
-def bytes_to_gb(value: float) -> float:
-    """Convert bytes to gigabytes."""
-    return value / BYTES_PER_GB
-
-
-def mib(value: float) -> float:
-    """Convert mebibytes to bytes."""
-    return value * BYTES_PER_MIB
-
-
-def tflops(value: float) -> float:
-    """Convert TFLOP/s to FLOP/s."""
-    return value * FLOPS_PER_TFLOP
-
-
-def flops_to_tflops(value: float) -> float:
-    """Convert FLOP/s to TFLOP/s."""
-    return value / FLOPS_PER_TFLOP
-
-
-def ghz(value: float) -> float:
-    """Convert GHz to Hz."""
-    return value * 1e9
-
-
-def mhz_to_ghz(value: float) -> float:
-    """Convert MHz to GHz."""
-    return value * 1e-3
-
-
-def watt_hours(joules: float) -> float:
-    """Convert joules to watt-hours."""
-    return joules / 3600.0
-
-
-def percent(fraction: float) -> float:
-    """Convert a 0..1 fraction to a 0..100 percentage."""
-    return fraction * 100.0
-
-
-def fraction(pct: float) -> float:
-    """Convert a 0..100 percentage to a 0..1 fraction."""
-    return pct / 100.0
 
 
 def clamp(value: float, lo: float, hi: float) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -263,6 +264,37 @@ class TestRejectedBeforeTraining:
         lines: list[str] = []
         assert main(argv, out=lines.append, service=service) == 2
         assert lines[0].startswith("error: ") and match in lines[0]
+        assert service.stats.trainings_run == 0
+
+
+#: Every integer knob of the requests, with the payload it is added to.
+COUNT_KNOBS = [
+    pytest.param(SimulationRequest, {}, knob, id=knob)
+    for knob in ("n_nodes", "window_size", "group_size", "n_jobs", "seed")
+] + [pytest.param(StatesRequest, {"spec": "a30"}, "n_apps", id="n_apps")]
+
+
+@pytest.mark.parametrize("request_type,payload,knob", COUNT_KNOBS)
+class TestCountKnobs:
+    """A count takes what ``operator.index`` takes, except ``bool``."""
+
+    @pytest.mark.parametrize(
+        "value", [2.5, math.nan, math.inf, True], ids=["fraction", "nan", "inf", "bool"]
+    )
+    def test_non_integer_rejected_by_from_dict(self, request_type, payload, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            request_type.from_dict({**payload, knob: value})
+
+    def test_numpy_integer_stored_as_int(self, request_type, payload, knob):
+        request = request_type.from_dict({**payload, knob: np.int64(3)})
+        value = getattr(request, knob)
+        assert type(value) is int and value == 3
+
+    def test_rejected_request_trains_nothing(self, request_type, payload, knob):
+        service = PlannerService()
+        command = "simulate" if request_type is SimulationRequest else "states"
+        with pytest.raises(ConfigurationError, match=knob):
+            getattr(service, command)(request_type.from_dict({**payload, knob: 2.5}))
         assert service.stats.trainings_run == 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.events import ClusterSimulator, SimulationConfig
@@ -101,6 +102,24 @@ class TestPlanning:
         # Pairing the Tensor kernel with the memory-bound kernel yields much
         # higher weighted speedup than pairing two Tensor kernels.
         assert {job.name for job in plan.jobs} == {"igemm4", "stream"}
+
+    def test_head_with_no_feasible_partner_runs_alone(self, workflow, node):
+        # Sharing the GPU, neither job keeps 99% of its exclusive performance.
+        config = SchedulerConfig(policy_name="problem1", power_cap_w=250.0, alpha=0.99)
+        scheduler = CoScheduler(workflow.online, config)
+        queue = JobQueue()
+        head = queue.submit(DEFAULT_SUITE.get("igemm4"))
+        partner = queue.submit(DEFAULT_SUITE.get("stream"))
+        plan = scheduler.plan_next(queue)
+        assert plan.reason == "no feasible partner"
+        assert plan.jobs == (head,)
+        assert plan.decision is None
+        finish = scheduler.dispatch(plan, queue, node, time=2.0)
+        assert head.state is JobState.COMPLETED
+        assert head.co_runners == ()
+        assert scheduler.last_dispatch_result is None
+        assert finish == 2.0 + workflow.simulator.reference_time(head.kernel)
+        assert list(queue) == [partner]
 
 
 class TestDispatch:
@@ -241,6 +260,19 @@ class TestSchedulerConfigValidation:
 
         with pytest.raises(ConfigurationError):
             SchedulerConfig(group_size=0)
+
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("knob", ["window_size", "group_size"])
+    def test_rejects_non_integer_sizes(self, knob, value):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=knob):
+            SchedulerConfig(**{knob: value})
+
+    def test_numpy_integer_sizes_are_stored_as_int(self):
+        config = SchedulerConfig(window_size=np.int64(3), group_size=np.int64(3))
+        assert type(config.window_size) is int and config.window_size == 3
+        assert type(config.group_size) is int and config.group_size == 3
 
     def test_rejects_unknown_policy_name(self):
         from repro.errors import ConfigurationError

@@ -12,6 +12,7 @@ from repro.config import (
     PROBLEM2_ALPHAS,
     SCALABILITY_GPC_COUNTS,
     EvaluationConfig,
+    check_count,
 )
 from repro.errors import ConfigurationError
 from repro.gpu.mig import CORUN_STATES
@@ -62,8 +63,11 @@ def test_config_rejects_negative_noise():
         EvaluationConfig(noise_sigma=-0.1)
 
 
-def test_with_power_caps_returns_new_config():
-    new = DEFAULT_CONFIG.with_power_caps([200, 240])
-    assert new.power_caps == (200.0, 240.0)
-    assert DEFAULT_CONFIG.power_caps == DEFAULT_POWER_CAPS
-    assert new.alpha == DEFAULT_CONFIG.alpha
+
+def test_check_count_applies_its_minimum():
+    assert check_count("window_size", 1) == 1
+    with pytest.raises(ConfigurationError, match="window_size must be >= 1, got 0"):
+        check_count("window_size", 0)
+    assert check_count("seed", -3, minimum=None) == -3
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        check_count("seed", "3", minimum=None)

@@ -20,7 +20,7 @@ EXAMPLES = [
     "scalability_study",
     "power_capped_coscheduling",
     "cluster_job_manager",
-    "telemetry_and_export",
+    "flexible_partitioning",
     "nway_colocation",
     "trace_simulation",
     "api_quickstart",
@@ -39,7 +39,7 @@ def load_example(name: str):
 
 def test_examples_directory_contains_all_documented_scripts():
     present = {path.stem for path in EXAMPLES_DIR.glob("*.py")}
-    assert set(EXAMPLES) <= present
+    assert present == set(EXAMPLES)
 
 
 @pytest.mark.parametrize("name", EXAMPLES)

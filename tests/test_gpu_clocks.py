@@ -15,23 +15,7 @@ def dvfs():
 
 
 class TestConversions:
-    def test_full_relative_is_boost_clock(self, dvfs):
-        assert dvfs.to_ghz(1.0) == pytest.approx(A100_SPEC.max_clock_ghz)
-
-    def test_roundtrip(self, dvfs):
-        assert dvfs.to_relative(dvfs.to_ghz(0.8)) == pytest.approx(0.8)
-
-    def test_to_relative_clamps_to_bounds(self, dvfs):
-        assert dvfs.to_relative(100.0) == 1.0
-        assert dvfs.to_relative(0.001) == pytest.approx(dvfs.min_relative)
-
-    def test_to_relative_rejects_non_positive(self, dvfs):
-        with pytest.raises(ConfigurationError):
-            dvfs.to_relative(0.0)
-
     def test_invalid_relative_rejected(self, dvfs):
-        with pytest.raises(ConfigurationError):
-            dvfs.to_ghz(0.0)
         with pytest.raises(ConfigurationError):
             dvfs.dynamic_power_scale(1.5)
 
@@ -47,9 +31,6 @@ class TestScaling:
         values = [dvfs.dynamic_power_scale(f) for f in (0.4, 0.6, 0.8, 1.0)]
         assert values == sorted(values)
 
-    def test_performance_scale_is_linear(self, dvfs):
-        assert dvfs.performance_scale(0.7) == pytest.approx(0.7)
-
 
 class TestQuantization:
     def test_quantize_never_exceeds_input(self, dvfs):
@@ -57,22 +38,26 @@ class TestQuantization:
             assert dvfs.quantize(value) <= value + 1e-9
 
     def test_quantize_respects_minimum(self, dvfs):
-        assert dvfs.quantize(dvfs.min_relative) >= dvfs.min_relative - 1e-9
+        minimum = A100_SPEC.min_relative_frequency
+        assert dvfs.quantize(minimum) >= minimum - 1e-9
 
     def test_quantize_of_one_is_one(self, dvfs):
         assert dvfs.quantize(1.0) == pytest.approx(1.0)
 
-    def test_available_steps_sorted_and_bounded(self, dvfs):
-        steps = dvfs.available_steps()
-        assert steps == tuple(sorted(steps))
-        assert steps[0] >= dvfs.min_relative - 1e-9
-        assert steps[-1] == 1.0
-        assert len(steps) > 10
+    def test_quantized_clocks_lie_on_the_step_ladder(self, dvfs):
+        spec = A100_SPEC
+        for percent in range(1, 101):
+            relative = dvfs.quantize(percent / 100)
+            assert spec.min_relative_frequency - 1e-9 <= relative <= 1.0
+            ghz = relative * spec.max_clock_ghz
+            steps = ghz / spec.clock_step_ghz
+            assert ghz == pytest.approx(spec.min_clock_ghz) or steps == pytest.approx(round(steps))
 
-    def test_clock_state_marks_throttling(self, dvfs):
-        assert dvfs.clock_state(0.6).throttled
-        assert not dvfs.clock_state(1.0).throttled
+    def test_quantize_is_monotone(self, dvfs):
+        values = [dvfs.quantize(percent / 100) for percent in range(1, 101)]
+        assert values == sorted(values)
 
-    def test_clock_state_reports_ghz(self, dvfs):
-        state = dvfs.clock_state(1.0)
-        assert state.ghz == pytest.approx(A100_SPEC.max_clock_ghz)
+    def test_out_of_range_relative_rejected(self, dvfs):
+        for relative in (0.0, -0.5, 1.5):
+            with pytest.raises(ConfigurationError):
+                dvfs.quantize(relative)

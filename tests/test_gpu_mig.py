@@ -146,6 +146,54 @@ class TestStoredHash:
         assert {state: "found"}[loaded] == "found"
 
 
+def _reference_groups(state: PartitionState) -> tuple[tuple[int, ...], ...]:
+    """Application indices per GPU Instance, read off the fields alone."""
+    n_apps = len(state.gpc_allocations)
+    if state.option is MemoryOption.PRIVATE:
+        gi_of = list(range(n_apps))
+    elif state.option is MemoryOption.SHARED:
+        gi_of = [0] * n_apps
+    else:
+        gi_of = list(state.gi_groups)
+    return tuple(
+        tuple(i for i in range(n_apps) if gi_of[i] == gi) for gi in sorted(set(gi_of))
+    )
+
+
+class TestStoredGroups:
+    @pytest.mark.parametrize("spec_name", sorted(GPU_SPECS))
+    def test_every_enumerated_state_groups_as_its_fields_say(self, spec_name):
+        spec = GPU_SPECS[spec_name]
+        for n_apps in range(1, spec.scheme.max_co_located(spec) + 1):
+            for state in enumerate_partition_states(n_apps, spec):
+                expected = _reference_groups(state)
+                assert state.groups() == expected
+                for members in expected:
+                    for index in members:
+                        assert state.group_of(index) == members
+                for index in (-n_apps - 1, -n_apps, -1, n_apps, n_apps + 1):
+                    with pytest.raises(IndexError, match="out of range"):
+                        state.group_of(index)
+
+    def test_copies_pickles_and_replacements_group_as_the_original(self):
+        state = PartitionState(*_MIXED)
+        twins = (
+            copy.copy(state),
+            copy.deepcopy(state),
+            pickle.loads(pickle.dumps(state)),
+            dataclasses.replace(state, label="Y"),
+        )
+        for twin in twins:
+            assert twin.groups() == state.groups() == ((0, 1), (2,))
+            assert [twin.group_of(i) for i in range(3)] == [(0, 1), (0, 1), (2,)]
+        regrouped = dataclasses.replace(state, gi_groups=(0, 1, 1))
+        assert regrouped.groups() == ((0,), (1, 2))
+        assert regrouped.group_of(0) == (0,)
+        # A pickle carries the constructor fields only, never the groups.
+        fields = ((1, 1, 2), MemoryOption.MIXED, "X", (0, 0, 1))
+        assert state.__reduce__() == (PartitionState, fields)
+
+
 class TestFromDescription:
     """``PartitionState.from_description`` is the inverse of ``describe()``."""
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import PowerCapError, SpecificationError
@@ -12,7 +14,6 @@ from repro.gpu.spec import (
     TENSOR_PIPES,
     GPUSpec,
     Pipe,
-    PipeThroughput,
 )
 
 
@@ -31,12 +32,17 @@ class TestPipe:
 
 class TestPipeThroughput:
     def test_positive_throughput_accepted(self):
-        entry = PipeThroughput(Pipe.FP32, 19.5)
-        assert entry.tflops == 19.5
+        spec = dataclasses.replace(
+            A100_SPEC, pipe_tflops={**A100_SPEC.pipe_tflops, Pipe.FP32: 39.0}
+        )
+        assert spec.pipe_tflops[Pipe.FP32] == 39.0
 
-    def test_zero_throughput_rejected(self):
-        with pytest.raises(SpecificationError):
-            PipeThroughput(Pipe.FP32, 0.0)
+    def test_non_positive_throughput_rejected(self):
+        for value in (0.0, -1.0):
+            with pytest.raises(SpecificationError, match=r"pipe_tflops\[fp32\]"):
+                dataclasses.replace(
+                    A100_SPEC, pipe_tflops={**A100_SPEC.pipe_tflops, Pipe.FP32: value}
+                )
 
 
 class TestA100Spec:
@@ -69,19 +75,6 @@ class TestA100Spec:
 
 
 class TestDerivedQuantities:
-    def test_pipe_throughput_scales_with_gpcs(self):
-        full = A100_SPEC.pipe_throughput(Pipe.FP32)
-        half = A100_SPEC.pipe_throughput(Pipe.FP32, n_gpcs=4)
-        assert half == pytest.approx(full / 2)
-
-    def test_pipe_throughput_rejects_zero_gpcs(self):
-        with pytest.raises(SpecificationError):
-            A100_SPEC.pipe_throughput(Pipe.FP32, n_gpcs=0)
-
-    def test_pipe_throughput_rejects_too_many_gpcs(self):
-        with pytest.raises(SpecificationError):
-            A100_SPEC.pipe_throughput(Pipe.FP32, n_gpcs=9)
-
     def test_slice_bandwidth_scales_linearly(self):
         assert A100_SPEC.slice_bandwidth_gbs(4) == pytest.approx(
             A100_SPEC.dram_bandwidth_gbs / 2
@@ -221,9 +214,6 @@ class TestChipInventory:
         for n_slices in (0, spec.n_mem_slices + 1):
             with pytest.raises(SpecificationError):
                 spec.slice_bandwidth_gbs(n_slices)
-        for n_gpcs in (0, spec.n_gpcs + 1):
-            with pytest.raises(SpecificationError):
-                spec.pipe_throughput(Pipe.FP32, n_gpcs=n_gpcs)
         with pytest.raises(SpecificationError):
             spec.instance_mem_slices(spec.mig_gpcs + 1)
         with pytest.raises(SpecificationError):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.sim.interference import InterferenceModel, InterferenceParams, NoInterference
+import repro.sim.engine as engine_module
+from repro.errors import ConfigurationError
+from repro.gpu.spec import A100_SPEC
+from repro.sim.interference import InterferenceModel, InterferenceParams
 from repro.workloads.suite import DEFAULT_SUITE
 
 
@@ -66,38 +70,60 @@ class TestPenalties:
         assert model.compute_penalty(kernel, harsh) >= model.compute_penalty(kernel, mild)
 
 
+
+#: A kernel that moves no DRAM traffic, so it demands none of a pool.
+_COMPUTE_ONLY = dataclasses.replace(
+    DEFAULT_SUITE.get("hgemm"), name="hgemm-compute-only", memory_time_full_s=0.0
+)
+
+
+def _settled_pool(kernels, capacities=(1.0, 1.0)):
+    """The shape of ``kernels`` drawing from one shared pool, 3 GPCs each,
+    and its compute and memory times after the engine's pool fixed point."""
+    placements = [
+        engine_module._Placement(kernel, 3, capacity, 0)
+        for kernel, capacity in zip(kernels, capacities)
+    ]
+    shape = engine_module._Shape(placements, A100_SPEC.n_gpcs)
+    return (shape, *shape.solve(1.0))
+
+
+def _draws(shape, compute, memory):
+    """Each member's settled DRAM draw, as a fraction of the chip's bandwidth."""
+    return [
+        full / (max(c, m) + s)
+        for full, c, m, s in zip(shape.memory_full, compute, memory, shape.serial)
+    ]
+
+
 class TestBandwidthSharing:
-    def test_under_subscription_returns_demands(self, model):
-        shares = model.share_bandwidth([300.0, 200.0], capacity_gbs=1000.0)
-        assert shares == (300.0, 200.0)
+    """The engine's pool fixed point arbitrates a shared pool's bandwidth."""
 
-    def test_over_subscription_scales_proportionally(self, model):
-        shares = model.share_bandwidth([900.0, 300.0], capacity_gbs=600.0)
-        assert sum(shares) == pytest.approx(600.0)
-        assert shares[0] / shares[1] == pytest.approx(3.0)
+    def test_partner_without_traffic_leaves_the_whole_pool(self):
+        stream = DEFAULT_SUITE.get("stream")
+        _, _, memory = _settled_pool([stream, _COMPUTE_ONLY])
+        assert memory == [stream.memory_time_full_s, 0.0]
 
-    def test_zero_demand_handled(self, model):
-        shares = model.share_bandwidth([0.0, 0.0], capacity_gbs=100.0)
-        assert shares == (0.0, 0.0)
+    def test_over_subscription_stays_within_the_pool(self):
+        stream = DEFAULT_SUITE.get("stream")
+        for name in DEFAULT_SUITE.names():
+            shape, compute, memory = _settled_pool([DEFAULT_SUITE.get(name), stream])
+            assert sum(_draws(shape, compute, memory)) <= 1.0 + 1e-6
+            # Alone in the pool, the streaming member would draw it whole.
+            assert memory[1] > stream.memory_time_full_s
 
-    def test_negative_demand_clamped(self, model):
-        shares = model.share_bandwidth([-5.0, 50.0], capacity_gbs=100.0)
-        assert shares[0] == 0.0
+    def test_identical_members_split_evenly(self):
+        stream = DEFAULT_SUITE.get("stream")
+        shape, compute, memory = _settled_pool([stream, stream])
+        assert memory[0] == memory[1]
+        assert _draws(shape, compute, memory)[0] == pytest.approx(0.5, rel=0.01)
 
-    def test_invalid_capacity_rejected(self, model):
-        with pytest.raises(SimulationError):
-            model.share_bandwidth([10.0], capacity_gbs=0.0)
+    def test_zero_demand_handled(self):
+        shape, compute, memory = _settled_pool([_COMPUTE_ONLY, _COMPUTE_ONLY])
+        assert memory == [0.0, 0.0]
+        assert _draws(shape, compute, memory) == [0.0, 0.0]
 
-
-class TestNoInterference:
-    def test_penalties_disabled(self):
-        model = NoInterference()
-        kernel = DEFAULT_SUITE.get("srad")
-        others = [DEFAULT_SUITE.get("stream")]
-        assert model.compute_penalty(kernel, others) == 1.0
-        assert model.memory_penalty(kernel, others) == 1.0
-
-    def test_bandwidth_arbitration_still_applies(self):
-        model = NoInterference()
-        shares = model.share_bandwidth([900.0, 900.0], capacity_gbs=900.0)
-        assert sum(shares) == pytest.approx(900.0)
+    def test_member_capacity_caps_its_draw(self):
+        stream = DEFAULT_SUITE.get("stream")
+        _, _, memory = _settled_pool([stream, _COMPUTE_ONLY], capacities=(0.5, 1.0))
+        assert memory[0] == pytest.approx(2 * stream.memory_time_full_s)

@@ -1,12 +1,13 @@
-"""Tests for the roofline time composition."""
+"""Tests for the roofline time composition and the engine's scaling of it."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.sim.engine as engine_module
 from repro.errors import SimulationError
 from repro.gpu.spec import A100_SPEC
-from repro.sim.roofline import TimeComponents, bound_of, elapsed_time, scale_components
+from repro.sim.roofline import TimeComponents, bound_of, elapsed_time
 from repro.workloads.suite import DEFAULT_SUITE
 
 
@@ -35,52 +36,47 @@ class TestBoundClassification:
         assert bound_of(TimeComponents(0.01, 0.02, 0.9)) == "serial"
 
 
+
+def _private_times(kernel, gpcs=8, bandwidth=1.0, frequency=1.0, penalties=(1.0, 1.0)):
+    """Compute, memory and serial times of one private placement, read
+    from the engine's shape tables (the roofline scaling every run uses)."""
+    placement = engine_module._Placement(kernel, gpcs, bandwidth, None, *penalties)
+    shape = engine_module._Shape([placement], A100_SPEC.n_gpcs)
+    (compute,), (memory,) = shape.solve(frequency)
+    return compute, memory, shape.serial[0]
+
+
 class TestScaling:
     @pytest.fixture()
     def kernel(self):
         return DEFAULT_SUITE.get("dgemm")
 
+    def test_full_chip_reproduces_the_kernel_times(self, kernel):
+        assert _private_times(kernel) == (
+            kernel.compute_time_full_s, kernel.memory_time_full_s, kernel.serial_time_s
+        )
+
     def test_compute_scales_with_gpcs(self, kernel):
-        full = scale_components(kernel, A100_SPEC, gpcs=8, bandwidth_fraction=1.0, relative_frequency=1.0)
-        half = scale_components(kernel, A100_SPEC, gpcs=4, bandwidth_fraction=1.0, relative_frequency=1.0)
-        assert half.compute_s == pytest.approx(2 * full.compute_s)
-        assert half.memory_s == pytest.approx(full.memory_s)
-        assert half.serial_s == pytest.approx(full.serial_s)
+        full = _private_times(kernel, gpcs=8)
+        half = _private_times(kernel, gpcs=4)
+        assert half[0] == pytest.approx(2 * full[0])
+        assert half[1:] == full[1:]
 
     def test_compute_scales_with_frequency(self, kernel):
-        fast = scale_components(kernel, A100_SPEC, 8, 1.0, 1.0)
-        slow = scale_components(kernel, A100_SPEC, 8, 1.0, 0.5)
-        assert slow.compute_s == pytest.approx(2 * fast.compute_s)
-        assert slow.memory_s == pytest.approx(fast.memory_s)
+        fast = _private_times(kernel, frequency=1.0)
+        slow = _private_times(kernel, frequency=0.5)
+        assert slow[0] == pytest.approx(2 * fast[0])
+        assert slow[1:] == fast[1:]
 
     def test_memory_scales_with_bandwidth(self, kernel):
-        full = scale_components(kernel, A100_SPEC, 8, 1.0, 1.0)
-        half = scale_components(kernel, A100_SPEC, 8, 0.5, 1.0)
-        assert half.memory_s == pytest.approx(2 * full.memory_s)
-        assert half.compute_s == pytest.approx(full.compute_s)
+        full = _private_times(kernel, bandwidth=1.0)
+        half = _private_times(kernel, bandwidth=0.5)
+        assert half[1] == pytest.approx(2 * full[1])
+        assert (half[0], half[2]) == (full[0], full[2])
 
     def test_penalties_inflate_components(self, kernel):
-        base = scale_components(kernel, A100_SPEC, 8, 1.0, 1.0)
-        penalized = scale_components(
-            kernel, A100_SPEC, 8, 1.0, 1.0, compute_penalty=1.2, memory_penalty=1.5
-        )
-        assert penalized.compute_s == pytest.approx(1.2 * base.compute_s)
-        assert penalized.memory_s == pytest.approx(1.5 * base.memory_s)
-
-    def test_invalid_gpcs_rejected(self, kernel):
-        with pytest.raises(SimulationError):
-            scale_components(kernel, A100_SPEC, 0, 1.0, 1.0)
-        with pytest.raises(SimulationError):
-            scale_components(kernel, A100_SPEC, 9, 1.0, 1.0)
-
-    def test_invalid_bandwidth_rejected(self, kernel):
-        with pytest.raises(SimulationError):
-            scale_components(kernel, A100_SPEC, 8, 0.0, 1.0)
-
-    def test_invalid_frequency_rejected(self, kernel):
-        with pytest.raises(SimulationError):
-            scale_components(kernel, A100_SPEC, 8, 1.0, 0.0)
-
-    def test_penalties_below_one_rejected(self, kernel):
-        with pytest.raises(SimulationError):
-            scale_components(kernel, A100_SPEC, 8, 1.0, 1.0, compute_penalty=0.9)
+        base = _private_times(kernel)
+        penalized = _private_times(kernel, penalties=(1.2, 1.5))
+        assert penalized[0] == pytest.approx(1.2 * base[0])
+        assert penalized[1] == pytest.approx(1.5 * base[1])
+        assert penalized[2] == base[2]

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import SCALABILITY_GPC_COUNTS
 from repro.gpu.mig import CORUN_STATES, MemoryOption
 from repro.sim.sweep import (
     corun_sweep,
-    group_points_by_option,
-    group_points_by_power,
     scalability_power_sweep,
     scalability_sweep,
 )
@@ -31,12 +30,14 @@ class TestScalabilitySweep:
         points = scalability_sweep(sim, DEFAULT_SUITE.get("stream"), gpc_counts=(1, 7))
         assert {p.gpcs for p in points} == {1, 7}
 
-    def test_group_by_option(self, sim):
+    def test_points_run_option_by_option_in_gpc_order(self, sim):
+        # The order the CLI's scalability table prints them in.
         points = scalability_sweep(sim, DEFAULT_SUITE.get("stream"))
-        grouped = group_points_by_option(points)
-        assert set(grouped) == {MemoryOption.PRIVATE, MemoryOption.SHARED}
-        for curve in grouped.values():
-            assert [p.gpcs for p in curve] == sorted(p.gpcs for p in curve)
+        assert [(p.option, p.gpcs) for p in points] == [
+            (option, gpcs)
+            for option in (MemoryOption.PRIVATE, MemoryOption.SHARED)
+            for gpcs in SCALABILITY_GPC_COUNTS
+        ]
 
 
 class TestPowerSweep:
@@ -45,11 +46,11 @@ class TestPowerSweep:
         assert {p.power_cap_w for p in points} == {150, 250}
         assert all(p.option is MemoryOption.SHARED for p in points)
 
-    def test_group_by_power(self, sim):
+    def test_points_run_cap_by_cap_in_gpc_order(self, sim):
         points = scalability_power_sweep(sim, DEFAULT_SUITE.get("hgemm"), power_caps=(150, 250))
-        grouped = group_points_by_power(points)
-        assert set(grouped) == {150, 250}
-        assert len(grouped[150]) == 5
+        assert [(p.power_cap_w, p.gpcs) for p in points] == [
+            (cap, gpcs) for cap in (150, 250) for gpcs in SCALABILITY_GPC_COUNTS
+        ]
 
 
 class TestCoRunSweep:

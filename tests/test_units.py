@@ -1,52 +1,10 @@
-"""Unit tests for the unit-conversion helpers."""
+"""Unit tests for :func:`repro.units.clamp`."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro import units
-
-
-def test_ms_converts_to_seconds():
-    assert units.ms(1500.0) == pytest.approx(1.5)
-
-
-def test_us_converts_to_seconds():
-    assert units.us(2_000_000.0) == pytest.approx(2.0)
-
-
-def test_seconds_to_ms_roundtrip():
-    assert units.seconds_to_ms(units.ms(123.0)) == pytest.approx(123.0)
-
-
-def test_gb_and_back():
-    assert units.bytes_to_gb(units.gb(4.2)) == pytest.approx(4.2)
-
-
-def test_mib_is_binary_megabyte():
-    assert units.mib(1.0) == 1024.0 * 1024.0
-
-
-def test_tflops_and_back():
-    assert units.flops_to_tflops(units.tflops(312.0)) == pytest.approx(312.0)
-
-
-def test_ghz_conversion():
-    assert units.ghz(1.41) == pytest.approx(1.41e9)
-
-
-def test_mhz_to_ghz():
-    assert units.mhz_to_ghz(1410.0) == pytest.approx(1.41)
-
-
-def test_watt_hours():
-    assert units.watt_hours(3600.0) == pytest.approx(1.0)
-
-
-def test_percent_and_fraction_are_inverses():
-    assert units.fraction(units.percent(0.37)) == pytest.approx(0.37)
 
 
 def test_clamp_within_range():
@@ -65,8 +23,3 @@ def test_clamp_rejects_inverted_interval():
     with pytest.raises(ValueError):
         units.clamp(0.5, 1.0, 0.0)
 
-
-def test_constants_are_consistent():
-    assert units.BYTES_PER_GB == 1e9
-    assert units.FLOPS_PER_TFLOP == 1e12
-    assert math.isclose(units.BYTES_PER_MIB, 2**20)
