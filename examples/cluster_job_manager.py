@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from repro import PaperWorkflow, Trace
 from repro.cluster import ClusterPowerManager, ClusterSimulator, SchedulerConfig
-from repro.cluster.powerbudget import PowerRequest
 
 
 def main() -> None:
@@ -63,32 +62,30 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    # Cluster-wide power budgeting: each node asks for the cap its current
-    # pair would like (Problem 2), the manager splits a fixed budget.
+    # Cluster-wide power budgeting, as a replay under
+    # SimulationConfig(power_budget_w=...) does it: each node requests the
+    # cap its current pair would like (Problem 2), and a rebalance splits
+    # the fixed budget across the requests.
     # ------------------------------------------------------------------
-    power_manager = ClusterPowerManager()
     pairs = [("igemm4", "stream"), ("srad", "needle"), ("hgemm", "lud")]
-    requests = []
+    total_budget = 550.0
+    budget = ClusterPowerManager(
+        workflow.simulator.spec, node_ids=range(len(pairs)), total_budget_w=total_budget
+    )
     for node_id, (app1, app2) in enumerate(pairs):
         decision = workflow.decide_problem2([app1, app2], alpha=0.2)
-        requests.append(
-            PowerRequest(
-                node_id=node_id,
-                desired_w=decision.power_cap_w,
-                minimum_w=workflow.simulator.spec.min_power_cap_w,
-            )
-        )
+        budget.request(node_id, decision.power_cap_w)
         print(
             f"node {node_id}: pair ({app1}, {app2}) requests "
             f"{decision.power_cap_w:.0f} W ({decision.state.describe()})"
         )
 
-    total_budget = 550.0
-    allocation = power_manager.distribute(requests, total_budget_w=total_budget)
-    print(f"\nDistributing a {total_budget:.0f} W GPU budget across {len(requests)} nodes:")
-    for node_id, watts in sorted(allocation.items()):
+    budget.rebalance()
+    print(f"\nDistributing a {total_budget:.0f} W GPU budget across {len(pairs)} nodes:")
+    for node_id, watts in sorted(budget.shares.items()):
         print(f"  node {node_id}: {watts:.1f} W")
-    print(f"  head-room left for other racks: {power_manager.headroom(allocation, total_budget):.1f} W")
+    headroom = total_budget - sum(budget.shares.values())
+    print(f"  head-room left for other racks: {headroom:.1f} W")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.analysis.context import EvaluationContext
-from repro.config import EvaluationConfig
 from repro.core.features import DEFAULT_BASIS, RAW_COUNTER_BASIS, BasisFunctions
 from repro.core.model import HardwareStateKey
 from repro.core.optimizer import ResourcePowerAllocator
@@ -230,10 +229,7 @@ def noise_sensitivity_ablation(
     fairness: dict[float, float] = {}
     for sigma in sigmas:
         simulator = PerformanceSimulator(noise=NoiseModel(sigma=sigma))
-        config = EvaluationConfig(noise_sigma=sigma)
-        context = EvaluationContext.create(
-            config=config, suite=DEFAULT_SUITE, simulator=simulator
-        )
+        context = EvaluationContext.create(suite=DEFAULT_SUITE, simulator=simulator)
         t_errors, f_errors = [], []
         for pair in context.pairs:
             counters = context.pair_profiles(pair)

@@ -87,6 +87,10 @@ class SimulationReport:
         was configured).
     peak_queue_length:
         Largest number of jobs that were pending at once.
+    max_group_size:
+        The largest group the scheduler could form: ``group_size``
+        clamped to what the scheme and the trained model can serve (see
+        :attr:`CoScheduler.max_group_size`).  Not part of :meth:`summary`.
     """
 
     label: str
@@ -108,6 +112,7 @@ class SimulationReport:
     power_rebalances: int
     final_power_allocation_w: Mapping[int, float]
     peak_queue_length: int
+    max_group_size: int
 
     @property
     def n_jobs(self) -> int:

@@ -5,8 +5,9 @@ This module holds the cluster's one dispatch loop.  It replays a
 queue at their arrival times, dispatch decisions come from the
 :class:`CoScheduler` (and through it the batched :class:`OnlineAllocator`),
 MIG reconfigurations incur a configurable latency before the new partition
-layout serves jobs, and a cluster-wide power budget is re-split by the
-:class:`ClusterPowerManager` whenever the load changes.  A batch drain is
+layout serves jobs, and a cluster-wide power budget, one
+:class:`ClusterPowerManager` per run, is re-split after every event batch
+that changed a node's demand.  A batch drain is
 the all-at-t=0 trace (:meth:`Trace.all_at_zero`), and the exclusive
 baseline is that replay under ``SchedulerConfig(group_size=1)``; both match
 a first-free-node reference loop in the tests (parity-tested).
@@ -18,8 +19,6 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from repro.cluster.events.events import (
     ArrivalEvent,
@@ -34,11 +33,13 @@ from repro.cluster.node import ComputeNode
 from repro.cluster.powerbudget import ClusterPowerManager
 from repro.cluster.queue import JobQueue
 from repro.cluster.scheduler import CoScheduler, DispatchPlan, SchedulerConfig
+from repro.config import check_count
 from repro.core.workflow import OnlineAllocator, PaperWorkflow
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.mig import PartitionState
 from repro.gpu.spec import GPUSpec
 from repro.sim.engine import PerformanceSimulator
+from repro.sim.results import CoRunResult
 from repro.traces.trace import Trace
 from repro.workloads.suite import BenchmarkSuite
 
@@ -64,9 +65,11 @@ class SimulationConfig:
         instances keep running through a reconfiguration.  0 (the default)
         makes every reconfiguration free.
     power_budget_w:
-        Cluster-wide GPU power budget split across nodes by the
-        :class:`ClusterPowerManager`.  ``None`` (the default) leaves every
-        node free to use the cap its allocation decision asked for.
+        Cluster-wide GPU power budget.  Each run splits it across the nodes
+        by their demands through its own :class:`ClusterPowerManager`, and
+        clamps every co-located plan's cap to its node's share.  ``None``
+        (the default) leaves every node free to use the cap its allocation
+        decision asked for.
     """
 
     repartition_latency_s: float = 0.0
@@ -100,24 +103,17 @@ class _RunState:
     """Mutable bookkeeping of one :meth:`ClusterSimulator.run` call."""
 
     queue: JobQueue
+    #: The run's power budget; ``None`` unless one is configured.
+    budget: ClusterPowerManager | None
     heap: EventHeap = field(default_factory=EventHeap)
     clock: SimulationClock = field(default_factory=SimulationClock)
     completed: list[Job] = field(default_factory=list)
     layouts: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    shares: dict[int, float] = field(default_factory=dict)
     #: Min-heap of *positions* into the node list that are currently free.
     #: Maintained incrementally (popped at dispatch, pushed at completion)
     #: so dispatch cost scales with the number of free nodes, not fleet
     #: size; position order reproduces the original node-list scan order.
     free_nodes: list[int] = field(default_factory=list)
-    #: Per-node power demand arrays (positions parallel to the node list);
-    #: ``None`` unless a cluster power budget is configured.
-    desired_w: np.ndarray | None = None
-    minimum_w: np.ndarray | None = None
-    minimum_total_w: float = 0.0
-    #: Whether any node changed busy state (and hence demand) since the
-    #: last budget split; clean rebalances reuse the previous shares.
-    power_dirty: bool = True
     #: Solo full-partition chip power per application name; names resolve
     #: to kernels per run, so the memo lives exactly as long as the run.
     solo_power_w: dict[str, float] = field(default_factory=dict)
@@ -128,13 +124,19 @@ class _RunState:
     repartition_time_s: float = 0.0
     instance_changes: int = 0
     rebalances: int = 0
-    rebalance_pending: bool = False
     profile_runs: int = 0
     peak_queue_length: int = 0
 
 
 class ClusterSimulator:
-    """Drive the co-scheduler, nodes, and power manager from an event loop."""
+    """Drive the co-scheduler and the nodes from an event loop.
+
+    Under a :attr:`SimulationConfig.power_budget_w`, each :meth:`run`
+    builds a :class:`ClusterPowerManager` for the nodes and reaches the
+    budget only through it: a dispatch requests its node's cap, a
+    completion releases it, every event batch rebalances, and a
+    co-located plan's cap is clamped to its node's share.
+    """
 
     def __init__(
         self,
@@ -142,7 +144,6 @@ class ClusterSimulator:
         nodes: list[ComputeNode],
         scheduler_config: SchedulerConfig | None = None,
         config: SimulationConfig | None = None,
-        power_manager: ClusterPowerManager | None = None,
     ) -> None:
         if not nodes:
             raise ConfigurationError("the cluster needs at least one node")
@@ -152,9 +153,6 @@ class ClusterSimulator:
         self._config = config if config is not None else SimulationConfig()
         spec = self._nodes[0].spec
         self._spec = spec
-        self._power_manager = (
-            power_manager if power_manager is not None else ClusterPowerManager(spec)
-        )
         self._config.check_budget(len(self._nodes), spec)
         self._layout_cache: dict[PartitionState, tuple[int, ...]] = {}
         self._node_ids = [node.node_id for node in self._nodes]
@@ -163,7 +161,6 @@ class ClusterSimulator:
         }
         if len(self._node_position) != len(self._nodes):
             raise ConfigurationError("node ids must be unique within a cluster")
-        self._free_desired_w = max(spec.default_power_limit_w, spec.min_power_cap_w)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -175,7 +172,8 @@ class ClusterSimulator:
         scheduler_config: SchedulerConfig | None = None,
         config: SimulationConfig | None = None,
     ) -> "ClusterSimulator":
-        """Build a cluster of ``n_nodes`` nodes sharing ``simulator``'s spec.
+        """Build a cluster of ``n_nodes`` nodes (an integer >= 1) sharing
+        ``simulator``'s spec.
 
         This is the service-layer construction path: it needs only the two
         online objects (a trained allocator and the performance simulator
@@ -183,7 +181,7 @@ class ClusterSimulator:
         """
         nodes = [
             ComputeNode(node_id=i, spec=simulator.spec, simulator=simulator)
-            for i in range(n_nodes)
+            for i in range(check_count("n_nodes", n_nodes))
         ]
         return cls(
             allocator=allocator,
@@ -232,25 +230,19 @@ class ClusterSimulator:
         kernels = trace.resolve_kernels(suite)
         for node in self._nodes:
             node.reset()
-        state = _RunState(queue=JobQueue())
+        budget_w = self._config.power_budget_w
+        budget = (
+            None
+            if budget_w is None
+            else ClusterPowerManager(self._spec, self._node_ids, budget_w)
+        )
+        state = _RunState(queue=JobQueue(), budget=budget)
         # Ascending positions form a valid min-heap as-is.
         state.free_nodes = list(range(len(self._nodes)))
         state.heap.push_many(
             ArrivalEvent(time=entry.arrival_time_s, entry=entry, kernel=kernel)
             for entry, kernel in zip(trace.entries, kernels)
         )
-        if self._config.power_budget_w is not None:
-            # Initial even split so the first dispatches already respect the
-            # budget; reactive rebalances then track the load.
-            state.desired_w = np.full(
-                len(self._nodes), self._free_desired_w, dtype=np.float64
-            )
-            state.minimum_w = np.full(
-                len(self._nodes), self._spec.min_power_cap_w, dtype=np.float64
-            )
-            state.minimum_total_w = float(sum(state.minimum_w.tolist()))
-            state.shares = self._distribute(state)
-            state.power_dirty = False
 
         while not state.heap.empty:
             batch = state.heap.pop_batch()
@@ -258,8 +250,11 @@ class ClusterSimulator:
             state.events_popped += len(batch)
             for event in batch:
                 self._handle(event, state)
-            if state.rebalance_pending:
-                self._rebalance(state)
+            if budget is not None:
+                # Every batch counts as a rebalance; the manager re-splits
+                # only when a demand was set since its last split.
+                budget.rebalance()
+                state.rebalances += 1
             self._dispatch_free_nodes(state)
 
         if not state.queue.empty:  # pragma: no cover - defensive
@@ -275,63 +270,14 @@ class ClusterSimulator:
         if isinstance(event, ArrivalEvent):
             state.queue.submit(event.kernel, submit_time=event.time)
             state.peak_queue_length = max(state.peak_queue_length, len(state.queue))
-            state.rebalance_pending = self._config.power_budget_w is not None
         elif isinstance(event, CompletionEvent):
             state.completed.extend(event.jobs)
             position = self._node_position[event.node_id]
             heapq.heappush(state.free_nodes, position)
-            if self._config.power_budget_w is not None:
-                state.rebalance_pending = True
-                state.desired_w[position] = self._free_desired_w
-                state.power_dirty = True
+            if state.budget is not None:
+                state.budget.release(position)
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unhandled event {event!r}")
-
-    # ------------------------------------------------------------------
-    # Power budget
-    # ------------------------------------------------------------------
-    def _distribute(self, state: _RunState) -> dict[int, float]:
-        """Split the configured budget across nodes by their current demand.
-
-        The per-node demands live in preallocated arrays updated at dispatch
-        (the node's configured cap) and completion (back to the default
-        limit), so a rebalance does no per-node Python work at all.
-        """
-        assert self._config.power_budget_w is not None
-        assert state.desired_w is not None and state.minimum_w is not None
-        return self._power_manager.distribute_demands(
-            self._node_ids,
-            state.desired_w,
-            state.minimum_w,
-            self._config.power_budget_w,
-            minimum_total_w=state.minimum_total_w,
-        )
-
-    def _rebalance(self, state: _RunState) -> None:
-        # The rebalance is always counted (the count is part of the report's
-        # contract); only the budget split itself is skipped when no node
-        # changed busy state since the last split — the demands are
-        # unchanged, so redistribution would reproduce the same shares.
-        if state.power_dirty:
-            state.shares = self._distribute(state)
-            state.power_dirty = False
-        state.rebalances += 1
-        state.rebalance_pending = False
-
-    def _effective_plan(self, plan: DispatchPlan, node: ComputeNode, state: _RunState) -> DispatchPlan:
-        """Clamp the plan's power cap to the node's share of the budget."""
-        if plan.decision is None or self._config.power_budget_w is None:
-            return plan
-        share = state.shares.get(node.node_id, self._spec.default_power_limit_w)
-        cap = max(min(plan.decision.power_cap_w, share), self._spec.min_power_cap_w)
-        if cap == plan.decision.power_cap_w:
-            return plan
-        return DispatchPlan(
-            jobs=plan.jobs,
-            decision=replace(plan.decision, power_cap_w=cap),
-            reason=f"{plan.reason} (cap {plan.decision.power_cap_w:.0f}W -> "
-            f"{cap:.0f}W, budget)",
-        )
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -339,27 +285,31 @@ class ClusterSimulator:
     def _dispatch_free_nodes(self, state: _RunState) -> None:
         now = state.clock.now
         free_nodes = state.free_nodes
+        budget = state.budget
         while free_nodes and not state.queue.empty:
             # Popping positions in ascending order reproduces the node-list
             # scan order of the original O(nodes) loop exactly.
             position = heapq.heappop(free_nodes)
             node = self._nodes[position]
             plan = self._scheduler.plan_next(state.queue)
-            plan = self._effective_plan(plan, node, state)
+            if budget is not None and plan.decision is not None:
+                cap = budget.cap_for(node.node_id, plan.decision.power_cap_w)
+                if cap != plan.decision.power_cap_w:
+                    plan = replace(plan, decision=replace(plan.decision, power_cap_w=cap))
             start = now + self._repartition_delay(plan, node, state)
             if plan.reason == "profile run":
                 state.profile_runs += 1
-            finish = self._scheduler.dispatch(plan, state.queue, node, start)
+            finish, result = self._scheduler.dispatch(plan, state.queue, node, start)
             state.service_time_s += finish - start
-            state.energy_j += self._dispatch_energy(plan, node, finish - start, state)
+            state.energy_j += self._dispatch_energy(
+                plan, result, node, finish - start, state
+            )
             state.heap.push(
                 CompletionEvent(time=finish, node_id=node.node_id, jobs=plan.jobs)
             )
-            if self._config.power_budget_w is not None:
-                state.desired_w[position] = max(
-                    node.power_limit_w, self._spec.min_power_cap_w
-                )
-                state.power_dirty = True
+            if budget is not None:
+                # A busy node demands the cap it stores for its last run.
+                budget.request(position, node.power_limit_w)
 
     def _layout_signature(self, plan: DispatchPlan) -> tuple[int, ...]:
         """The sorted GI-size multiset the plan's dispatch requires (memoized)."""
@@ -423,13 +373,16 @@ class ClusterSimulator:
         return delay
 
     def _dispatch_energy(
-        self, plan: DispatchPlan, node: ComputeNode, duration_s: float, state: _RunState
+        self,
+        plan: DispatchPlan,
+        result: CoRunResult | None,
+        node: ComputeNode,
+        duration_s: float,
+        state: _RunState,
     ) -> float:
         """Modelled chip energy of one dispatch window in joules."""
-        if plan.decision is not None:
-            result = self._scheduler.last_dispatch_result
-            if result is not None:
-                return result.chip_power_w * duration_s
+        if result is not None:
+            return result.chip_power_w * duration_s
         # Exclusive/profile runs execute through reference_time, which does
         # not expose power; approximate with the solo full-partition run's
         # chip power, memoized per kernel name for the run (it is
@@ -473,6 +426,9 @@ class ClusterSimulator:
             repartition_time_s=state.repartition_time_s,
             mig_instance_changes=state.instance_changes,
             power_rebalances=state.rebalances,
-            final_power_allocation_w=dict(state.shares),
+            final_power_allocation_w=(
+                {} if state.budget is None else dict(state.budget.shares)
+            ),
             peak_queue_length=state.peak_queue_length,
+            max_group_size=self._scheduler.max_group_size,
         )

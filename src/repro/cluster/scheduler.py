@@ -154,7 +154,6 @@ class CoScheduler:
     ) -> None:
         self._allocator = allocator
         self._config = config if config is not None else SchedulerConfig()
-        self._last_result: CoRunResult | None = None
         # Plans by window signature and model version, LRU-ordered.
         self._plans: OrderedDict[tuple, _CachedPlan] = OrderedDict()
         self._policy_cache: Policy | None = None
@@ -193,14 +192,24 @@ class CoScheduler:
         return self._config
 
     @property
-    def last_dispatch_result(self) -> CoRunResult | None:
-        """The :class:`CoRunResult` of the most recent co-located dispatch.
+    def max_group_size(self) -> int:
+        """The largest group :meth:`plan_next` forms.
 
-        ``None`` after exclusive/profile dispatches (those run through the
-        reference-time path, which produces no power/interference record).
-        The event-driven simulator reads this for energy accounting.
+        ``group_size``, clamped to the spec's partition-scheme co-location
+        ceiling (a configuration tuned for one vendor never asks another
+        for more instances than its scheme can realize) and to the sizes
+        the allocator's model serves: from 3 up, a size counts only if it
+        and every size below it have a candidate state at the policy's
+        caps.  A pair-trained model therefore keeps groups at pairs.  The
+        state lookups are cached, so this costs dictionary hits.
         """
-        return self._last_result
+        spec = self._allocator.allocator.model.spec
+        limit = min(self._config.group_size, spec.scheme.max_co_located(spec))
+        size = min(limit, 2)
+        caps = self._policy().candidate_power_caps()
+        while size < limit and self._allocator.candidate_states_for(size + 1, caps):
+            size += 1
+        return size
 
     # ------------------------------------------------------------------
     def _policy(self) -> Policy:
@@ -308,18 +317,12 @@ class CoScheduler:
 
         Each round tries every remaining profiled window job as the next
         member and keeps the best strictly-improving extension; the loop
-        stops at ``group_size`` members or when no extension helps (the
-        heuristic search over group composition the paper's Section 6 calls
-        for — the state/cap inside each trial is still solved exactly by
-        the allocator).  ``group_size`` is additionally clamped to the
-        spec's partition-scheme co-location ceiling, so a configuration
-        tuned for one vendor never asks another for more instances than
-        its scheme can realize.
+        stops at :attr:`max_group_size` members or when no extension helps
+        (the heuristic search over group composition the paper's Section 6
+        calls for — the state/cap inside each trial is still solved exactly
+        by the allocator).
         """
-        spec = self._allocator.allocator.model.spec
-        max_members = min(
-            self._config.group_size, spec.scheme.max_co_located(spec)
-        )
+        max_members = self.max_group_size
         while len(plan.positions) < max_members:
             members = set(plan.positions)
             best_extension: _CachedPlan | None = None
@@ -352,11 +355,14 @@ class CoScheduler:
         queue: JobQueue,
         node: ComputeNode,
         time: float,
-    ) -> float:
-        """Execute a plan on ``node`` starting at ``time``; returns the finish time.
+    ) -> tuple[float, CoRunResult | None]:
+        """Execute a plan on ``node`` starting at ``time``.
 
         The jobs are removed from the queue, their lifecycle updated, and the
-        node's busy window extended.
+        node's busy window extended.  Returns the finish time and the
+        :class:`CoRunResult` of a co-located plan; the result is ``None``
+        for an exclusive or profile run, which runs through the
+        reference-time path and produces no power record.
         """
         if not node.is_free(time):
             raise SchedulingError(
@@ -367,7 +373,7 @@ class CoScheduler:
             queue.remove(job)
             job.start_time = time
 
-        self._last_result = None
+        result: CoRunResult | None = None
         if plan.decision is None:
             job = plan.jobs[0]
             if not self._is_profiled(job):
@@ -383,7 +389,6 @@ class CoScheduler:
             decision = plan.decision
             kernels = [job.kernel for job in plan.jobs]
             result = node.execute_group(kernels, decision.state, decision.power_cap_w)
-            self._last_result = result
             finish = time
             for job, run in zip(plan.jobs, result.per_app):
                 job.transition(JobState.RUNNING)
@@ -392,4 +397,4 @@ class CoScheduler:
                 job.transition(JobState.COMPLETED)
                 finish = max(finish, job.finish_time)
         node.busy_until = finish
-        return finish
+        return finish, result

@@ -64,7 +64,6 @@ class EvaluationConfig:
     problem2_alphas: tuple[float, ...] = PROBLEM2_ALPHAS
     alpha_sweep: tuple[float, ...] = ALPHA_SWEEP
     scalability_gpc_counts: tuple[int, ...] = SCALABILITY_GPC_COUNTS
-    noise_sigma: float = 0.03
 
     def __post_init__(self) -> None:
         if not self.power_caps:
@@ -75,8 +74,6 @@ class EvaluationConfig:
             raise ConfigurationError("at least one candidate partition state is required")
         if not (0.0 <= self.alpha < 1.0):
             raise ConfigurationError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.noise_sigma < 0:
-            raise ConfigurationError("noise_sigma must be non-negative")
 
 
 #: The configuration used throughout the benchmark harnesses.

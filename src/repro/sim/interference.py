@@ -69,23 +69,9 @@ class InterferenceParams:
 class InterferenceModel:
     """LLC/HBM contention model for applications sharing a memory domain."""
 
-    def __init__(
-        self,
-        params: InterferenceParams | None = None,
-        spec: GPUSpec = A100_SPEC,
-    ) -> None:
-        self._params = params if params is not None else InterferenceParams()
+    def __init__(self, spec: GPUSpec = A100_SPEC) -> None:
+        self._params = InterferenceParams()
         self._spec = spec
-
-    @property
-    def params(self) -> InterferenceParams:
-        """The interference strengths in use."""
-        return self._params
-
-    @property
-    def spec(self) -> GPUSpec:
-        """The hardware specification in use."""
-        return self._spec
 
     # ------------------------------------------------------------------
     # Cache pressure / penalties

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.cluster.node import ComputeNode
-from repro.cluster.powerbudget import ClusterPowerManager, PowerRequest
+from repro.cluster.powerbudget import ClusterPowerManager
 from repro.errors import ConfigurationError, PowerCapError
 from repro.gpu.mig import S1, solo_state
-from repro.gpu.spec import GPU_SPECS
+from repro.gpu.spec import A100_SPEC, GPU_SPECS
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
 from repro.workloads.pairs import corun_pair
@@ -117,150 +116,115 @@ class TestNodePowerLimitOnEverySpec:
         assert node.current_partition is None
 
 
-class TestPowerRequest:
-    def test_valid_request(self):
-        request = PowerRequest(node_id=0, desired_w=230, minimum_w=100)
-        assert request.desired_w == 230
+def _split(budget_w, caps):
+    """The A100 shares after node ``i`` requests ``caps[i]`` and a rebalance.
 
-    def test_desired_below_minimum_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PowerRequest(node_id=0, desired_w=90, minimum_w=100)
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PowerRequest(node_id=0, desired_w=0, minimum_w=0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_rejected(self, value):
-        with pytest.raises(ConfigurationError, match="finite"):
-            PowerRequest(node_id=0, desired_w=value, minimum_w=150.0)
-        with pytest.raises(ConfigurationError, match="finite"):
-            PowerRequest(node_id=0, desired_w=250.0, minimum_w=value)
+    The A100's caps range over [100, 300] W, so every minimum is 100 W.
+    """
+    manager = ClusterPowerManager(A100_SPEC, range(len(caps)), budget_w)
+    for position, cap in enumerate(caps):
+        manager.request(position, cap)
+    manager.rebalance()
+    return manager.shares
 
 
 class TestClusterPowerManager:
-    @pytest.fixture()
-    def manager(self):
-        return ClusterPowerManager()
+    def test_ample_budget_grants_everyone_their_wish(self):
+        shares = _split(500, [250, 150])
+        assert shares[0] == pytest.approx(250)
+        assert shares[1] == pytest.approx(150)
 
-    def test_empty_requests(self, manager):
-        assert manager.distribute([], 1000.0) == {}
-
-    def test_ample_budget_grants_everyone_their_wish(self, manager):
-        requests = [
-            PowerRequest(0, desired_w=250, minimum_w=100),
-            PowerRequest(1, desired_w=150, minimum_w=100),
-        ]
-        allocation = manager.distribute(requests, total_budget_w=500)
-        assert allocation[0] == pytest.approx(250)
-        assert allocation[1] == pytest.approx(150)
-
-    def test_scarce_budget_scales_extras_proportionally(self, manager):
-        requests = [
-            PowerRequest(0, desired_w=300, minimum_w=100),
-            PowerRequest(1, desired_w=200, minimum_w=100),
-        ]
-        allocation = manager.distribute(requests, total_budget_w=350)
-        assert sum(allocation.values()) == pytest.approx(350)
+    def test_scarce_budget_scales_extras_proportionally(self):
+        shares = _split(350, [300, 200])
+        assert sum(shares.values()) == pytest.approx(350)
         # Minimums are honoured and the remaining 150 W is split 2:1.
-        assert allocation[0] == pytest.approx(100 + 100)
-        assert allocation[1] == pytest.approx(100 + 50)
+        assert shares[0] == pytest.approx(100 + 100)
+        assert shares[1] == pytest.approx(100 + 50)
 
-    def test_budget_below_minimums_rejected(self, manager):
-        requests = [PowerRequest(0, desired_w=200, minimum_w=150)]
+    def test_budget_below_minimums_rejected(self):
         with pytest.raises(PowerCapError):
-            manager.distribute(requests, total_budget_w=100)
+            ClusterPowerManager(A100_SPEC, [0, 1], total_budget_w=150)
 
-    def test_invalid_budget_rejected(self, manager):
+    def test_invalid_budget_rejected(self):
         with pytest.raises(ConfigurationError):
-            manager.distribute([PowerRequest(0, 200, 100)], total_budget_w=0)
+            ClusterPowerManager(A100_SPEC, [0], total_budget_w=0)
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf])
-    def test_non_finite_budget_rejected(self, manager, budget):
+    def test_non_finite_budget_rejected(self, budget):
         # min(1.0, nan) is 1.0: a NaN budget used to grant every wish.
         with pytest.raises(ConfigurationError, match="finite"):
-            manager.distribute([PowerRequest(0, 200, 100)], total_budget_w=budget)
+            ClusterPowerManager(A100_SPEC, [0], total_budget_w=budget)
 
-    @pytest.mark.parametrize(
-        "desired, minimum",
-        [
-            ((200.0, math.nan), (100.0, 100.0)),
-            ((200.0, math.inf), (100.0, 100.0)),
-            ((200.0, 200.0), (100.0, math.nan)),
-            ((200.0, math.inf), (100.0, math.inf)),
-        ],
-    )
-    def test_non_finite_demands_rejected(self, manager, desired, minimum):
+    @pytest.mark.parametrize("demand", [math.nan, math.inf])
+    def test_non_finite_demands_rejected(self, demand):
         with pytest.raises(ConfigurationError, match="finite"):
-            manager.distribute_demands(
-                [0, 1], np.array(desired), np.array(minimum), total_budget_w=400.0
-            )
+            _split(400, [200, demand])
 
-    def test_allocation_never_exceeds_device_maximum(self, manager):
-        requests = [PowerRequest(0, desired_w=300, minimum_w=100)]
-        allocation = manager.distribute(requests, total_budget_w=1000)
-        assert allocation[0] <= manager._spec.max_power_cap_w
+    def test_allocation_never_exceeds_device_maximum(self):
+        shares = _split(1000, [400])
+        assert shares[0] == A100_SPEC.max_power_cap_w
 
-    def test_headroom(self, manager):
-        requests = [PowerRequest(0, desired_w=150, minimum_w=100)]
-        allocation = manager.distribute(requests, total_budget_w=400)
-        assert manager.headroom(allocation, 400) == pytest.approx(250)
+    def test_first_split_runs_every_node_free(self):
+        # Free nodes demand the default limit: 2 x 250 W fit in 600 W.
+        manager = ClusterPowerManager(A100_SPEC, [4, 9], total_budget_w=600)
+        assert manager.shares == {4: 250.0, 9: 250.0}
+
+    def test_cap_for_clamps_to_the_share_and_the_minimum(self):
+        manager = ClusterPowerManager(A100_SPEC, [4, 9], total_budget_w=360)
+        assert manager.shares == {4: 180.0, 9: 180.0}
+        assert manager.cap_for(4, 230.0) == 180.0
+        assert manager.cap_for(9, 150.0) == 150.0
+        assert manager.cap_for(9, 90.0) == A100_SPEC.min_power_cap_w
+
+    def test_rebalance_splits_only_after_a_demand_is_set(self, monkeypatch):
+        calls = []
+        split = ClusterPowerManager.distribute_demands
+
+        def counting_split(manager):
+            calls.append(manager)
+            return split(manager)
+
+        monkeypatch.setattr(ClusterPowerManager, "distribute_demands", counting_split)
+        manager = ClusterPowerManager(A100_SPEC, [0, 1], total_budget_w=400)
+        assert len(calls) == 1  # the first split
+        manager.rebalance()
+        manager.rebalance()
+        assert len(calls) == 1
+        # A release marks the demands changed even when the value is the
+        # same (the node was free already), so the next rebalance splits.
+        manager.release(0)
+        manager.rebalance()
+        assert len(calls) == 2
+        manager.rebalance()
+        assert len(calls) == 2
 
 
 class TestOversubscribedBudgets:
     """The regime the event simulator exercises: demand exceeds the budget."""
 
-    @pytest.fixture()
-    def manager(self):
-        return ClusterPowerManager()
+    def test_budget_exactly_at_minimums_grants_minimums_only(self):
+        shares = _split(200, [250, 250])
+        assert shares == {0: pytest.approx(100), 1: pytest.approx(100)}
+        assert 200 - sum(shares.values()) == pytest.approx(0.0)
 
-    def test_budget_exactly_at_minimums_grants_minimums_only(self, manager):
-        requests = [
-            PowerRequest(0, desired_w=250, minimum_w=100),
-            PowerRequest(1, desired_w=250, minimum_w=100),
-        ]
-        allocation = manager.distribute(requests, total_budget_w=200)
-        assert allocation == {0: pytest.approx(100), 1: pytest.approx(100)}
-        assert manager.headroom(allocation, 200) == pytest.approx(0.0)
-
-    def test_oversubscribed_budget_is_fully_spent(self, manager):
-        requests = [
-            PowerRequest(node_id, desired_w=250, minimum_w=100)
-            for node_id in range(4)
-        ]
-        allocation = manager.distribute(requests, total_budget_w=700)
-        assert sum(allocation.values()) == pytest.approx(700)
+    def test_oversubscribed_budget_is_fully_spent(self):
+        shares = _split(700, [250] * 4)
+        assert sum(shares.values()) == pytest.approx(700)
         # Equal demand: the shortage is shared equally.
-        assert all(watts == pytest.approx(175) for watts in allocation.values())
+        assert all(watts == pytest.approx(175) for watts in shares.values())
 
-    def test_unequal_extras_share_shortage_proportionally(self, manager):
-        requests = [
-            PowerRequest(0, desired_w=300, minimum_w=100),  # +200 extra
-            PowerRequest(1, desired_w=150, minimum_w=100),  # +50 extra
-        ]
-        allocation = manager.distribute(requests, total_budget_w=300)
+    def test_unequal_extras_share_shortage_proportionally(self):
+        shares = _split(300, [300, 150])  # +200 and +50 extra
         # 100 W of extras split 200:50 = 4:1.
-        assert allocation[0] == pytest.approx(100 + 80)
-        assert allocation[1] == pytest.approx(100 + 20)
+        assert shares[0] == pytest.approx(100 + 80)
+        assert shares[1] == pytest.approx(100 + 20)
 
-    def test_no_node_gets_more_than_it_desired(self, manager):
-        requests = [
-            PowerRequest(0, desired_w=120, minimum_w=100),
-            PowerRequest(1, desired_w=290, minimum_w=100),
-        ]
-        allocation = manager.distribute(requests, total_budget_w=400)
-        assert allocation[0] <= 120 + 1e-9
-        assert allocation[1] <= 290 + 1e-9
+    def test_no_node_gets_more_than_it_desired(self):
+        shares = _split(400, [120, 290])
+        assert shares[0] <= 120 + 1e-9
+        assert shares[1] <= 290 + 1e-9
 
-    def test_single_watt_of_slack_distributes_without_error(self, manager):
-        requests = [
-            PowerRequest(0, desired_w=250, minimum_w=100),
-            PowerRequest(1, desired_w=250, minimum_w=100),
-        ]
-        allocation = manager.distribute(requests, total_budget_w=201)
-        assert sum(allocation.values()) == pytest.approx(201)
-        assert min(allocation.values()) >= 100
-
-    def test_headroom_never_negative_even_when_overallocated(self, manager):
-        # headroom() clamps at zero if an allocation somehow exceeds budget.
-        assert manager.headroom({0: 300.0, 1: 300.0}, 500.0) == 0.0
+    def test_single_watt_of_slack_distributes_without_error(self):
+        shares = _split(201, [250, 250])
+        assert sum(shares.values()) == pytest.approx(201)
+        assert min(shares.values()) >= 100

@@ -114,10 +114,10 @@ class TestPlanning:
         assert plan.reason == "no feasible partner"
         assert plan.jobs == (head,)
         assert plan.decision is None
-        finish = scheduler.dispatch(plan, queue, node, time=2.0)
+        finish, result = scheduler.dispatch(plan, queue, node, time=2.0)
         assert head.state is JobState.COMPLETED
         assert head.co_runners == ()
-        assert scheduler.last_dispatch_result is None
+        assert result is None
         assert finish == 2.0 + workflow.simulator.reference_time(head.kernel)
         assert list(queue) == [partner]
 
@@ -128,9 +128,13 @@ class TestDispatch:
         queue.submit(DEFAULT_SUITE.get("igemm4"))
         queue.submit(DEFAULT_SUITE.get("stream"))
         plan = scheduler.plan_next(queue)
-        finish = scheduler.dispatch(plan, queue, node, time=0.0)
+        finish, result = scheduler.dispatch(plan, queue, node, time=0.0)
         assert queue.empty
         assert finish > 0
+        # The co-run the plan executed, at the plan's state and cap.
+        assert result.n_apps == 2
+        assert result.state == plan.decision.state
+        assert result.power_cap_w == plan.decision.power_cap_w
         assert node.busy_until == pytest.approx(finish)
         first, second = plan.jobs
         assert first.co_runners == (second.job_id,)
@@ -151,10 +155,11 @@ class TestDispatch:
         queue = JobQueue()
         queue.submit(DEFAULT_SUITE.get("dgemm"))
         plan = scheduler.plan_next(queue)
-        finish = scheduler.dispatch(plan, queue, node, time=5.0)
+        finish, result = scheduler.dispatch(plan, queue, node, time=5.0)
         job = plan.jobs[0]
         assert job.state is JobState.COMPLETED
         assert job.co_runners == ()
+        assert result is None
         assert finish == pytest.approx(5.0 + job.runtime)
 
 

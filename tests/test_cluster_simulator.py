@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from batch_oracle import drain_batch
@@ -152,6 +153,29 @@ class TestOnlineArrivals:
     def test_nodes_required(self, workflow):
         with pytest.raises(ConfigurationError):
             ClusterSimulator(allocator=workflow.online, nodes=[])
+
+
+def _from_allocator(workflow, n_nodes):
+    # The allocator is not used to build the nodes, so none is needed.
+    return ClusterSimulator.from_allocator(None, PerformanceSimulator(), n_nodes=n_nodes)
+
+
+def _from_workflow(workflow, n_nodes):
+    return ClusterSimulator.from_workflow(workflow, n_nodes=n_nodes)
+
+
+@pytest.mark.parametrize("build", [_from_allocator, _from_workflow])
+class TestNodeCount:
+    @pytest.mark.parametrize("n_nodes", [1.5, math.nan, math.inf, True])
+    def test_non_integer_counts_rejected(self, workflow, build, n_nodes):
+        # 1.5 and NaN used to die in range() with a raw TypeError, and
+        # True built a one-node cluster.
+        with pytest.raises(ConfigurationError, match="n_nodes"):
+            build(workflow, n_nodes)
+
+    def test_numpy_integer_count_builds_that_many_nodes(self, workflow, build):
+        simulator = build(workflow, np.int64(2))
+        assert [node.node_id for node in simulator.nodes] == [0, 1]
 
 
 class TestRepartitionLatency:

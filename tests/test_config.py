@@ -58,11 +58,6 @@ def test_config_rejects_bad_alpha():
         EvaluationConfig(alpha=1.5)
 
 
-def test_config_rejects_negative_noise():
-    with pytest.raises(ConfigurationError):
-        EvaluationConfig(noise_sigma=-0.1)
-
-
 
 def test_check_count_applies_its_minimum():
     assert check_count("window_size", 1) == 1

@@ -27,7 +27,7 @@ import pytest
 
 from repro.cluster.events import ClusterSimulator, SimulationConfig
 from repro.cluster.scheduler import SchedulerConfig
-from repro.core.workflow import PaperWorkflow, TrainingPlan
+from repro.core.workflow import OnlineAllocator, PaperWorkflow, TrainingPlan
 from repro.gpu.mig import MemoryOption
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
@@ -355,6 +355,8 @@ def test_power_budget_and_repartition_latency_match_pin(workflow, trace):
 
 
 def test_problem2_nway_groups_match_pin(workflow):
+    """``group_size=3`` on the pair-only ``_PLAN``: the model serves no
+    3-app state, so every group is a pair (see the next test)."""
     simulator = ClusterSimulator.from_workflow(
         workflow,
         n_nodes=2,
@@ -364,6 +366,34 @@ def test_problem2_nway_groups_match_pin(workflow):
     )
     report = replay(simulator, poisson_trace(2.0, n_jobs=80, seed=11))
     assert_matches_pin(report, "problem2_groups")
+
+
+def test_pair_only_model_clamps_the_group_size_to_pairs(workflow, monkeypatch):
+    # The scheduler used to ask the allocator about 3-app groups the model
+    # cannot serve and swallow every InfeasibleProblemError.
+    trace = poisson_trace(2.0, n_jobs=80, seed=11)
+    reports = {}
+    for group_size in (2, 3):
+        sizes = []
+        decide = OnlineAllocator.decide
+
+        def recording_decide(allocator, app_names, policy):
+            sizes.append(len(app_names))
+            return decide(allocator, app_names, policy)
+
+        monkeypatch.setattr(OnlineAllocator, "decide", recording_decide)
+        simulator = ClusterSimulator.from_workflow(
+            workflow,
+            n_nodes=2,
+            scheduler_config=SchedulerConfig(
+                policy_name="problem2", window_size=6, group_size=group_size
+            ),
+        )
+        reports[group_size] = replay(simulator, trace)
+        monkeypatch.undo()
+        assert set(sizes) == {2}
+    assert reports[3].max_group_size == reports[2].max_group_size == 2
+    assert fingerprint(reports[3]) == fingerprint(reports[2])
 
 
 def test_bursty_arrivals_with_budget_match_pin(workflow):

@@ -111,8 +111,9 @@ class TestGroupScheduling:
         assert plan.decision.state.n_apps == group_size
 
         node = ComputeNode(node_id=0, spec=workflow.simulator.spec, simulator=workflow.simulator)
-        finish = scheduler.dispatch(plan, queue, node, time=0.0)
+        finish, result = scheduler.dispatch(plan, queue, node, time=0.0)
         assert finish > 0
+        assert result.n_apps == group_size
         for job in plan.jobs:
             assert job.state is JobState.COMPLETED
             assert len(job.co_runners) == group_size - 1
@@ -140,6 +141,16 @@ class TestGroupManagerDrain:
         # At least one dispatched group exceeded the pair limit.
         group_sizes = {len(job.co_runners) + 1 for job in report.jobs if job.co_runners}
         assert max(group_sizes, default=1) >= 3
+
+
+@pytest.mark.parametrize("group_size", (3, 4))
+def test_spec_wide_model_serves_the_configured_group_size(a100_workflow, group_size):
+    simulator = ClusterSimulator.from_workflow(
+        a100_workflow,
+        scheduler_config=SchedulerConfig(group_size=group_size, alpha=0.0),
+    )
+    report = simulator.run(Trace.all_at_zero(("igemm4", "stream")))
+    assert report.max_group_size == group_size
 
 
 class TestSeedPairBehaviourUnchanged:
