@@ -2,9 +2,10 @@
 
 Regenerating the paper's figures needs three expensive-ish ingredients: a
 simulator, a trained model, and the measured co-run grid (every Table 8 pair
-on every state and power cap).  :class:`EvaluationContext` builds them once
-and caches the measured grid so that the individual figure generators stay
-cheap and consistent with each other.
+on every state and power cap).  :class:`EvaluationContext` builds the first
+two once; the grid is answered by the simulator's own run memo and the
+counters by the workflow's profile store, so the individual figure
+generators stay cheap and consistent with each other.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ class EvaluationContext:
 
     workflow: PaperWorkflow
     config: EvaluationConfig = field(default_factory=lambda: DEFAULT_CONFIG)
-    _measured: dict[tuple[str, tuple, float], CoRunResult] = field(default_factory=dict)
-    _profiles: dict[str, CounterVector] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -71,10 +70,8 @@ class EvaluationContext:
 
     # ------------------------------------------------------------------
     def profile(self, name: str) -> CounterVector:
-        """Profiled counters of one benchmark (cached)."""
-        if name not in self._profiles:
-            self._profiles[name] = self.simulator.profile(self.suite.get(name))
-        return self._profiles[name]
+        """Profiled counters of one benchmark, from the workflow's profile store."""
+        return self.workflow.online.database.get(name).counters
 
     def pair_profiles(self, pair: CoRunPair | str) -> tuple[CounterVector, CounterVector]:
         """Profiled counters of both applications of a pair."""
@@ -83,14 +80,13 @@ class EvaluationContext:
         return (self.profile(pair.app1), self.profile(pair.app2))
 
     def measured(self, pair: CoRunPair | str, state, power_cap_w: float) -> CoRunResult:
-        """Measured ("simulated ground truth") co-run result, cached."""
+        """Measured ("simulated ground truth") co-run result.
+
+        The simulator's run memo answers a repeat with the same result.
+        """
         if isinstance(pair, str):
             pair = corun_pair(pair)
-        key = (pair.name, state.key(), float(power_cap_w))
-        if key not in self._measured:
-            kernels = list(pair.kernels(self.suite))
-            self._measured[key] = self.simulator.co_run(kernels, state, power_cap_w)
-        return self._measured[key]
+        return self.simulator.co_run(list(pair.kernels(self.suite)), state, power_cap_w)
 
     def measured_grid(self, pair: CoRunPair | str) -> dict[tuple[tuple, float], CoRunResult]:
         """Measured results for one pair over the whole (state × cap) grid."""

@@ -63,12 +63,18 @@ def _reject_non_finite(request: object, *fields: str) -> None:
 
 def _check_policy_knobs(request: "DecisionRequest | SimulationRequest") -> None:
     """Range-check the knobs every policy takes (the policies repeat this
-    for library callers, but only after a session has trained)."""
+    for library callers, but only after a session has trained), and reject
+    a fixed cap under Problem 2, which chooses the cap itself."""
     if not 0.0 <= request.alpha < 1.0:
         raise ConfigurationError(f"alpha must be in [0, 1), got {request.alpha}")
     if request.power_cap_w is not None and request.power_cap_w <= 0:
         raise ConfigurationError(
             f"power_cap_w must be positive, got {request.power_cap_w}"
+        )
+    if request.power_cap_w is not None and request.policy == "problem2":
+        raise ConfigurationError(
+            "power_cap_w is Problem 1's fixed cap; policy 'problem2' chooses "
+            "the cap from the trained grid, so leave power_cap_w unset"
         )
 
 
@@ -86,7 +92,8 @@ class DecisionRequest:
         (energy efficiency, cap chosen by the allocator).
     power_cap_w:
         The fixed cap for Problem 1; ``None`` selects the spec grid's 92 %
-        point (230 W on the A100), matching the CLI default.
+        point (230 W on the A100), matching the CLI default.  Problem 2
+        chooses the cap itself and rejects one.
     alpha:
         Fairness threshold for either policy.
     spec:
@@ -148,11 +155,14 @@ class SimulationRequest:
 
     ``trace_path`` replays a recorded trace; otherwise a synthetic trace is
     generated (Poisson by default, bursty when ``burst_size`` is set) from
-    the named job ``mix``.  The scheduling knobs mirror
+    the named job ``mix``.  ``n_jobs`` and ``burst_size`` shape synthetic
+    traces only, so a request with a ``trace_path`` rejects them.  The
+    scheduling knobs mirror
     :class:`~repro.cluster.scheduler.SchedulerConfig` and
-    :class:`~repro.cluster.events.SimulationConfig`.  The request checks
-    the policy knobs, that every count (sizes, job count, seed) is an
-    integer, the cluster and queue sizes, and (through a
+    :class:`~repro.cluster.events.SimulationConfig`; ``power_cap_w`` is
+    Problem 1's fixed cap, rejected under ``policy="problem2"``.  The
+    request checks the policy knobs, that every count (sizes, job count,
+    seed) is an integer, the cluster and queue sizes, and (through a
     ``SimulationConfig``) the repartition latency, the power budget and
     its floor of one minimum cap per node; the trace generators check the
     rate, duration and job count.  All of this runs before any training.
@@ -195,6 +205,13 @@ class SimulationRequest:
             raise ConfigurationError(
                 f"burst_size must be positive, got {self.burst_size}"
             )
+        if self.trace_path is not None:
+            for name in ("n_jobs", "burst_size"):
+                if getattr(self, name) is not None:
+                    raise ConfigurationError(
+                        f"{name} shapes synthetic traces only; it cannot be "
+                        f"combined with trace_path"
+                    )
         if self.power_cap_w is not None:
             object.__setattr__(self, "power_cap_w", float(self.power_cap_w))
         _check_policy_knobs(self)

@@ -136,7 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     decide.add_argument("--policy", choices=("problem1", "problem2"), default="problem1")
     decide.add_argument(
-        "--power-cap", type=float, default=None, help="power cap for Problem 1 (default: spec grid's 92%% point)"
+        "--power-cap", type=float, default=None,
+        help="Problem 1's fixed power cap (default: spec grid's 92%% point); "
+        "problem2 chooses the cap and rejects this option",
     )
     decide.add_argument("--alpha", type=float, default=0.2, help="fairness threshold")
     decide.add_argument(
@@ -176,12 +178,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--jobs", type=int, default=None,
-        help="cap the synthetic trace at this many jobs",
+        help="cap the synthetic trace at this many jobs (rejected with --trace)",
     )
     simulate.add_argument(
         "--burst-size", type=float, default=None, metavar="MEAN",
         help="generate bursty arrivals with this mean burst size instead of "
-        "a plain Poisson process (burst rate = arrival rate / MEAN)",
+        "a plain Poisson process (burst rate = arrival rate / MEAN; "
+        "rejected with --trace)",
     )
     simulate.add_argument(
         "--mix", choices=sorted(JOB_MIXES), default="steady",
@@ -194,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--power-cap", type=float, default=None,
-        help="power cap for Problem 1 (default: spec grid's 92%% point)",
+        help="Problem 1's fixed power cap (default: spec grid's 92%% point); "
+        "problem2 chooses the cap and rejects this option",
     )
     simulate.add_argument("--alpha", type=float, default=0.2, help="fairness threshold")
     simulate.add_argument(

@@ -1,7 +1,7 @@
-"""Discrete-event simulation of the cluster: heap, clock, events, simulator.
+"""Discrete-event simulation of the cluster: heap, events, simulator.
 
-* :mod:`repro.cluster.events.events` — the event heap, simulation clock,
-  and the two event types (arrival, completion).
+* :mod:`repro.cluster.events.events` — the event heap, which also orders
+  simulated time, and the two event types (arrival, completion).
 * :mod:`repro.cluster.events.simulator` — :class:`ClusterSimulator`, the
   event loop driving the co-scheduler, nodes, and power manager.
 * :mod:`repro.cluster.events.report` — :class:`SimulationReport` online
@@ -13,7 +13,6 @@ from repro.cluster.events.events import (
     CompletionEvent,
     Event,
     EventHeap,
-    SimulationClock,
 )
 from repro.cluster.events.report import LatencyStats, SimulationReport
 from repro.cluster.events.simulator import ClusterSimulator, SimulationConfig
@@ -23,7 +22,6 @@ __all__ = [
     "CompletionEvent",
     "Event",
     "EventHeap",
-    "SimulationClock",
     "LatencyStats",
     "SimulationReport",
     "ClusterSimulator",

@@ -8,6 +8,12 @@ before new arrivals are enqueued — and the monotonically increasing
 sequence number makes the order of equal ``(time, priority)`` events
 stable (insertion order), which is what keeps an all-at-t=0 batch queued
 in submission order.
+
+The heap is also the simulation's clock.  Every event time is checked
+finite and non-negative when the event is built, the heap hands events
+out in time order, and the loop pushes each completion no earlier than
+the batch that dispatched it, so the time of the batch being handled
+never moves backwards.
 """
 
 from __future__ import annotations
@@ -55,28 +61,6 @@ class ArrivalEvent(Event):
 
     entry: TraceEntry
     kernel: KernelCharacteristics
-
-
-class SimulationClock:
-    """Monotonic simulation time."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    def advance(self, time: float) -> float:
-        """Move the clock forward to ``time`` (never backwards)."""
-        if time < self._now:
-            raise SimulationError(
-                f"the simulation clock cannot move backwards "
-                f"({self._now:.6f}s -> {time:.6f}s)"
-            )
-        self._now = float(time)
-        return self._now
 
 
 class EventHeap:

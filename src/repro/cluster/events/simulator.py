@@ -20,13 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from repro.cluster.events.events import (
-    ArrivalEvent,
-    CompletionEvent,
-    Event,
-    EventHeap,
-    SimulationClock,
-)
+from repro.cluster.events.events import ArrivalEvent, CompletionEvent, Event, EventHeap
 from repro.cluster.events.report import LatencyStats, SimulationReport
 from repro.cluster.job import Job
 from repro.cluster.node import ComputeNode
@@ -106,7 +100,8 @@ class _RunState:
     #: The run's power budget; ``None`` unless one is configured.
     budget: ClusterPowerManager | None
     heap: EventHeap = field(default_factory=EventHeap)
-    clock: SimulationClock = field(default_factory=SimulationClock)
+    #: Time of the event batch being handled, in seconds.
+    now: float = 0.0
     completed: list[Job] = field(default_factory=list)
     layouts: dict[int, tuple[int, ...]] = field(default_factory=dict)
     #: Min-heap of *positions* into the node list that are currently free.
@@ -147,7 +142,6 @@ class ClusterSimulator:
     ) -> None:
         if not nodes:
             raise ConfigurationError("the cluster needs at least one node")
-        self._allocator = allocator
         self._nodes = list(nodes)
         self._scheduler = CoScheduler(allocator, scheduler_config)
         self._config = config if config is not None else SimulationConfig()
@@ -246,7 +240,7 @@ class ClusterSimulator:
 
         while not state.heap.empty:
             batch = state.heap.pop_batch()
-            state.clock.advance(batch[0].time)
+            state.now = batch[0].time
             state.events_popped += len(batch)
             for event in batch:
                 self._handle(event, state)
@@ -283,7 +277,7 @@ class ClusterSimulator:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch_free_nodes(self, state: _RunState) -> None:
-        now = state.clock.now
+        now = state.now
         free_nodes = state.free_nodes
         budget = state.budget
         while free_nodes and not state.queue.empty:

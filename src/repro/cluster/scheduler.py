@@ -275,78 +275,66 @@ class CoScheduler:
                 positions=(0,), decision=None, reason="exclusive run (group_size=1)"
             )
 
-        policy = self._policy()
         has_profile = self._allocator.database.has
         candidates = [
             (position, job)
             for position, job in enumerate(window)
             if position > 0 and has_profile(job.name)
         ]
-
-        best_plan: _CachedPlan | None = None
-        best_objective = float("-inf")
-        for position, candidate in candidates:
-            try:
-                decision = self._allocator.decide([head.name, candidate.name], policy)
-            except InfeasibleProblemError:
-                continue
-            if decision.predicted_objective > best_objective:
-                best_objective = decision.predicted_objective
-                best_plan = _CachedPlan(
-                    positions=(0, position),
-                    decision=decision,
-                    reason=f"co-schedule via {policy.name}",
-                )
-        if best_plan is not None and self._config.group_size > 2:
-            best_plan, best_objective = self._grow_group(
-                best_plan, best_objective, candidates, policy, window
-            )
-        if best_plan is not None:
-            return best_plan
+        plan = self._grow_group(window, candidates)
+        if plan is not None:
+            return plan
         return _CachedPlan(positions=(0,), decision=None, reason="no feasible partner")
 
     def _grow_group(
-        self,
-        plan: _CachedPlan,
-        objective: float,
-        candidates: list[tuple[int, Job]],
-        policy: Policy,
-        window: tuple[Job, ...],
-    ) -> tuple[_CachedPlan, float]:
-        """Greedily extend a pair with window jobs while the objective improves.
+        self, window: tuple[Job, ...], candidates: list[tuple[int, Job]]
+    ) -> _CachedPlan | None:
+        """Grow a group from the head job, one window job per round.
 
         Each round tries every remaining profiled window job as the next
-        member and keeps the best strictly-improving extension; the loop
-        stops at :attr:`max_group_size` members or when no extension helps
-        (the heuristic search over group composition the paper's Section 6
-        calls for — the state/cap inside each trial is still solved exactly
-        by the allocator).
+        member and keeps the best strictly-improving extension; the first
+        round starts from the head alone at objective −inf, so it picks
+        the best feasible partner.  The loop stops at :attr:`max_group_size`
+        members (asked only once a pair exists and ``group_size`` allows
+        more) or when no extension helps — the heuristic search over group
+        composition the paper's Section 6 calls for; the state/cap inside
+        each trial is still solved exactly by the allocator.  Returns
+        ``None`` when the head has no feasible partner.
         """
-        max_members = self.max_group_size
-        while len(plan.positions) < max_members:
-            members = set(plan.positions)
-            best_extension: _CachedPlan | None = None
-            best_extension_objective = objective
+        policy = self._policy()
+        plan: _CachedPlan | None = None
+        positions: tuple[int, ...] = (0,)
+        objective = float("-inf")
+        max_members = 2
+        while len(positions) < max_members:
+            best: _CachedPlan | None = None
             for position, candidate in candidates:
-                if position in members:
+                if position in positions:
                     continue
-                names = [window[i].name for i in plan.positions] + [candidate.name]
+                names = [window[i].name for i in positions] + [candidate.name]
                 try:
                     decision = self._allocator.decide(names, policy)
                 except InfeasibleProblemError:
                     continue
-                if decision.predicted_objective > best_extension_objective:
-                    best_extension_objective = decision.predicted_objective
-                    best_extension = _CachedPlan(
-                        positions=plan.positions + (position,),
+                if decision.predicted_objective > objective:
+                    objective = decision.predicted_objective
+                    size = len(names)
+                    best = _CachedPlan(
+                        positions=positions + (position,),
                         decision=decision,
-                        reason=f"co-schedule {len(plan.positions) + 1} jobs via {policy.name}",
+                        reason=(
+                            f"co-schedule via {policy.name}"
+                            if size == 2
+                            else f"co-schedule {size} jobs via {policy.name}"
+                        ),
                     )
-            if best_extension is None:
+            if best is None:
                 break
-            plan = best_extension
-            objective = best_extension_objective
-        return plan, objective
+            plan = best
+            positions = best.positions
+            if len(positions) == 2 and self._config.group_size > 2:
+                max_members = self.max_group_size
+        return plan
 
     # ------------------------------------------------------------------
     def dispatch(

@@ -33,7 +33,7 @@ from repro.core.decision import AllocationDecision, CandidateColumns, CandidateE
 from repro.core.metrics import fairness as fairness_metric
 from repro.core.metrics import fairness_batch, weighted_speedup, weighted_speedup_batch
 from repro.core.model import CandidateCoefficients, LinearPerfModel
-from repro.core.policies import Policy, Problem1Policy, Problem2Policy
+from repro.core.policies import Policy
 from repro.core.search import ExhaustiveSearch, SearchCandidate, SearchStrategy
 from repro.errors import InfeasibleProblemError, OptimizationError
 from repro.gpu.mig import CORUN_STATES, PartitionState
@@ -286,23 +286,4 @@ class ResourcePowerAllocator:
             policy_name=policy.name,
             candidates_evaluated=len(evaluations),
             evaluations=evaluations,
-        )
-
-    def solve_problem1(
-        self,
-        counters_list: Sequence[CounterVector],
-        power_cap_w: float,
-        alpha: float = 0.2,
-    ) -> AllocationDecision:
-        """Problem 1: maximize throughput at a fixed cap under the fairness constraint."""
-        return self.solve(counters_list, Problem1Policy(power_cap_w=power_cap_w, alpha=alpha))
-
-    def solve_problem2(
-        self,
-        counters_list: Sequence[CounterVector],
-        alpha: float = 0.2,
-    ) -> AllocationDecision:
-        """Problem 2: maximize energy efficiency over both the state and the cap."""
-        return self.solve(
-            counters_list, Problem2Policy(alpha=alpha, power_caps=self._power_caps)
         )

@@ -25,7 +25,7 @@ from repro.gpu.spec import (
     spec_by_name,
 )
 from repro.gpu.clocks import DVFSModel
-from repro.gpu.power import InstanceLoad, PowerBreakdown, PowerModel
+from repro.gpu.power import InstanceLoad, PowerModel
 from repro.gpu.mig import (
     CORUN_STATES,
     GPC_TO_MEM_SLICES,
@@ -53,7 +53,6 @@ __all__ = [
     "Pipe",
     "DVFSModel",
     "PowerModel",
-    "PowerBreakdown",
     "InstanceLoad",
     "MemoryOption",
     "PartitionState",

@@ -5,9 +5,12 @@ The paper controls the GPU with chip-level power caps set through
 cap by throttling the clock; this module reproduces that behaviour
 analytically:
 
-* :class:`PowerModel` computes the chip power for a given operating point
-  (relative clock frequency) and a set of *instance loads* — per-MIG-instance
-  utilization of the CUDA cores, Tensor Cores, and DRAM bandwidth.
+* :meth:`PowerModel.chip_power` computes the chip power for a given
+  operating point (relative clock frequency) and a set of *instance loads*
+  — per-MIG-instance utilization of the CUDA cores, Tensor Cores, and DRAM
+  bandwidth.  It is the one chip-power formula: the engine prices every
+  scalar solve with it, and :meth:`PowerModel.total_powers` is its array
+  twin for the training sweeps, equal to it bit for bit.
 * :meth:`PowerModel.max_frequency_under_cap` plays the role of the driver's
   governor: it finds the highest (quantized) clock at which the modelled
   power stays under the cap.  :meth:`PowerModel.max_frequencies_under_caps`
@@ -28,7 +31,7 @@ drive the paper's observations:
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,29 +119,6 @@ class InstanceLoads:
                 )
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Decomposition of the modelled chip power at one operating point."""
-
-    static_w: float
-    gpc_idle_w: float
-    gpc_dynamic_w: float
-    hbm_idle_w: float
-    hbm_dynamic_w: float
-    relative_frequency: float
-
-    @property
-    def total_w(self) -> float:
-        """Total chip power in watts."""
-        return (
-            self.static_w
-            + self.gpc_idle_w
-            + self.gpc_dynamic_w
-            + self.hbm_idle_w
-            + self.hbm_dynamic_w
-        )
-
-
 class PowerModel:
     """Analytic chip power model with a power-cap governor.
 
@@ -167,70 +147,21 @@ class PowerModel:
     # ------------------------------------------------------------------
     # Forward power model
     # ------------------------------------------------------------------
-    def breakdown(
-        self,
-        loads: Sequence[InstanceLoad],
-        relative_frequency: float,
-        powered_gpcs: int | None = None,
-    ) -> PowerBreakdown:
-        """Compute the power breakdown at a given operating point.
-
-        Parameters
-        ----------
-        loads:
-            Per-instance activity descriptors.  The sum of their ``n_gpcs``
-            must not exceed ``powered_gpcs``.
-        relative_frequency:
-            Chip clock as a fraction of the boost clock.
-        powered_gpcs:
-            Number of GPCs that are powered on (idle GPCs still draw their
-            idle power).  Defaults to the full chip; MIG mode powers only
-            ``spec.mig_gpcs``.
-        """
-        if powered_gpcs is None:
-            powered_gpcs = self._spec.n_gpcs
-        gpc_dynamic, bw_fraction = self._dynamic_terms(
-            [astuple(load) for load in loads], relative_frequency, powered_gpcs
-        )
-        return PowerBreakdown(
-            static_w=self._spec.static_power_w,
-            gpc_idle_w=powered_gpcs * self._spec.gpc_idle_power_w,
-            gpc_dynamic_w=gpc_dynamic,
-            hbm_idle_w=self._spec.hbm_idle_power_w,
-            hbm_dynamic_w=self._spec.hbm_dynamic_power_w * bw_fraction,
-            relative_frequency=relative_frequency,
-        )
-
     def chip_power(
         self,
         loads: Sequence[tuple[int, float, float, float]],
         relative_frequency: float,
         powered_gpcs: int,
     ) -> float:
-        """Total chip power of one row of instance loads, given as tuples.
+        """Total chip power in watts of one row of instance loads.
 
         Each load is an ``(n_gpcs, cuda_utilization, tensor_utilization,
         dram_bw_fraction)`` tuple, checked as :class:`InstanceLoad` checks
-        its fields.  The result equals :meth:`breakdown`'s ``total_w`` for
-        the same loads bit for bit, without building the records.
+        its fields.  ``powered_gpcs`` counts the GPCs that are powered on
+        (idle GPCs still draw their idle power): the full chip, or
+        ``spec.mig_gpcs`` in MIG mode.  The sum of the loads' ``n_gpcs``
+        must not exceed it.
         """
-        gpc_dynamic, bw_fraction = self._dynamic_terms(loads, relative_frequency, powered_gpcs)
-        spec = self._spec
-        return (
-            spec.static_power_w
-            + powered_gpcs * spec.gpc_idle_power_w
-            + gpc_dynamic
-            + spec.hbm_idle_power_w
-            + spec.hbm_dynamic_power_w * bw_fraction
-        )
-
-    def _dynamic_terms(
-        self,
-        loads: Sequence[tuple[int, float, float, float]],
-        relative_frequency: float,
-        powered_gpcs: int,
-    ) -> tuple[float, float]:
-        """The GPCs' dynamic power and the clamped DRAM bandwidth fraction."""
         spec = self._spec
         if not (0 < powered_gpcs <= spec.n_gpcs):
             raise ConfigurationError(
@@ -253,7 +184,13 @@ class PowerModel:
             raise ConfigurationError(
                 f"loads occupy {busy_gpcs} GPCs but only {powered_gpcs} are powered"
             )
-        return gpc_dynamic, clamp(total_bw_fraction, 0.0, 1.0)
+        return (
+            spec.static_power_w
+            + powered_gpcs * spec.gpc_idle_power_w
+            + gpc_dynamic
+            + spec.hbm_idle_power_w
+            + spec.hbm_dynamic_power_w * clamp(total_bw_fraction, 0.0, 1.0)
+        )
 
     def total_powers(
         self,
@@ -300,10 +237,6 @@ class PowerModel:
             + spec.hbm_dynamic_power_w * clamped_bw_fraction
         )
         return total
-
-    def idle_power(self, powered_gpcs: int | None = None) -> float:
-        """Chip power with every pipe idle (no kernels running)."""
-        return self.breakdown([], self._spec.min_relative_frequency, powered_gpcs).total_w
 
     # ------------------------------------------------------------------
     # Power-cap governor

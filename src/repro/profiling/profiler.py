@@ -32,23 +32,7 @@ class ProfileCollector:
     # ------------------------------------------------------------------
     def collect(self, kernel: KernelCharacteristics) -> ProfileRecord:
         """Run one profile run and return its record."""
-        counters = self._simulator.profile(kernel)
-        reference = self._simulator.reference_time(kernel)
-        return ProfileRecord(
-            name=kernel.name,
-            counters=counters,
-            reference_time_s=reference,
-            metadata={
-                "device": self._simulator.spec.name,
-                "collection": "exclusive solo run, MIG off, default power limit",
-            },
-        )
-
-    def collect_many(
-        self, kernels: Iterable[KernelCharacteristics]
-    ) -> dict[str, ProfileRecord]:
-        """Profile several applications, returning records keyed by name."""
-        return {kernel.name: self.collect(kernel) for kernel in kernels}
+        return ProfileRecord(name=kernel.name, counters=self._simulator.profile(kernel))
 
     def collect_into(
         self, kernels: Iterable[KernelCharacteristics], database: ProfileDatabase

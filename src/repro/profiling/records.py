@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ProfileError
 from repro.sim.counters import CounterVector
@@ -17,46 +17,13 @@ class ProfileRecord:
     name:
         Application (benchmark) name — the database key.
     counters:
-        The Table 3 counter vector collected during the profile run.
-    reference_time_s:
-        Elapsed time of the exclusive full-GPU run the profile was taken
-        from; downstream relative-performance numbers are normalized to it.
-    metadata:
-        Free-form extra information (device name, collection settings, ...).
+        The Table 3 counter vector collected during the profile run, the
+        features the performance model reads.
     """
 
     name: str
     counters: CounterVector
-    reference_time_s: float
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ProfileError("profile record needs a non-empty application name")
-        if self.reference_time_s <= 0:
-            raise ProfileError(
-                f"{self.name}: reference time must be positive, got {self.reference_time_s}"
-            )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Serialize to a JSON-compatible dictionary."""
-        return {
-            "name": self.name,
-            "counters": self.counters.as_dict(),
-            "reference_time_s": self.reference_time_s,
-            "metadata": dict(self.metadata),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProfileRecord":
-        """Rebuild a record from :meth:`to_dict` output."""
-        try:
-            return cls(
-                name=str(data["name"]),
-                counters=CounterVector.from_dict(data["counters"]),
-                reference_time_s=float(data["reference_time_s"]),
-                metadata={str(k): str(v) for k, v in data.get("metadata", {}).items()},
-            )
-        except KeyError as exc:
-            raise ProfileError(f"profile record is missing field {exc}") from None

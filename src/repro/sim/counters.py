@@ -70,15 +70,6 @@ class CounterVector:
         """The counters as a NumPy vector in F1..F8 order."""
         return np.array([getattr(self, name) for name in self.FIELD_ORDER], dtype=float)
 
-    def as_dict(self) -> dict[str, float]:
-        """The counters as a plain dictionary (JSON friendly)."""
-        return {name: float(getattr(self, name)) for name in self.FIELD_ORDER}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, float]) -> "CounterVector":
-        """Rebuild a counter vector from :meth:`as_dict` output."""
-        return cls(**{name: float(data[name]) for name in cls.FIELD_ORDER})
-
     @classmethod
     def from_array(cls, values: np.ndarray) -> "CounterVector":
         """Rebuild a counter vector from :meth:`as_array` output."""

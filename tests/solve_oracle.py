@@ -3,8 +3,9 @@
 :func:`solve_at_frequency` is the bandwidth fixed point at one clock as
 the engine once ran it, building every record on the way;
 :func:`loads_from_solution` turns its solution into instance loads and
-:func:`total_power` prices them with the chip-power formula as
-:meth:`PowerModel.breakdown` once added it up.  :func:`chip_power_at`
+:func:`total_power` prices them with the chip-power formula, read from
+the load records term by term (:meth:`PowerModel.chip_power` must equal
+it bit for bit).  :func:`chip_power_at`
 chains the three, so a shape's power curve and its solved times can be
 checked against them bit for bit.
 """
@@ -131,7 +132,8 @@ def loads_from_solution(placements, solved):
 def total_power(power_model, loads, relative_frequency, powered_gpcs=None):
     """Total chip power in watts at the given operating point.
 
-    The sum of :meth:`PowerModel.breakdown`'s terms, added in its order.
+    The static, idle-GPC, dynamic-GPC, idle-HBM and dynamic-HBM terms,
+    added in that order.
     """
     spec = power_model.spec
     if powered_gpcs is None:

@@ -245,6 +245,36 @@ REJECTED_REQUESTS = [
         "cannot cover 2 nodes",
         id="simulate-budget-below-the-floor",
     ),
+    # Knobs the request would otherwise ignore: Problem 2 picks its own
+    # cap, and a recorded trace has its own length and arrival pattern.
+    pytest.param(
+        "decide",
+        {"apps": ["igemm4", "stream"], "policy": "problem2", "power_cap_w": 200.0},
+        ["decide", "igemm4", "stream", "--policy", "problem2", "--power-cap", "200"],
+        "policy 'problem2' chooses the cap",
+        id="decide-problem2-with-a-cap",
+    ),
+    pytest.param(
+        "simulate",
+        {"power_cap_w": 150.0},
+        ["simulate", "--power-cap", "150"],
+        "policy 'problem2' chooses the cap",
+        id="simulate-problem2-with-a-cap",
+    ),
+    pytest.param(
+        "simulate",
+        {"trace_path": "t.csv", "n_jobs": 3},
+        ["simulate", "--trace", "t.csv", "--jobs", "3"],
+        "n_jobs shapes synthetic traces only",
+        id="simulate-trace-with-jobs",
+    ),
+    pytest.param(
+        "simulate",
+        {"trace_path": "t.csv", "burst_size": 4.0},
+        ["simulate", "--trace", "t.csv", "--burst-size", "4"],
+        "burst_size shapes synthetic traces only",
+        id="simulate-trace-with-burst-size",
+    ),
 ]
 
 

@@ -1,15 +1,10 @@
-"""Tests for the discrete-event primitives: heap, clock, and event types."""
+"""Tests for the discrete-event primitives: the heap and the event types."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.events.events import (
-    ArrivalEvent,
-    CompletionEvent,
-    EventHeap,
-    SimulationClock,
-)
+from repro.cluster.events.events import ArrivalEvent, CompletionEvent, EventHeap
 from repro.errors import SimulationError
 from repro.traces.trace import TraceEntry
 from repro.workloads.suite import DEFAULT_SUITE
@@ -21,26 +16,6 @@ def _arrival(time: float, app: str = "stream") -> ArrivalEvent:
         entry=TraceEntry(arrival_time_s=time, app=app),
         kernel=DEFAULT_SUITE.get(app),
     )
-
-
-class TestSimulationClock:
-    def test_starts_at_zero_and_advances(self):
-        clock = SimulationClock()
-        assert clock.now == 0.0
-        clock.advance(3.5)
-        assert clock.now == pytest.approx(3.5)
-
-    def test_advancing_to_the_same_time_is_allowed(self):
-        clock = SimulationClock()
-        clock.advance(2.0)
-        clock.advance(2.0)
-        assert clock.now == pytest.approx(2.0)
-
-    def test_moving_backwards_rejected(self):
-        clock = SimulationClock()
-        clock.advance(5.0)
-        with pytest.raises(SimulationError):
-            clock.advance(4.0)
 
 
 class TestEventValidation:

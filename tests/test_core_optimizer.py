@@ -22,6 +22,13 @@ def ti_mi_profiles(context):
     return list(context.pair_profiles(corun_pair("TI-MI2")))
 
 
+def solve_problem2(allocator, counters, alpha):
+    """Problem 2 over the allocator's own cap grid."""
+    return allocator.solve(
+        counters, Problem2Policy(alpha=alpha, power_caps=allocator.power_caps)
+    )
+
+
 class TestConstruction:
     def test_requires_states_and_caps(self, trained_model):
         with pytest.raises(OptimizationError):
@@ -51,7 +58,7 @@ class TestCandidateEvaluation:
 
 class TestProblem1:
     def test_decision_structure(self, allocator, ti_mi_profiles):
-        decision = allocator.solve_problem1(ti_mi_profiles, power_cap_w=230, alpha=0.2)
+        decision = allocator.solve(ti_mi_profiles, Problem1Policy(power_cap_w=230, alpha=0.2))
         assert decision.power_cap_w == 230.0
         assert decision.state in CORUN_STATES
         assert decision.candidates_evaluated == len(CORUN_STATES)
@@ -61,16 +68,16 @@ class TestProblem1:
     def test_selects_s1_for_ti_mi_pair(self, allocator, ti_mi_profiles):
         """The paper's flagship example: give the Tensor-intensive kernel the
         bigger partition and share the memory system with stream."""
-        decision = allocator.solve_problem1(ti_mi_profiles, power_cap_w=250, alpha=0.2)
+        decision = allocator.solve(ti_mi_profiles, Problem1Policy(power_cap_w=250, alpha=0.2))
         assert decision.state.label == "S1"
 
     def test_selects_private_for_ci_us_pair(self, allocator, context):
         profiles = list(context.pair_profiles(corun_pair("CI-US1")))
-        decision = allocator.solve_problem1(profiles, power_cap_w=250, alpha=0.2)
+        decision = allocator.solve(profiles, Problem1Policy(power_cap_w=250, alpha=0.2))
         assert decision.state.label in ("S3", "S4")
 
     def test_decision_is_best_among_evaluations(self, allocator, ti_mi_profiles):
-        decision = allocator.solve_problem1(ti_mi_profiles, power_cap_w=230, alpha=0.2)
+        decision = allocator.solve(ti_mi_profiles, Problem1Policy(power_cap_w=230, alpha=0.2))
         feasible = [e for e in decision.evaluations if e.feasible]
         assert decision.predicted_objective == pytest.approx(
             max(e.objective for e in feasible)
@@ -78,12 +85,12 @@ class TestProblem1:
 
     def test_impossible_alpha_raises(self, allocator, ti_mi_profiles):
         with pytest.raises(InfeasibleProblemError):
-            allocator.solve_problem1(ti_mi_profiles, power_cap_w=230, alpha=0.99)
+            allocator.solve(ti_mi_profiles, Problem1Policy(power_cap_w=230, alpha=0.99))
 
 
 class TestProblem2:
     def test_decision_includes_power_cap_choice(self, allocator, ti_mi_profiles):
-        decision = allocator.solve_problem2(ti_mi_profiles, alpha=0.2)
+        decision = solve_problem2(allocator, ti_mi_profiles, alpha=0.2)
         assert decision.power_cap_w in DEFAULT_POWER_CAPS
         assert decision.candidates_evaluated == len(CORUN_STATES) * len(DEFAULT_POWER_CAPS)
         assert decision.policy_name.startswith("problem2")
@@ -92,25 +99,25 @@ class TestProblem2:
         """A stricter fairness constraint forces higher power for TI-TI pairs
         (both kernels suffer badly from throttling)."""
         profiles = list(context.pair_profiles(corun_pair("TI-TI1")))
-        relaxed = allocator.solve_problem2(profiles, alpha=0.1)
-        strict = allocator.solve_problem2(profiles, alpha=0.3)
+        relaxed = solve_problem2(allocator, profiles, alpha=0.1)
+        strict = solve_problem2(allocator, profiles, alpha=0.3)
         assert strict.power_cap_w >= relaxed.power_cap_w
 
     def test_us_pair_gets_lowest_power(self, allocator, context):
         """Two unscalable kernels keep ~full performance at any cap, so the
         most energy-efficient choice is the lowest cap."""
         profiles = list(context.pair_profiles(corun_pair("US-US2")))
-        decision = allocator.solve_problem2(profiles, alpha=0.2)
+        decision = solve_problem2(allocator, profiles, alpha=0.2)
         assert decision.power_cap_w == min(DEFAULT_POWER_CAPS)
 
     def test_objective_matches_throughput_per_watt(self, allocator, ti_mi_profiles):
-        decision = allocator.solve_problem2(ti_mi_profiles, alpha=0.2)
+        decision = solve_problem2(allocator, ti_mi_profiles, alpha=0.2)
         assert decision.predicted_objective == pytest.approx(
             decision.predicted_throughput / decision.power_cap_w
         )
 
     def test_describe_mentions_state_and_power(self, allocator, ti_mi_profiles):
-        decision = allocator.solve_problem2(ti_mi_profiles, alpha=0.2)
+        decision = solve_problem2(allocator, ti_mi_profiles, alpha=0.2)
         text = decision.describe()
         assert str(int(decision.power_cap_w)) in text
         assert decision.state.label in text

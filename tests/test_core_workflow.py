@@ -137,9 +137,9 @@ class TestOnlineAllocator:
 
     def test_ensure_profiled_is_idempotent(self, small_workflow):
         allocator = small_workflow.online
-        before = len(allocator.database)
+        before = allocator.database.get("stream")
         allocator.ensure_profiled(DEFAULT_SUITE.get("stream"))
-        assert len(allocator.database) == before
+        assert allocator.database.get("stream") is before
 
 
 class TestPaperWorkflow:

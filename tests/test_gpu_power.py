@@ -29,9 +29,18 @@ def memory_load(n_gpcs: int = 8) -> InstanceLoad:
     )
 
 
+def chip_power(power_model, loads, frequency, powered_gpcs=A100_SPEC.n_gpcs):
+    """``PowerModel.chip_power`` of ``loads``, checked against the reference sum."""
+    power = power_model.chip_power(
+        [dataclasses.astuple(load) for load in loads], frequency, powered_gpcs
+    )
+    assert power == total_power(power_model, loads, frequency, powered_gpcs)
+    return power
+
+
 def power_of(power_model, loads):
     """The governor's power function for loads that do not move with the clock."""
-    return lambda frequency: power_model.breakdown(loads, frequency).total_w
+    return lambda frequency: chip_power(power_model, loads, frequency)
 
 
 class TestInstanceLoad:
@@ -50,48 +59,38 @@ class TestInstanceLoad:
             InstanceLoad(4, 0.5, -0.2, 0.3)
 
 
-class TestBreakdown:
+class TestChipPower:
     def test_idle_power_is_positive_but_modest(self, power_model):
-        idle = power_model.idle_power()
+        idle = chip_power(power_model, [], A100_SPEC.min_relative_frequency)
         assert 0 < idle < 150
 
-    def test_total_is_sum_of_components(self, power_model):
-        breakdown = power_model.breakdown([full_tensor_load()], 1.0)
-        assert breakdown.total_w == pytest.approx(
-            breakdown.static_w
-            + breakdown.gpc_idle_w
-            + breakdown.gpc_dynamic_w
-            + breakdown.hbm_idle_w
-            + breakdown.hbm_dynamic_w
-        )
-
     def test_tensor_load_draws_more_than_memory_load(self, power_model):
-        tensor = power_model.breakdown([full_tensor_load()], 1.0).total_w
-        memory = power_model.breakdown([memory_load()], 1.0).total_w
+        tensor = chip_power(power_model, [full_tensor_load()], 1.0)
+        memory = chip_power(power_model, [memory_load()], 1.0)
         assert tensor > memory
 
     def test_power_increases_with_frequency(self, power_model):
-        low = power_model.breakdown([full_tensor_load()], 0.5).total_w
-        high = power_model.breakdown([full_tensor_load()], 1.0).total_w
+        low = chip_power(power_model, [full_tensor_load()], 0.5)
+        high = chip_power(power_model, [full_tensor_load()], 1.0)
         assert high > low
 
     def test_power_increases_with_gpcs(self, power_model):
-        small = power_model.breakdown([full_tensor_load(2)], 1.0).total_w
-        large = power_model.breakdown([full_tensor_load(7)], 1.0).total_w
+        small = chip_power(power_model, [full_tensor_load(2)], 1.0)
+        large = chip_power(power_model, [full_tensor_load(7)], 1.0)
         assert large > small
 
     def test_multi_instance_loads_accumulate(self, power_model):
-        single = power_model.breakdown([full_tensor_load(4)], 1.0).total_w
-        both = power_model.breakdown([full_tensor_load(4), memory_load(3)], 1.0).total_w
+        single = chip_power(power_model, [full_tensor_load(4)], 1.0)
+        both = chip_power(power_model, [full_tensor_load(4), memory_load(3)], 1.0)
         assert both > single
 
     def test_rejects_more_busy_than_powered_gpcs(self, power_model):
         with pytest.raises(ConfigurationError):
-            power_model.breakdown([full_tensor_load(8)], 1.0, powered_gpcs=7)
+            power_model.chip_power([(8, 0.1, 0.9, 0.2)], 1.0, 7)
 
     def test_rejects_invalid_powered_gpcs(self, power_model):
         with pytest.raises(ConfigurationError):
-            power_model.breakdown([], 1.0, powered_gpcs=0)
+            power_model.chip_power([], 1.0, 0)
 
     @pytest.mark.parametrize(
         "loads",
@@ -104,14 +103,12 @@ class TestBreakdown:
             [memory_load(2), memory_load(2), full_tensor_load(3)],
         ],
     )
-    def test_chip_power_is_the_breakdown_total_bit_for_bit(self, power_model, loads):
-        rows = [dataclasses.astuple(load) for load in loads]
+    def test_chip_power_is_the_reference_total_bit_for_bit(self, power_model, loads):
         busy = sum(load.n_gpcs for load in loads)
         for frequency in (A100_SPEC.min_relative_frequency, 0.73, 1.0):
             for powered in sorted({max(busy, 1), A100_SPEC.n_gpcs}):
-                power = power_model.chip_power(rows, frequency, powered)
-                assert power == power_model.breakdown(loads, frequency, powered).total_w
-                assert power == total_power(power_model, loads, frequency, powered)
+                # The helper asserts equality with the reference sum.
+                chip_power(power_model, loads, frequency, powered)
 
     @pytest.mark.parametrize(
         "load", [(0, 0.5, 0.0, 0.3), (4, 1.5, 0.0, 0.3), (4, 0.5, -0.2, 0.3), (4, 0.5, 0.0, 1.2)]
@@ -123,15 +120,9 @@ class TestBreakdown:
             power_model.chip_power([load], 1.0, 8)
         assert str(got.value) == str(expected.value)
 
-    def test_chip_power_rejects_what_breakdown_rejects(self, power_model):
-        with pytest.raises(ConfigurationError):
-            power_model.chip_power([(8, 0.1, 0.9, 0.2)], 1.0, 7)
-        with pytest.raises(ConfigurationError):
-            power_model.chip_power([], 1.0, 0)
-
     def test_full_tensor_chip_exceeds_default_limit(self, power_model):
         """A fully-lit Tensor-Core workload must be power-limited at 250 W."""
-        power = power_model.breakdown([full_tensor_load()], 1.0).total_w
+        power = chip_power(power_model, [full_tensor_load()], 1.0)
         assert power > A100_SPEC.default_power_limit_w
 
 
@@ -156,7 +147,7 @@ class TestGovernor:
         cap = 170.0
         loads = [full_tensor_load()]
         f = power_model.max_frequency_under_cap(power_of(power_model, loads), cap)
-        assert power_model.breakdown(loads, f).total_w <= cap + 1e-6
+        assert chip_power(power_model, loads, f) <= cap + 1e-6
 
     def test_lower_cap_means_lower_frequency(self, power_model):
         power = power_of(power_model, [full_tensor_load()])

@@ -13,6 +13,7 @@ from repro.analysis.figures import figure9_problem1, figure11_problem2_efficienc
 from repro.core.metrics import geometric_mean
 from repro.core.model import LinearPerfModel
 from repro.core.optimizer import ResourcePowerAllocator
+from repro.core.policies import Problem1Policy
 from repro.core.workflow import PaperWorkflow, TrainingPlan
 from repro.gpu.mig import CORUN_STATES, MemoryOption
 from repro.sim.engine import PerformanceSimulator
@@ -60,8 +61,8 @@ class TestModelPortability:
         allocator_b = ResourcePowerAllocator(reloaded)
         for pair in CORUN_PAIRS[:6]:
             counters = list(context.pair_profiles(pair))
-            decision_a = allocator_a.solve_problem1(counters, power_cap_w=230)
-            decision_b = allocator_b.solve_problem1(counters, power_cap_w=230)
+            decision_a = allocator_a.solve(counters, Problem1Policy(power_cap_w=230))
+            decision_b = allocator_b.solve(counters, Problem1Policy(power_cap_w=230))
             assert decision_a.state.key() == decision_b.state.key()
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import MissingProfileError, ProfileError
@@ -14,9 +12,9 @@ from repro.sim.counters import CounterVector
 from repro.workloads.suite import DEFAULT_SUITE
 
 
-def make_record(name="stream", reference=1.0):
+def make_record(name="stream"):
     counters = CounterVector(50, 60, 55, 10, 70, 0, 0, 0)
-    return ProfileRecord(name=name, counters=counters, reference_time_s=reference)
+    return ProfileRecord(name=name, counters=counters)
 
 
 class TestProfileRecord:
@@ -24,44 +22,22 @@ class TestProfileRecord:
         with pytest.raises(ProfileError):
             make_record(name="")
 
-    def test_requires_positive_reference(self):
-        with pytest.raises(ProfileError):
-            make_record(reference=0.0)
-
-    def test_dict_roundtrip(self):
-        record = make_record()
-        rebuilt = ProfileRecord.from_dict(record.to_dict())
-        assert rebuilt.name == record.name
-        assert rebuilt.counters == record.counters
-        assert rebuilt.reference_time_s == record.reference_time_s
-
-    def test_from_dict_missing_field(self):
-        with pytest.raises(ProfileError):
-            ProfileRecord.from_dict({"name": "x"})
-
 
 class TestProfileCollector:
     def test_collect_returns_record(self, sim):
         collector = ProfileCollector(sim)
         record = collector.collect(DEFAULT_SUITE.get("hgemm"))
         assert record.name == "hgemm"
-        assert record.reference_time_s == pytest.approx(
-            sim.reference_time(DEFAULT_SUITE.get("hgemm"))
-        )
+        assert record.counters == sim.profile(DEFAULT_SUITE.get("hgemm"))
         assert record.counters.tensor_mixed > 0
-        assert "device" in record.metadata
-
-    def test_collect_many(self, sim):
-        collector = ProfileCollector(sim)
-        records = collector.collect_many([DEFAULT_SUITE.get("stream"), DEFAULT_SUITE.get("lud")])
-        assert set(records) == {"stream", "lud"}
 
     def test_collect_into_skips_existing(self, sim):
         collector = ProfileCollector(sim)
         database = ProfileDatabase()
-        database.add(make_record("stream", reference=123.0))
+        stored = make_record("stream")
+        database.add(stored)
         collector.collect_into([DEFAULT_SUITE.get("stream")], database)
-        assert database.get("stream").reference_time_s == 123.0
+        assert database.get("stream") is stored
 
     def test_default_simulator_is_created(self):
         collector = ProfileCollector()
@@ -71,10 +47,9 @@ class TestProfileCollector:
 class TestProfileDatabase:
     def test_add_and_get(self):
         database = ProfileDatabase()
+        assert not database.has("stream")
         database.add(make_record())
         assert database.has("stream")
-        assert "stream" in database
-        assert len(database) == 1
         assert database.get("stream").name == "stream"
 
     def test_get_missing_raises(self):
@@ -83,48 +58,11 @@ class TestProfileDatabase:
 
     def test_duplicate_add_rejected(self):
         database = ProfileDatabase()
-        database.add(make_record())
+        first = make_record()
+        database.add(first)
         with pytest.raises(ProfileError):
-            database.add(make_record(reference=9.0))
-        assert database.get("stream").reference_time_s == 1.0
-
-    def test_names_and_iteration_sorted(self):
-        database = ProfileDatabase()
-        database.add(make_record("zeta"))
-        database.add(make_record("alpha"))
-        assert database.names() == ("alpha", "zeta")
-        assert list(database) == ["alpha", "zeta"]
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        database = ProfileDatabase()
-        database.add(make_record("a", 1.5))
-        database.add(make_record("b", 2.5))
-        path = database.save(tmp_path / "profiles.json")
-        loaded = ProfileDatabase.load(path)
-        assert loaded.names() == ("a", "b")
-        assert loaded.get("a").reference_time_s == 1.5
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(ProfileError):
-            ProfileDatabase.load(tmp_path / "missing.json")
-
-    def test_load_invalid_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("not json {")
-        with pytest.raises(ProfileError):
-            ProfileDatabase.load(path)
-
-    def test_from_dict_rejects_other_formats(self):
-        with pytest.raises(ProfileError):
-            ProfileDatabase.from_dict({"format": "something-else"})
-
-    def test_saved_file_is_valid_json(self, tmp_path):
-        database = ProfileDatabase()
-        database.add(make_record())
-        path = database.save(tmp_path / "db.json")
-        data = json.loads(path.read_text())
-        assert data["format"] == "repro-profile-database"
-        assert len(data["profiles"]) == 1
+            database.add(make_record())
+        assert database.get("stream") is first
 
 
 class TestHotspotProfiler:

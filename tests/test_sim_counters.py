@@ -33,11 +33,6 @@ class TestCounterVector:
         rebuilt = CounterVector.from_array(vector.as_array())
         assert rebuilt == vector
 
-    def test_dict_roundtrip(self):
-        vector = CounterVector(90, 40, 30, 60, 50, 0, 10, 0)
-        rebuilt = CounterVector.from_dict(vector.as_dict())
-        assert rebuilt == vector
-
     def test_from_array_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             CounterVector.from_array(np.zeros(5))
