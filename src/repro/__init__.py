@@ -92,7 +92,6 @@ from repro.workloads import (
     CoRunGroup,
     KernelCharacteristics,
     WorkloadClass,
-    get_kernel,
 )
 
 __all__ = [
@@ -134,7 +133,6 @@ __all__ = [
     "CORUN_PAIRS",
     "CORUN_GROUPS",
     "CoRunGroup",
-    "get_kernel",
     # Simulator
     "PerformanceSimulator",
     "RunResult",

@@ -50,11 +50,6 @@ class InterferenceAblationResult:
         """How much the throughput error grows when the D term is dropped."""
         return self.no_interference_throughput_mape_pct - self.full_throughput_mape_pct
 
-    @property
-    def fairness_degradation_pct(self) -> float:
-        """How much the fairness error grows when the D term is dropped."""
-        return self.no_interference_fairness_mape_pct - self.full_fairness_mape_pct
-
 
 def interference_term_ablation(
     context: EvaluationContext,

@@ -87,13 +87,3 @@ class EvaluationContext:
         if isinstance(pair, str):
             pair = corun_pair(pair)
         return self.simulator.co_run(list(pair.kernels(self.suite)), state, power_cap_w)
-
-    def measured_grid(self, pair: CoRunPair | str) -> dict[tuple[tuple, float], CoRunResult]:
-        """Measured results for one pair over the whole (state × cap) grid."""
-        if isinstance(pair, str):
-            pair = corun_pair(pair)
-        grid: dict[tuple[tuple, float], CoRunResult] = {}
-        for state in self.config.candidate_states:
-            for power_cap in self.config.power_caps:
-                grid[(state.key(), float(power_cap))] = self.measured(pair, state, power_cap)
-        return grid

@@ -17,10 +17,10 @@ regressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.analysis.context import EvaluationContext
-from repro.analysis.figures import Figure8Data, figure8_model_accuracy
+from repro.analysis.figures import figure8_model_accuracy
 from repro.core.model import HardwareStateKey, LinearPerfModel
 from repro.errors import AnalysisError
 from repro.gpu.mig import MemoryOption, PartitionState, enumerate_partition_states
@@ -34,15 +34,7 @@ class ModelErrorSummary:
 
     throughput_mape_pct: float
     fairness_mape_pct: float
-    per_power_cap: Mapping[float, Figure8Data]
     n_samples: int
-
-    def worst_power_cap(self) -> float:
-        """The power cap with the largest throughput error."""
-        return max(
-            self.per_power_cap,
-            key=lambda cap: self.per_power_cap[cap].throughput_mape_pct,
-        )
 
 
 def model_error_summary(
@@ -63,13 +55,11 @@ def model_error_summary(
             "model_error_summary got an empty power-cap list; pass at least "
             "one cap via power_caps or context.config.power_caps"
         )
-    per_cap: dict[float, Figure8Data] = {}
     throughput_errors: list[float] = []
     fairness_errors: list[float] = []
     n_samples = 0
     for cap in caps:
         data = figure8_model_accuracy(context, power_cap_w=float(cap))
-        per_cap[float(cap)] = data
         throughput_errors.extend(row.throughput_error for row in data.rows)
         fairness_errors.extend(row.fairness_error for row in data.rows)
         n_samples += len(data.rows)
@@ -82,7 +72,6 @@ def model_error_summary(
     return ModelErrorSummary(
         throughput_mape_pct=100.0 * sum(throughput_errors) / len(throughput_errors),
         fairness_mape_pct=100.0 * sum(fairness_errors) / len(fairness_errors),
-        per_power_cap=per_cap,
         n_samples=n_samples,
     )
 

@@ -61,16 +61,6 @@ class Table7Data:
         return {cls: tuple(names) for cls, names in grouped.items()}
 
     @property
-    def mismatches(self) -> tuple[str, ...]:
-        """Benchmarks whose measured class differs from the paper's Table 7."""
-        return tuple(
-            name
-            for name in sorted(self.reports)
-            if name in EXPECTED_CLASSIFICATION
-            and self.reports[name].workload_class is not EXPECTED_CLASSIFICATION[name]
-        )
-
-    @property
     def accuracy(self) -> float:
         """Fraction of benchmarks classified identically to the paper."""
         relevant = [name for name in self.reports if name in EXPECTED_CLASSIFICATION]
@@ -103,10 +93,6 @@ class Table8Data:
     def names(self) -> tuple[str, ...]:
         """All workload names in order."""
         return tuple(pair.name for pair in self.pairs)
-
-    def class_combinations(self) -> tuple[tuple[WorkloadClass, WorkloadClass], ...]:
-        """The class combination of each pair, in order."""
-        return tuple((pair.class1, pair.class2) for pair in self.pairs)
 
 
 def table8_corun_pairs() -> Table8Data:

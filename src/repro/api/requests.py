@@ -30,6 +30,15 @@ from repro.workloads.suite import DEFAULT_SUITE
 #: The optimization problems the service can solve.
 POLICY_NAMES: tuple[str, ...] = ("problem1", "problem2")
 
+#: The value each synthetic-trace knob of a :class:`SimulationRequest` takes
+#: when unset; a request with a ``trace_path`` rejects each one instead.
+SYNTHETIC_TRACE_DEFAULTS: Mapping[str, Any] = {
+    "arrival_rate_per_s": 2.0,
+    "duration_s": 600.0,
+    "mix": "steady",
+    "seed": 2022,
+}
+
 
 def _check_policy(policy: str) -> str:
     if policy not in POLICY_NAMES:
@@ -155,8 +164,10 @@ class SimulationRequest:
 
     ``trace_path`` replays a recorded trace; otherwise a synthetic trace is
     generated (Poisson by default, bursty when ``burst_size`` is set) from
-    the named job ``mix``.  ``n_jobs`` and ``burst_size`` shape synthetic
-    traces only, so a request with a ``trace_path`` rejects them.  The
+    the named job ``mix``.  The arrival rate, duration, job count, burst
+    size, mix and seed shape synthetic traces only, so a request with a
+    ``trace_path`` rejects each one that is set; without one, an unset
+    knob takes its :data:`SYNTHETIC_TRACE_DEFAULTS` value.  The
     scheduling knobs mirror
     :class:`~repro.cluster.scheduler.SchedulerConfig` and
     :class:`~repro.cluster.events.SimulationConfig`; ``power_cap_w`` is
@@ -169,12 +180,12 @@ class SimulationRequest:
     """
 
     trace_path: str | None = None
-    arrival_rate_per_s: float = 2.0
-    duration_s: float = 600.0
+    arrival_rate_per_s: float | None = None
+    duration_s: float | None = None
     n_jobs: int | None = None
     burst_size: float | None = None
-    mix: str = "steady"
-    seed: int = 2022
+    mix: str | None = None
+    seed: int | None = None
     n_nodes: int = 2
     policy: str = "problem2"
     power_cap_w: float | None = None
@@ -190,7 +201,11 @@ class SimulationRequest:
     def __post_init__(self) -> None:
         _check_policy(self.policy)
         _check_spec(self.spec)
-        if self.mix not in JOB_MIXES:
+        if self.trace_path is None:
+            for name, default in SYNTHETIC_TRACE_DEFAULTS.items():
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
+        if self.mix is not None and self.mix not in JOB_MIXES:
             raise ConfigurationError(
                 f"unknown job mix {self.mix!r}; valid mixes: {tuple(sorted(JOB_MIXES))}"
             )
@@ -206,7 +221,7 @@ class SimulationRequest:
                 f"burst_size must be positive, got {self.burst_size}"
             )
         if self.trace_path is not None:
-            for name in ("n_jobs", "burst_size"):
+            for name in (*SYNTHETIC_TRACE_DEFAULTS, "n_jobs", "burst_size"):
                 if getattr(self, name) is not None:
                     raise ConfigurationError(
                         f"{name} shapes synthetic traces only; it cannot be "
@@ -218,11 +233,11 @@ class SimulationRequest:
         for name in ("n_nodes", "window_size", "group_size"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
         # Any integer seeds; the trace generators range-check the job count.
-        object.__setattr__(self, "seed", check_count("seed", self.seed, minimum=None))
-        if self.n_jobs is not None:
-            object.__setattr__(
-                self, "n_jobs", check_count("n_jobs", self.n_jobs, minimum=None)
-            )
+        for name in ("seed", "n_jobs"):
+            if getattr(self, name) is not None:
+                object.__setattr__(
+                    self, name, check_count(name, getattr(self, name), minimum=None)
+                )
         SimulationConfig(
             repartition_latency_s=self.repartition_latency_s,
             power_budget_w=self.power_budget_w,

@@ -18,7 +18,7 @@ needs to rebuild trainer/suite/allocator plumbing per call any more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -221,10 +221,6 @@ class PlannerService:
         """Read-only view of the live sessions (for tests and dashboards)."""
         return dict(self._sessions)
 
-    def drop_sessions(self) -> None:
-        """Forget every cached session (persisted model files survive)."""
-        self._sessions.clear()
-
     # ------------------------------------------------------------------
     # Decide
     # ------------------------------------------------------------------
@@ -286,23 +282,27 @@ class PlannerService:
 
         if request.trace_path is not None:
             trace = load_trace(request.trace_path)
-        elif request.burst_size is not None:
-            trace = bursty_trace(
-                burst_rate_per_s=request.arrival_rate_per_s / request.burst_size,
-                mean_burst_size=request.burst_size,
-                duration_s=request.duration_s,
-                n_jobs=request.n_jobs,
-                seed=request.seed,
-                mix=mix_by_name(request.mix),
-            )
         else:
-            trace = poisson_trace(
-                arrival_rate_per_s=request.arrival_rate_per_s,
-                duration_s=request.duration_s,
-                n_jobs=request.n_jobs,
-                seed=request.seed,
-                mix=mix_by_name(request.mix),
-            )
+            # Without a trace file the request has filled every unset knob.
+            assert request.arrival_rate_per_s is not None and request.duration_s is not None
+            assert request.mix is not None and request.seed is not None
+            if request.burst_size is not None:
+                trace = bursty_trace(
+                    burst_rate_per_s=request.arrival_rate_per_s / request.burst_size,
+                    mean_burst_size=request.burst_size,
+                    duration_s=request.duration_s,
+                    n_jobs=request.n_jobs,
+                    seed=request.seed,
+                    mix=mix_by_name(request.mix),
+                )
+            else:
+                trace = poisson_trace(
+                    arrival_rate_per_s=request.arrival_rate_per_s,
+                    duration_s=request.duration_s,
+                    n_jobs=request.n_jobs,
+                    seed=request.seed,
+                    mix=mix_by_name(request.mix),
+                )
         if request.save_trace_path is not None:
             save_trace(trace, request.save_trace_path)
         return self.simulate_trace(trace, request)

@@ -65,6 +65,7 @@ from repro.api import (
     SimulationRequest,
     StatesRequest,
 )
+from repro.api.requests import SYNTHETIC_TRACE_DEFAULTS
 from repro.errors import ConfigurationError, ModelCacheError, OptimizationError, ReproError
 from repro.gpu.spec import GPU_SPECS
 from repro.profiling import HotspotProfiler
@@ -169,12 +170,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="trace file (.csv or .json); omit to generate a synthetic trace",
     )
     simulate.add_argument(
-        "--arrival-rate", type=float, default=2.0,
-        help="synthetic arrival rate in jobs/s (ignored with --trace)",
+        "--arrival-rate", type=float, default=None,
+        help="synthetic arrival rate in jobs/s (default "
+        f"{SYNTHETIC_TRACE_DEFAULTS['arrival_rate_per_s']:g}; rejected with --trace)",
     )
     simulate.add_argument(
-        "--duration", type=float, default=600.0,
-        help="synthetic arrival window in seconds (ignored with --trace)",
+        "--duration", type=float, default=None,
+        help="synthetic arrival window in seconds (default "
+        f"{SYNTHETIC_TRACE_DEFAULTS['duration_s']:g}; rejected with --trace)",
     )
     simulate.add_argument(
         "--jobs", type=int, default=None,
@@ -187,10 +190,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "rejected with --trace)",
     )
     simulate.add_argument(
-        "--mix", choices=sorted(JOB_MIXES), default="steady",
-        help="job mix the synthetic trace samples applications from",
+        "--mix", choices=sorted(JOB_MIXES), default=None,
+        help="job mix the synthetic trace samples applications from "
+        f"(default {SYNTHETIC_TRACE_DEFAULTS['mix']}; rejected with --trace)",
     )
-    simulate.add_argument("--seed", type=int, default=2022, help="trace generator seed")
+    simulate.add_argument(
+        "--seed", type=int, default=None,
+        help="synthetic trace generator seed (default "
+        f"{SYNTHETIC_TRACE_DEFAULTS['seed']}; rejected with --trace)",
+    )
     simulate.add_argument("--nodes", type=int, default=2, help="number of compute nodes")
     simulate.add_argument(
         "--policy", choices=("problem1", "problem2"), default="problem2"

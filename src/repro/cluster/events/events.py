@@ -115,12 +115,6 @@ class EventHeap:
             raise SimulationError("the event heap is empty")
         return heapq.heappop(self._heap)[3]
 
-    def peek_time(self) -> float:
-        """Timestamp of the earliest event (heap must be non-empty)."""
-        if not self._heap:
-            raise SimulationError("the event heap is empty")
-        return self._heap[0][0]
-
     def pop_batch(self) -> tuple[Event, ...]:
         """Remove and return every event sharing the earliest timestamp.
 

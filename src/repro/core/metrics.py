@@ -75,11 +75,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     return float(math.exp(sum(math.log(v) for v in values) / len(values)))
 
 
-def is_fair(relative_performances: Sequence[float], alpha: float) -> bool:
-    """Whether the fairness constraint ``min_i RPerf_i > alpha`` holds."""
-    return fairness(relative_performances) > alpha
-
-
 def relative_error(estimated: float, measured: float) -> float:
     """Absolute relative error ``|estimated - measured| / |measured|``."""
     if measured == 0:

@@ -194,10 +194,6 @@ class LinearPerfModel:
         """Hardware states with a fitted scalability term."""
         return tuple(sorted(self._scalability, key=HardwareStateKey.sort_key))
 
-    def fitted_interference_states(self) -> tuple[HardwareStateKey, ...]:
-        """Hardware states with a fitted interference term."""
-        return tuple(sorted(self._interference, key=HardwareStateKey.sort_key))
-
     def has_scalability(self, key: HardwareStateKey) -> bool:
         """Whether a scalability coefficient vector exists for ``key``."""
         return key in self._scalability
@@ -205,10 +201,6 @@ class LinearPerfModel:
     def has_interference(self, key: HardwareStateKey) -> bool:
         """Whether an interference coefficient vector exists for ``key``."""
         return key in self._interference
-
-    def has_composition(self, key: HardwareStateKey) -> bool:
-        """Whether a composition coefficient vector exists for ``key``."""
-        return key in self._composition
 
     def scalability_coefficients(self, key: HardwareStateKey) -> np.ndarray:
         """The fitted ``C`` vector for ``key`` (copy)."""

@@ -125,16 +125,6 @@ class TrainingReport:
     mixed_residuals: dict[HardwareStateKey, float] = field(default_factory=dict)
     composition_residuals: dict[HardwareStateKey, float] = field(default_factory=dict)
 
-    @property
-    def worst_scalability_residual(self) -> float:
-        """Largest per-state RMS residual of the scalability fit."""
-        return max(self.scalability_residuals.values(), default=0.0)
-
-    @property
-    def worst_interference_residual(self) -> float:
-        """Largest per-state RMS residual of the interference fit."""
-        return max(self.interference_residuals.values(), default=0.0)
-
 
 #: Integer code of each memory option in the row table's option column.
 _OPTION_CODES: dict[MemoryOption, int] = {

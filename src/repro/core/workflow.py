@@ -118,16 +118,6 @@ class TrainingPlan:
         """Sizes above two whose states need N-way training workloads."""
         return tuple(sorted({s.n_apps for s in self.states if s.n_apps > 2}))
 
-    @property
-    def solo_runs_per_kernel(self) -> int:
-        """Number of solo training runs each benchmark requires."""
-        return len(self.gpc_counts) * len(self.options) * len(self.power_caps)
-
-    @property
-    def corun_runs_per_pair(self) -> int:
-        """Number of co-run training runs each pair requires."""
-        return len(self.pair_states) * len(self.power_caps)
-
     @classmethod
     def for_spec(
         cls,

@@ -40,7 +40,6 @@ from repro.gpu.mig import (
     enumerate_corun_states,
     enumerate_partition_states,
     solo_state,
-    solo_states,
 )
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "enumerate_corun_states",
     "enumerate_partition_states",
     "solo_state",
-    "solo_states",
 ]

@@ -211,11 +211,6 @@ class PartitionState:
         """Total number of GPCs consumed by the state."""
         return sum(self.gpc_allocations)
 
-    @property
-    def is_solo(self) -> bool:
-        """Whether this state describes a single application."""
-        return self.n_apps == 1
-
     def groups(self) -> tuple[tuple[int, ...], ...]:
         """Application indices per GPU Instance, in GI order.
 
@@ -431,14 +426,6 @@ def solo_state(gpcs: int, option: MemoryOption | str = MemoryOption.PRIVATE) -> 
     exactly the two scalability configurations of Figure 4.
     """
     return PartitionState((gpcs,), MemoryOption(option))
-
-
-def solo_states(
-    sizes: Sequence[int] = VALID_INSTANCE_SIZES,
-    options: Sequence[MemoryOption] = (MemoryOption.PRIVATE, MemoryOption.SHARED),
-) -> tuple[PartitionState, ...]:
-    """All solo partition states for the given sizes and memory options."""
-    return tuple(solo_state(g, o) for o in options for g in sizes)
 
 
 def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:

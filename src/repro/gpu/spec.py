@@ -17,7 +17,7 @@ unscalable kernels are not — Figures 4 and 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -47,11 +47,6 @@ class Pipe(str, Enum):
     TENSOR_DOUBLE = "tensor_double"
     #: Tensor Cores operating on INT8/INT4 inputs ("Tensor INTEGER").
     TENSOR_INT = "tensor_int"
-
-    @property
-    def is_tensor(self) -> bool:
-        """Whether this pipe is one of the Tensor-Core pipes."""
-        return self in (Pipe.TENSOR_MIXED, Pipe.TENSOR_DOUBLE, Pipe.TENSOR_INT)
 
 
 #: Pipes that map onto Tensor Cores.
@@ -259,27 +254,9 @@ class GPUSpec:
     # Derived quantities
     # ------------------------------------------------------------------
     @property
-    def total_sms(self) -> int:
-        """Total SM count of the full (non-MIG) chip."""
-        return self.n_gpcs * self.sms_per_gpc
-
-    @property
     def min_relative_frequency(self) -> float:
         """Lowest relative frequency the DVFS governor may select."""
         return self.min_clock_ghz / self.max_clock_ghz
-
-    @property
-    def base_relative_frequency(self) -> float:
-        """Base clock expressed as a fraction of the boost clock."""
-        return self.base_clock_ghz / self.max_clock_ghz
-
-    def slice_bandwidth_gbs(self, n_slices: int) -> float:
-        """Peak DRAM bandwidth available through ``n_slices`` LLC/HBM slices."""
-        if not (0 < n_slices <= self.n_mem_slices):
-            raise SpecificationError(
-                f"n_slices must be in (0, {self.n_mem_slices}], got {n_slices}"
-            )
-        return self.dram_bandwidth_gbs * n_slices / self.n_mem_slices
 
     def validate_power_cap(self, power_cap_w: float) -> float:
         """Validate a power-cap request and return it unchanged.
@@ -315,10 +292,6 @@ class GPUSpec:
             f"no instance profile on {self.name} can hold {gpcs} GPCs "
             f"(largest is {self.mig_instance_sizes[-1]})"
         )
-
-    def with_overrides(self, **kwargs: object) -> "GPUSpec":
-        """Return a copy of this spec with selected fields replaced."""
-        return replace(self, **kwargs)  # type: ignore[arg-type]
 
 
 #: Default specification modelled after the paper's NVIDIA A100 40 GB PCIe.

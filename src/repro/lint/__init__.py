@@ -11,7 +11,7 @@ in ``--strict`` mode (``repro lint --strict src tests``).
 * :mod:`repro.lint.analyzer` — discovery, dispatch, and ``# repro:
   allow[RLxxx]`` suppression handling;
 * :mod:`repro.lint.findings` — the :class:`Finding` value object;
-* :mod:`repro.lint.report` — human-readable rendering.
+* :mod:`repro.lint.report` — the rule registry's text (``--list-rules``).
 
 Run it programmatically::
 
@@ -34,7 +34,7 @@ from repro.lint.analyzer import (
     suppressed_lines,
 )
 from repro.lint.findings import Finding, Severity
-from repro.lint.report import render_report, render_rules
+from repro.lint.report import render_rules
 from repro.lint.rules import RULES, ModuleContext, Rule
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "discover_files",
-    "render_report",
     "render_rules",
     "select_rules",
     "suppressed_lines",

@@ -1,27 +1,12 @@
-"""Text rendering of analyzer output (the CLI's non-JSON mode).
+"""Text rendering of the rule registry (``repro lint --list-rules``).
 
-JSON rendering lives on the service-layer response type
-(:class:`~repro.api.results.LintResult`) like every other command; this
-module only formats for humans.
+A run's findings render on the service-layer response type
+(:meth:`~repro.api.results.LintResult.describe`) like every other command.
 """
 
 from __future__ import annotations
 
-from repro.lint.analyzer import LintReport
 from repro.lint.rules import RULES
-
-
-def render_report(report: LintReport, strict: bool = False) -> str:
-    """One line per finding plus a verdict summary line."""
-    lines = [finding.format() for finding in report.findings]
-    verdict = "clean" if report.clean(strict) else "FAILED"
-    mode = " (strict)" if strict else ""
-    lines.append(
-        f"{verdict}{mode}: {len(report.findings)} finding(s) "
-        f"({report.n_errors} error(s), {report.n_warnings} warning(s)), "
-        f"{report.suppressed} suppressed, {report.files_scanned} file(s) scanned"
-    )
-    return "\n".join(lines)
 
 
 def render_rules() -> str:

@@ -181,8 +181,8 @@ class IdKeyedMemoRule(Rule):
     *dead* queue whose address the allocator had recycled for a fresh one.
     An id-keyed entry must hold ``weakref.ref(obj)`` and prove
     ``ref() is obj`` on lookup (a dead referent can never alias a live
-    object), as the engine's ``PerformanceSimulator._kernel_signature``
-    does.
+    object).  Simpler still is a key the object stores itself, as
+    ``KernelCharacteristics.signature`` is.
     """
 
     rule_id = "RL001"

@@ -24,8 +24,7 @@ Modules
     :class:`~repro.sim.engine.PerformanceSimulator` — solo runs, co-runs,
     reference runs, and profiling.
 :mod:`repro.sim.sweep`
-    Convenience sweeps (scalability curves, co-run grids) used by the
-    observation figures and by model training.
+    Solo scalability sweeps behind the observation figures (Figures 4-5).
 """
 
 from repro.sim.counters import CounterVector, collect_counters
@@ -36,7 +35,6 @@ from repro.sim.results import CoRunResult, RunResult
 from repro.sim.roofline import TimeComponents, bound_of, elapsed_time
 from repro.sim.sweep import (
     ScalabilityPoint,
-    corun_sweep,
     scalability_power_sweep,
     scalability_sweep,
 )
@@ -56,5 +54,4 @@ __all__ = [
     "ScalabilityPoint",
     "scalability_sweep",
     "scalability_power_sweep",
-    "corun_sweep",
 ]

@@ -70,21 +70,6 @@ class CounterVector:
         """The counters as a NumPy vector in F1..F8 order."""
         return np.array([getattr(self, name) for name in self.FIELD_ORDER], dtype=float)
 
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "CounterVector":
-        """Rebuild a counter vector from :meth:`as_array` output."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(cls.FIELD_ORDER),):
-            raise ValueError(
-                f"expected {len(cls.FIELD_ORDER)} counters, got shape {values.shape}"
-            )
-        return cls(**{name: float(v) for name, v in zip(cls.FIELD_ORDER, values)})
-
-    @property
-    def tensor_total(self) -> float:
-        """Summed Tensor-pipe utilization (percent)."""
-        return self.tensor_mixed + self.tensor_double + self.tensor_int
-
 
 def collect_counters(
     kernel: KernelCharacteristics,

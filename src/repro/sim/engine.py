@@ -47,7 +47,6 @@ so each result is bit-identical to :meth:`PerformanceSimulator.co_run`'s.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
@@ -286,12 +285,6 @@ class PerformanceSimulator:
         # Shapes in LRU order and the clock points their curves hold.
         self._shapes: OrderedDict[tuple, _Shape] = OrderedDict()
         self._curve_points = 0
-        # Signature memo keyed by object identity with a weakref guard: a
-        # dead kernel's recycled address can never alias a fresh one, and
-        # dead entries evict themselves via the ref callback.
-        self._kernel_sig_cache: dict[
-            int, tuple[weakref.ref[KernelCharacteristics], tuple]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Accessors
@@ -325,7 +318,7 @@ class PerformanceSimulator:
         full GPU (MIG disabled) at the default power limit.  The value is
         noise free: it is the fixed denominator of every ``RPerf``.
         """
-        key = self._kernel_signature(kernel)
+        key = kernel.signature
         cached = self._reference_cache.get(key)
         if cached is not None:
             return cached
@@ -448,7 +441,7 @@ class PerformanceSimulator:
         # the result embeds the state object), and pins the noise parameters
         # in case the model is swapped in place.
         return (
-            tuple(self._kernel_signature(kernel) for kernel in kernels),
+            tuple(kernel.signature for kernel in kernels),
             state.key(),
             state.label,
             cap,
@@ -553,41 +546,6 @@ class PerformanceSimulator:
             chip_power_w=chip_power,
             relative_frequency=frequency,
         )
-
-    def _kernel_signature(self, kernel: KernelCharacteristics) -> tuple:
-        """Hashable snapshot of every kernel field the pipeline reads.
-
-        ``KernelCharacteristics`` itself is unhashable (``pipe_fractions``
-        is a dict), so the memo keys on ``id(kernel)`` — with a weakref
-        identity guard: the stored ref must still point at *this* kernel,
-        so a dead kernel's recycled address can never alias a fresh one,
-        and the ref's callback evicts the entry instead of pinning the
-        kernel alive forever.
-        """
-        cache = self._kernel_sig_cache
-        key = id(kernel)
-        entry = cache.get(key)
-        if entry is not None and entry[0]() is kernel:
-            return entry[1]
-        signature = (
-            kernel.name,
-            kernel.compute_time_full_s,
-            kernel.memory_time_full_s,
-            kernel.serial_time_s,
-            tuple(sorted(kernel.pipe_fractions.items())),
-            kernel.l2_hit_rate,
-            kernel.occupancy,
-            kernel.working_set_mb,
-            kernel.l2_sensitivity,
-        )
-        try:
-            ref = weakref.ref(kernel, lambda _, c=cache, k=key: c.pop(k, None))
-        except TypeError:
-            # A slotted kernel subclass without __weakref__: skip the memo
-            # rather than risk an unguarded id-keyed entry.
-            return signature
-        cache[key] = (ref, signature)
-        return signature
 
     def _build_placements(
         self,

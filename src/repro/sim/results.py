@@ -67,11 +67,6 @@ class RunResult:
         """Slowdown relative to the exclusive full-GPU run (``1 / RPerf``)."""
         return self.elapsed_s / self.reference_s
 
-    @property
-    def degradation(self) -> float:
-        """Performance degradation ``1 - RPerf`` (0 = no degradation)."""
-        return 1.0 - self.relative_performance
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (

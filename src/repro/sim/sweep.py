@@ -1,14 +1,12 @@
 """Parameter sweeps over the simulator.
 
-These helpers produce the raw data behind the paper's observation figures
-(Figures 4–6) and the training measurements for the regression model:
+These helpers produce the raw data behind the paper's solo observation
+figures:
 
 * :func:`scalability_sweep` — solo relative performance vs. GPC count for
   both memory options at a fixed power cap (Figure 4).
 * :func:`scalability_power_sweep` — solo relative performance vs. GPC count
   for several power caps at a fixed memory option (Figure 5).
-* :func:`corun_sweep` — co-run results over partition states and power caps
-  (Figure 6 and the training/evaluation grids).
 """
 
 from __future__ import annotations
@@ -17,9 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.config import DEFAULT_POWER_CAPS, SCALABILITY_GPC_COUNTS
-from repro.gpu.mig import CORUN_STATES, MemoryOption, PartitionState, solo_state
+from repro.gpu.mig import MemoryOption, solo_state
 from repro.sim.engine import PerformanceSimulator
-from repro.sim.results import CoRunResult
 from repro.workloads.kernel import KernelCharacteristics
 
 
@@ -86,23 +83,3 @@ def scalability_power_sweep(
                 )
             )
     return tuple(points)
-
-
-def corun_sweep(
-    simulator: PerformanceSimulator,
-    kernels: Sequence[KernelCharacteristics],
-    states: Sequence[PartitionState] = CORUN_STATES,
-    power_caps: Sequence[float] = DEFAULT_POWER_CAPS,
-) -> dict[tuple[tuple, float], CoRunResult]:
-    """Co-run ``kernels`` across all combinations of state and power cap.
-
-    Returns a mapping keyed by ``(state.key(), power_cap_w)``.
-    """
-    results: dict[tuple[tuple, float], CoRunResult] = {}
-    for state in states:
-        for power_cap_w in power_caps:
-            results[(state.key(), float(power_cap_w))] = simulator.co_run(
-                kernels, state, power_cap_w
-            )
-    return results
-

@@ -96,20 +96,6 @@ class Trace:
         return cls.from_arrivals(((0.0, app) for app in apps), label=label)
 
     # ------------------------------------------------------------------
-    def shifted(self, offset_s: float) -> "Trace":
-        """A copy with every arrival moved ``offset_s`` seconds later."""
-        if offset_s < 0 and self.entries and self.entries[0].arrival_time_s + offset_s < 0:
-            raise TraceError(
-                f"shifting by {offset_s} s would move the first arrival below t=0"
-            )
-        return Trace(
-            entries=tuple(
-                TraceEntry(entry.arrival_time_s + offset_s, entry.app)
-                for entry in self.entries
-            ),
-            label=self.label,
-        )
-
     def resolve_kernels(
         self, suite: BenchmarkSuite | None = None
     ) -> tuple[KernelCharacteristics, ...]:

@@ -19,12 +19,7 @@ from repro.workloads.kernel import KernelCharacteristics, WorkloadClass
 from repro.workloads.gemm import GEMM_VARIANTS, GemmShape, gemm_kernel
 from repro.workloads.micro import micro_kernels
 from repro.workloads.rodinia import rodinia_kernels
-from repro.workloads.suite import (
-    BenchmarkSuite,
-    DEFAULT_SUITE,
-    all_kernel_names,
-    get_kernel,
-)
+from repro.workloads.suite import BenchmarkSuite, DEFAULT_SUITE
 from repro.workloads.classification import (
     EXPECTED_CLASSIFICATION,
     ClassificationReport,
@@ -61,8 +56,6 @@ __all__ = [
     "rodinia_kernels",
     "BenchmarkSuite",
     "DEFAULT_SUITE",
-    "get_kernel",
-    "all_kernel_names",
     "classify_kernel",
     "classify_from_measurements",
     "ClassificationReport",

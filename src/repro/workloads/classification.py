@@ -159,11 +159,3 @@ def classify_kernel(
         power_cap_w=US_TEST_POWER_CAP_W,
     )
     return classify_from_measurements(kernel.name, us_run.relative_performance, counters)
-
-
-def classify_suite(
-    kernels: Mapping[str, KernelCharacteristics],
-    simulator: "PerformanceSimulator | None" = None,
-) -> dict[str, ClassificationReport]:
-    """Classify every kernel in a mapping, returning per-benchmark reports."""
-    return {name: classify_kernel(kernel, simulator) for name, kernel in kernels.items()}

@@ -74,6 +74,10 @@ class KernelCharacteristics:
         Free-form description shown in reports.
     tags:
         Arbitrary labels (e.g. the originating suite).
+    signature:
+        Hashable snapshot of every field the simulator's solve reads, taken
+        once at construction; the engine's memos key on it (the kernel
+        itself is unhashable: ``pipe_fractions`` is a dict).
     """
 
     name: str
@@ -89,6 +93,7 @@ class KernelCharacteristics:
     l2_sensitivity: float = 0.3
     description: str = ""
     tags: tuple[str, ...] = ()
+    signature: tuple = field(init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
@@ -138,6 +143,21 @@ class KernelCharacteristics:
                 )
         object.__setattr__(self, "pipe_fractions", fractions)
         object.__setattr__(self, "tags", tuple(self.tags))
+        object.__setattr__(
+            self,
+            "signature",
+            (
+                self.name,
+                self.compute_time_full_s,
+                self.memory_time_full_s,
+                self.serial_time_s,
+                tuple(sorted(fractions.items())),
+                self.l2_hit_rate,
+                self.occupancy,
+                self.working_set_mb,
+                self.l2_sensitivity,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Derived characteristics
@@ -173,17 +193,6 @@ class KernelCharacteristics:
             return math.inf
         return self.compute_time_full_s / self.memory_time_full_s
 
-    @property
-    def serial_fraction(self) -> float:
-        """Fraction of the reference time spent in the non-scalable component."""
-        return self.serial_time_s / self.reference_time_s
-
-    def dominant_pipe(self) -> Pipe:
-        """The pipe executing the largest share of the compute work."""
-        if not self.pipe_fractions:
-            return Pipe.FP32
-        return max(self.pipe_fractions, key=lambda p: self.pipe_fractions[p])
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
@@ -197,10 +206,6 @@ class KernelCharacteristics:
             memory_time_full_s=self.memory_time_full_s * factor,
             serial_time_s=self.serial_time_s * factor,
         )
-
-    def with_name(self, name: str) -> "KernelCharacteristics":
-        """A copy under a different name."""
-        return replace(self, name=name)
 
     def summary(self) -> str:
         """One-line human-readable summary."""

@@ -10,8 +10,6 @@ that receives 4 GPCs under S1/S3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
 from repro.errors import WorkloadError
 from repro.workloads.kernel import KernelCharacteristics, WorkloadClass
 from repro.workloads.suite import BenchmarkSuite, DEFAULT_SUITE
@@ -97,21 +95,3 @@ def corun_pair(name: str) -> CoRunPair:
         if pair.name == name:
             return pair
     raise WorkloadError(f"unknown co-run workload {name!r}; known: {corun_pair_names()}")
-
-
-def pairs_with_class(workload_class: WorkloadClass) -> tuple[CoRunPair, ...]:
-    """All pairs in which at least one application belongs to ``workload_class``."""
-    return tuple(
-        pair
-        for pair in CORUN_PAIRS
-        if workload_class in (pair.class1, pair.class2)
-    )
-
-
-def iter_pair_kernels(
-    pairs: Sequence[CoRunPair] = CORUN_PAIRS,
-    suite: BenchmarkSuite | None = None,
-) -> Iterator[tuple[CoRunPair, tuple[KernelCharacteristics, KernelCharacteristics]]]:
-    """Yield each pair together with its resolved kernel models."""
-    for pair in pairs:
-        yield pair, pair.kernels(suite)

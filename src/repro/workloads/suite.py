@@ -9,12 +9,12 @@ the simulator sweeps, and the benchmark harnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.errors import UnknownKernelError, WorkloadError
 from repro.gpu.spec import A100_SPEC, GPUSpec
 from repro.workloads.gemm import all_gemm_kernels
-from repro.workloads.kernel import KernelCharacteristics, WorkloadClass
+from repro.workloads.kernel import KernelCharacteristics
 from repro.workloads.micro import micro_kernels
 from repro.workloads.rodinia import rodinia_kernels
 
@@ -24,8 +24,7 @@ class BenchmarkSuite:
     """A named collection of kernel models.
 
     The suite behaves like a read-mostly mapping from benchmark name to
-    :class:`~repro.workloads.kernel.KernelCharacteristics`, with a few
-    convenience queries (filter by tag, group by expected class, ...).
+    :class:`~repro.workloads.kernel.KernelCharacteristics`.
     """
 
     name: str
@@ -85,10 +84,6 @@ class BenchmarkSuite:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def with_tag(self, tag: str) -> tuple[KernelCharacteristics, ...]:
-        """All kernels carrying a given tag."""
-        return tuple(k for k in self.all() if tag in k.tags)
-
     def subset(self, names: Iterable[str]) -> "BenchmarkSuite":
         """A new suite restricted to ``names`` (order-insensitive)."""
         requested = list(names)
@@ -96,21 +91,6 @@ class BenchmarkSuite:
             name=f"{self.name}-subset",
             kernels={name: self.get(name) for name in requested},
         )
-
-    def grouped_by_expected_class(self) -> Mapping[WorkloadClass, tuple[str, ...]]:
-        """Group benchmark names by the paper's Table 7 classification.
-
-        Only benchmarks present in the suite are listed; benchmarks without a
-        published classification are omitted.
-        """
-        from repro.workloads.classification import EXPECTED_CLASSIFICATION
-
-        groups: dict[WorkloadClass, list[str]] = {cls: [] for cls in WorkloadClass}
-        for name in self.names():
-            expected = EXPECTED_CLASSIFICATION.get(name)
-            if expected is not None:
-                groups[expected].append(name)
-        return {cls: tuple(names) for cls, names in groups.items()}
 
 
 def build_default_suite(spec: GPUSpec = A100_SPEC) -> BenchmarkSuite:
@@ -124,13 +104,3 @@ def build_default_suite(spec: GPUSpec = A100_SPEC) -> BenchmarkSuite:
 
 #: The default suite, built against the default A100-like specification.
 DEFAULT_SUITE = build_default_suite()
-
-
-def get_kernel(name: str, suite: BenchmarkSuite | None = None) -> KernelCharacteristics:
-    """Look up a benchmark by name in ``suite`` (default: the full suite)."""
-    return (suite or DEFAULT_SUITE).get(name)
-
-
-def all_kernel_names(suite: BenchmarkSuite | None = None) -> tuple[str, ...]:
-    """All benchmark names in ``suite`` (default: the full suite)."""
-    return (suite or DEFAULT_SUITE).names()

@@ -131,22 +131,3 @@ class SyntheticWorkloadGenerator:
             description=f"synthetic {workload_class.value} kernel",
             tags=("synthetic", workload_class.value),
         )
-
-    def sample(self, count: int) -> tuple[KernelCharacteristics, ...]:
-        """Sample ``count`` kernels, cycling through all four classes."""
-        if count < 0:
-            raise WorkloadError(f"count must be >= 0, got {count}")
-        classes = list(WorkloadClass)
-        return tuple(
-            self.sample_class(classes[i % len(classes)]) for i in range(count)
-        )
-
-    def sample_pairs(self, count: int) -> tuple[tuple[KernelCharacteristics, KernelCharacteristics], ...]:
-        """Sample ``count`` random co-run pairs with random class combinations."""
-        pairs = []
-        classes = list(WorkloadClass)
-        for _ in range(count):
-            first = classes[int(self._rng.integers(len(classes)))]
-            second = classes[int(self._rng.integers(len(classes)))]
-            pairs.append((self.sample_class(first), self.sample_class(second)))
-        return tuple(pairs)

@@ -78,7 +78,8 @@ class TestAblations:
         result = interference_term_ablation(context, power_caps=(250.0,))
         assert result.no_interference_throughput_mape_pct >= result.full_throughput_mape_pct
         assert result.throughput_degradation_pct >= 0
-        assert result.fairness_degradation_pct >= -1.0  # never dramatically better
+        # Dropping the D term never makes the fairness error much better.
+        assert result.no_interference_fairness_mape_pct - result.full_fairness_mape_pct >= -1.0
 
     def test_search_strategies_agree_on_paper_space(self, context):
         result = search_strategy_ablation(context)

@@ -108,6 +108,15 @@ class TestSimulationRequest:
         document = json.loads(json.dumps(request.to_dict()))
         assert SimulationRequest.from_dict(document) == request
 
+    def test_unset_trace_knobs_take_their_defaults(self):
+        # A trace file sets its own arrivals, so it leaves them unset.
+        knobs = ("arrival_rate_per_s", "duration_s", "mix", "seed")
+        synthetic = SimulationRequest().to_dict()
+        assert [synthetic[knob] for knob in knobs] == [2.0, 600.0, "steady", 2022]
+        from_file = SimulationRequest(trace_path="t.csv")
+        assert [from_file.to_dict()[knob] for knob in knobs] == [None] * 4
+        assert SimulationRequest.from_dict(from_file.to_dict()) == from_file
+
     def test_unknown_mix_rejected(self):
         with pytest.raises(ConfigurationError, match="mix"):
             SimulationRequest(mix="spiky")
@@ -274,6 +283,34 @@ REJECTED_REQUESTS = [
         ["simulate", "--trace", "t.csv", "--burst-size", "4"],
         "burst_size shapes synthetic traces only",
         id="simulate-trace-with-burst-size",
+    ),
+    pytest.param(
+        "simulate",
+        {"trace_path": "t.csv", "arrival_rate_per_s": 7.0},
+        ["simulate", "--trace", "t.csv", "--arrival-rate", "7"],
+        "arrival_rate_per_s shapes synthetic traces only",
+        id="simulate-trace-with-arrival-rate",
+    ),
+    pytest.param(
+        "simulate",
+        {"trace_path": "t.csv", "duration_s": 5.0},
+        ["simulate", "--trace", "t.csv", "--duration", "5"],
+        "duration_s shapes synthetic traces only",
+        id="simulate-trace-with-duration",
+    ),
+    pytest.param(
+        "simulate",
+        {"trace_path": "t.csv", "mix": "unscalable-heavy"},
+        ["simulate", "--trace", "t.csv", "--mix", "unscalable-heavy"],
+        "mix shapes synthetic traces only",
+        id="simulate-trace-with-mix",
+    ),
+    pytest.param(
+        "simulate",
+        {"trace_path": "t.csv", "seed": 9},
+        ["simulate", "--trace", "t.csv", "--seed", "9"],
+        "seed shapes synthetic traces only",
+        id="simulate-trace-with-seed",
     ),
 ]
 

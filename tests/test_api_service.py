@@ -73,14 +73,6 @@ class TestSessionCache:
         with pytest.raises(ConfigurationError):
             PlannerService.session_key("v100", 2)
 
-    def test_drop_sessions_forces_retraining(self, training_counter):
-        service = PlannerService()
-        request = DecisionRequest(apps=("igemm4", "stream"))
-        service.decide(request)
-        service.drop_sessions()
-        service.decide(request)
-        assert training_counter["runs"] == 2
-
 
 class TestDecide:
     def test_problem1_defaults_to_the_92_percent_cap(self):
@@ -200,6 +192,32 @@ class TestSimulateAndStates:
         assert result.n_nodes == 1
         assert result.trace_summary and result.report_summary
         assert service.stats.simulations_served == 1
+
+    @pytest.mark.parametrize(
+        "knob,default,other,bound",
+        [
+            ("arrival_rate_per_s", 2.0, 3.0, {"duration_s": 5.0}),
+            ("duration_s", 600.0, 300.0, {"arrival_rate_per_s": 0.02}),
+            ("mix", "steady", "memory-heavy", {"duration_s": 5.0}),
+            ("seed", 2022, 9, {"duration_s": 5.0}),
+        ],
+        ids=["arrival-rate", "duration", "mix", "seed"],
+    )
+    def test_an_unset_trace_knob_takes_its_default(
+        self, tmp_path, knob, default, other, bound
+    ):
+        service = PlannerService()
+
+        def simulate(name, **knobs):
+            path = tmp_path / f"{name}.csv"
+            request = SimulationRequest(
+                n_nodes=1, save_trace_path=str(path), **bound, **knobs
+            )
+            return service.simulate(request).to_dict(), path.read_text()
+
+        unset = simulate("unset")
+        assert simulate("default", **{knob: default}) == unset
+        assert simulate("other", **{knob: other})[1] != unset[1]
 
     def test_simulate_saves_the_synthetic_trace(self, tmp_path):
         service = PlannerService()

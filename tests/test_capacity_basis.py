@@ -261,6 +261,10 @@ class TestFullChipParity:
         candidates = [(state, cap) for state in states for cap in NWAY_CAPS]
         predicted = model.predict_candidates(counters, candidates)
         # The grid must reach both capacity branches, or the pin is vacuous.
+        composed = {
+            (row["gpcs"], row["mem_slices"], row["option"], row["power_cap_w"])
+            for row in model.to_dict()["composition"]
+        }
         sub_chip = composition = 0
         for state, cap in candidates:
             keys = [
@@ -270,7 +274,8 @@ class TestFullChipParity:
             sub_chip += any(model.is_sub_chip_shared(key) for key in keys)
             composition += any(
                 len(state.interference_partners(i)) >= 2
-                and model.has_composition(key)
+                and (key.gpcs, key.mem_slices, key.option.value, key.power_cap_w)
+                in composed
                 for i, key in enumerate(keys)
             )
         assert (len(candidates), sub_chip, composition) == (248, 126, 64)

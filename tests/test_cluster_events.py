@@ -59,7 +59,7 @@ class TestEventHeap:
         batch = heap.pop_batch()
         assert [event.entry.app for event in batch] == ["stream", "dgemm"]
         assert len(heap) == 1
-        assert heap.peek_time() == pytest.approx(2.0)
+        assert heap.pop().time == pytest.approx(2.0)
 
     def test_pop_batch_drains_interleaved_ties_in_push_order(self):
         # Regression for the tuple-keyed heap: a batch must contain every
@@ -113,12 +113,10 @@ class TestEventHeap:
             "hgemm",
         ]
 
-    def test_empty_heap_rejects_pop_and_peek(self):
+    def test_empty_heap_rejects_pop(self):
         heap = EventHeap()
         assert heap.empty
         with pytest.raises(SimulationError):
             heap.pop()
-        with pytest.raises(SimulationError):
-            heap.peek_time()
         with pytest.raises(SimulationError):
             heap.pop_batch()

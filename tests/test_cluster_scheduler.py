@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -224,7 +226,9 @@ class TestBatchDrains:
         # A name may resolve to another kernel on the next run, so an
         # exclusive run's energy must come from this run's kernel.
         renamed = DEFAULT_SUITE.subset(["stream"])
-        renamed.register(DEFAULT_SUITE.get("hgemm").with_name("stream"), overwrite=True)
+        renamed.register(
+            dataclasses.replace(DEFAULT_SUITE.get("hgemm"), name="stream"), overwrite=True
+        )
         trace = Trace.all_at_zero(("stream",))
         config = SchedulerConfig(group_size=1)
         simulator = ClusterSimulator.from_workflow(workflow, scheduler_config=config)

@@ -131,7 +131,7 @@ class TestOnlineArrivals:
 
     def test_profile_runs_counted(self, workflow, scheduler_config):
         suite = DEFAULT_SUITE.subset(["stream", "dgemm"])
-        fresh = DEFAULT_SUITE.get("stream").with_name("freshapp")
+        fresh = replace(DEFAULT_SUITE.get("stream"), name="freshapp")
         suite.register(fresh)
         trace = Trace.from_arrivals([(0.0, "freshapp"), (0.0, "stream")])
         simulator = ClusterSimulator.from_workflow(

@@ -8,7 +8,6 @@ from repro.core.metrics import (
     energy_efficiency,
     fairness,
     geometric_mean,
-    is_fair,
     mean_absolute_percentage_error,
     relative_error,
     weighted_speedup,
@@ -38,10 +37,6 @@ class TestFairness:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             fairness([])
-
-    def test_is_fair_strict_inequality(self):
-        assert is_fair([0.5, 0.6], 0.2)
-        assert not is_fair([0.2, 0.6], 0.2)
 
 
 class TestEnergyEfficiency:

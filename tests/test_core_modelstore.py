@@ -32,7 +32,7 @@ class TestRoundTrip:
         path = save_model(model, tmp_path / "model.json", fingerprint)
         loaded = load_model(path)
         assert loaded.fitted_scalability_states() == model.fitted_scalability_states()
-        assert loaded.fitted_interference_states() == model.fitted_interference_states()
+        assert loaded.to_dict() == model.to_dict()
         key = model.fitted_scalability_states()[0]
         assert loaded.scalability_coefficients(key) == pytest.approx(
             model.scalability_coefficients(key)

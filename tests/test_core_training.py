@@ -122,8 +122,9 @@ class TestTrainer:
         assert report is not None
         assert report.n_solo_measurements == len(solo)
         assert report.n_corun_measurements == len(corun)
-        assert report.worst_scalability_residual >= 0
-        assert report.worst_interference_residual >= 0
+        assert report.scalability_residuals and report.interference_residuals
+        assert all(r >= 0 for r in report.scalability_residuals.values())
+        assert all(r >= 0 for r in report.interference_residuals.values())
 
     def test_interference_fit_requires_scalability(self, sim):
         corun = collect_corun_measurements(

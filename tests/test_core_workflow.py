@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.model import HardwareStateKey, required_state_keys
@@ -38,12 +40,8 @@ def small_workflow():
 class TestTrainingPlan:
     def test_default_plan_matches_paper_grid(self):
         plan = TrainingPlan()
-        assert plan.solo_runs_per_kernel == 5 * 2 * 6
-        assert plan.corun_runs_per_pair == 4 * 6
-
-    def test_custom_plan_counts(self):
-        plan = TrainingPlan(gpc_counts=(3, 4), options=(MemoryOption.SHARED,), power_caps=(250.0,))
-        assert plan.solo_runs_per_kernel == 2
+        assert (len(plan.gpc_counts), len(plan.options), len(plan.power_caps)) == (5, 2, 6)
+        assert len(plan.pair_states) == 4
 
 
 class TestOfflineTrainer:
@@ -127,7 +125,7 @@ class TestOnlineAllocator:
 
         first = allocator.decide(names, policy)
         assert first == fresh_solve()
-        impostor = DEFAULT_SUITE.get("igemm4").with_name("stream")
+        impostor = dataclasses.replace(DEFAULT_SUITE.get("igemm4"), name="stream")
         with pytest.raises(ProfileError):
             database.add(collector.collect(impostor))
         assert allocator.decide(names, policy) == fresh_solve() == first

@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError, PartitioningError, SpecificationErr
 from repro.gpu.mig import (
     CORUN_STATES,
     GPC_TO_MEM_SLICES,
-    VALID_INSTANCE_SIZES,
     InstanceAllocation,
     MemoryOption,
     PartitionState,
@@ -28,7 +27,6 @@ from repro.gpu.mig import (
     enumerate_corun_states,
     enumerate_partition_states,
     solo_state,
-    solo_states,
 )
 from repro.gpu.spec import A100_SPEC, GPU_SPECS
 
@@ -74,8 +72,8 @@ class TestPartitionState:
 
     def test_total_gpcs_and_solo_flag(self):
         assert S1.total_gpcs == 7
-        assert not S1.is_solo
-        assert solo_state(4).is_solo
+        assert S1.n_apps == 2
+        assert solo_state(4).n_apps == 1
 
     def test_validate_against_accepts_paper_states(self):
         for state in CORUN_STATES:
@@ -240,9 +238,13 @@ class TestFromDescription:
 
 class TestStateEnumeration:
     def test_solo_states_cover_sizes_and_options(self):
-        states = solo_states()
-        assert len(states) == len(VALID_INSTANCE_SIZES) * 2
-        assert all(s.is_solo for s in states)
+        states = list(enumerate_partition_states(1, A100_SPEC))
+        assert len(states) == len(A100_SPEC.mig_instance_sizes) * 2
+        assert {state.key() for state in states} == {
+            solo_state(size, option).key()
+            for size in A100_SPEC.mig_instance_sizes
+            for option in (MemoryOption.SHARED, MemoryOption.PRIVATE)
+        }
 
     def test_enumerate_corun_states_are_all_valid(self):
         states = enumerate_corun_states(A100_SPEC)

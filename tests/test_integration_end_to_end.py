@@ -99,7 +99,7 @@ class TestGeneralizationToUnseenWorkloads:
         from repro.workloads.suite import BenchmarkSuite
 
         suite = BenchmarkSuite("synthetic")
-        suite.register_all(generator.sample(12))
+        suite.register_all(generator.sample_class(c) for c in list(WorkloadClass) * 3)
         app_a = generator.sample_class(WorkloadClass.TI, name="synthetic-ti-app")
         app_b = generator.sample_class(WorkloadClass.MI, name="synthetic-mi-app")
         suite.register(app_a)

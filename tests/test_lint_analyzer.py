@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.results import LintResult
 from repro.errors import LintError
 from repro.lint import LintReport, analyze_paths, analyze_source
 from repro.lint.analyzer import discover_files, select_rules, suppressed_lines
 from repro.lint.findings import Finding
-from repro.lint.report import render_report, render_rules
+from repro.lint.report import render_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -111,8 +112,8 @@ class TestLintReport:
         assert not report.clean()
         assert not report.clean(strict=True)
 
-    def test_render_report_has_verdict_line(self):
-        text = render_report(self._report("error"), strict=True)
+    def test_describe_has_verdict_line(self):
+        text = LintResult.from_report(self._report("error"), strict=True).describe()
         assert "x.py:1:0: RL005 [error] m" in text
         assert "FAILED (strict): 1 finding(s)" in text
 

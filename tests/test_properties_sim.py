@@ -27,13 +27,16 @@ from repro.gpu.mig import (
 from repro.gpu.spec import GPU_SPECS
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
+from repro.workloads.kernel import WorkloadClass
 from repro.workloads.suite import DEFAULT_SUITE
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
 from solve_oracle import chip_power_at
 
 _SIM = PerformanceSimulator(noise=no_noise())
 _GENERATOR = SyntheticWorkloadGenerator(seed=11)
-_KERNEL_POOL = list(DEFAULT_SUITE.all()) + list(_GENERATOR.sample(12))
+_KERNEL_POOL = list(DEFAULT_SUITE.all()) + [
+    _GENERATOR.sample_class(c) for c in list(WorkloadClass) * 3
+]
 
 kernel_strategy = st.sampled_from(_KERNEL_POOL)
 # Sample the simulated spec's own instance sizes, not the cross-spec

@@ -62,14 +62,17 @@ def test_scaling_is_homogeneous(kernel, factor):
     scaled = kernel.scaled(factor)
     assert math.isclose(scaled.reference_time_s, kernel.reference_time_s * factor, rel_tol=1e-9)
     assert math.isclose(
-        scaled.serial_fraction, kernel.serial_fraction, rel_tol=1e-6, abs_tol=1e-9
+        scaled.serial_time_s / scaled.reference_time_s,
+        kernel.serial_time_s / kernel.reference_time_s,
+        rel_tol=1e-6,
+        abs_tol=1e-9,
     )
 
 
 @given(kernels())
 @settings(max_examples=60)
 def test_serial_fraction_is_a_fraction(kernel):
-    assert 0.0 <= kernel.serial_fraction <= 1.0
+    assert 0.0 <= kernel.serial_time_s / kernel.reference_time_s <= 1.0
 
 
 @given(kernels())

@@ -11,6 +11,7 @@ from repro.gpu.mig import CORUN_STATES, MemoryOption, S1, S3, PartitionState, so
 from repro.gpu.spec import Pipe
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import NoiseModel, no_noise
+from repro.workloads.kernel import KernelCharacteristics
 from repro.workloads.pairs import corun_pair
 from repro.workloads.suite import DEFAULT_SUITE
 
@@ -59,7 +60,7 @@ class TestSoloRun:
     def test_default_state_and_cap(self, engine):
         run = engine.solo_run(DEFAULT_SUITE.get("dgemm"))
         assert run.power_cap_w == engine.spec.default_power_limit_w
-        assert run.state.is_solo
+        assert run.state.n_apps == 1
 
     def test_solo_run_rejects_corun_state(self, engine):
         with pytest.raises(SimulationError):
@@ -121,10 +122,9 @@ class TestSoloRun:
         assert run.chip_power_w <= 210 + 1e-6
         assert run.achieved_bandwidth_gbs <= engine.spec.dram_bandwidth_gbs + 1e-6
 
-    def test_degradation_and_slowdown(self, engine):
+    def test_slowdown(self, engine):
         run = engine.solo_run(DEFAULT_SUITE.get("dgemm"), solo_state(4, MemoryOption.PRIVATE), 250)
         assert run.slowdown == pytest.approx(1 / run.relative_performance)
-        assert run.degradation == pytest.approx(1 - run.relative_performance)
 
 
 class TestCoRun:
@@ -204,6 +204,68 @@ class TestNoiseIntegration:
         run_a = sim_a.solo_run(kernel, solo_state(4, MemoryOption.PRIVATE), 250)
         run_b = sim_b.solo_run(kernel, solo_state(4, MemoryOption.PRIVATE), 250)
         assert run_a.elapsed_s == run_b.elapsed_s
+
+
+def _probe(name: str = "probe", **overrides) -> KernelCharacteristics:
+    """A cache-sensitive kernel whose every solve field moves a shared S1 run."""
+    fields = dict(
+        name=name,
+        compute_time_full_s=0.8,
+        memory_time_full_s=0.3,
+        serial_time_s=0.02,
+        pipe_fractions={Pipe.FP32: 1.0},
+        l2_hit_rate=0.6,
+        occupancy=0.5,
+        working_set_mb=10.0,
+        l2_sensitivity=0.4,
+    )
+    fields.update(overrides)
+    return KernelCharacteristics(**fields)
+
+
+#: A changed value for each kernel field the run solve reads.
+RUN_FIELD_CHANGES = {
+    "name": "other",
+    "compute_time_full_s": 1.2,
+    "memory_time_full_s": 1.0,
+    "serial_time_s": 0.1,
+    "pipe_fractions": {Pipe.TENSOR_MIXED: 1.0},
+    "working_set_mb": 30.0,
+    "l2_sensitivity": 0.8,
+}
+
+
+class TestMemoKeys:
+    """The run and reference-time memos key on the kernel's stored signature."""
+
+    @pytest.mark.parametrize("field", sorted(RUN_FIELD_CHANGES))
+    def test_a_kernel_differing_in_one_field_gets_its_own_run(self, field):
+        warm = PerformanceSimulator(noise=no_noise())
+        partner = _probe("partner")
+        cached = warm.co_run([_probe(), partner], S1, 150)
+        variant = dataclasses.replace(_probe(), **{field: RUN_FIELD_CHANGES[field]})
+        result = warm.co_run([variant, partner], S1, 150)
+        assert result != cached
+        assert result == PerformanceSimulator(noise=no_noise()).co_run(
+            [variant, partner], S1, 150
+        )
+
+    @pytest.mark.parametrize(
+        "field", ["compute_time_full_s", "memory_time_full_s", "serial_time_s"]
+    )
+    def test_a_kernel_differing_in_one_field_gets_its_own_reference_time(self, field):
+        warm = PerformanceSimulator(noise=no_noise())
+        cached = warm.reference_time(_probe())
+        variant = dataclasses.replace(_probe(), **{field: RUN_FIELD_CHANGES[field]})
+        fresh = PerformanceSimulator(noise=no_noise()).reference_time(variant)
+        assert warm.reference_time(variant) == fresh
+        assert fresh != cached
+
+    def test_equal_but_distinct_kernels_share_one_run(self):
+        engine = PerformanceSimulator(noise=no_noise())
+        first = engine.co_run([_probe(), _probe("partner")], S1, 150)
+        second = engine.co_run([_probe(), _probe("partner")], S1, 150)
+        assert second is first
 
 
 class TestCustomStates:

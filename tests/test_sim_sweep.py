@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.config import SCALABILITY_GPC_COUNTS
 from repro.gpu.mig import CORUN_STATES, MemoryOption
-from repro.sim.sweep import (
-    corun_sweep,
-    scalability_power_sweep,
-    scalability_sweep,
-)
+from repro.sim.sweep import scalability_power_sweep, scalability_sweep
 from repro.workloads.pairs import corun_pair
 from repro.workloads.suite import DEFAULT_SUITE
 
@@ -54,17 +48,19 @@ class TestPowerSweep:
 
 
 class TestCoRunSweep:
+    """The training sweep's co-run grid runs through ``co_run_batch``."""
+
     def test_grid_shape(self, sim):
         kernels = list(corun_pair("CI-US2").kernels())
-        grid = corun_sweep(sim, kernels, power_caps=(150, 250))
-        assert len(grid) == len(CORUN_STATES) * 2
-        for (state_key, cap), result in grid.items():
-            assert result.state.key() == state_key
+        grid = [(state, cap) for state in CORUN_STATES for cap in (150, 250)]
+        results = sim.co_run_batch([(kernels, state, cap) for state, cap in grid])
+        assert len(results) == len(CORUN_STATES) * 2
+        for (state, cap), result in zip(grid, results):
+            assert result.state.key() == state.key()
             assert result.power_cap_w == cap
 
     def test_results_are_corun_results(self, sim):
         kernels = list(corun_pair("CI-US2").kernels())
-        grid = corun_sweep(sim, kernels, states=(CORUN_STATES[0],), power_caps=(250,))
-        result = next(iter(grid.values()))
+        (result,) = sim.co_run_batch([(kernels, CORUN_STATES[0], 250)])
         assert result.n_apps == 2
         assert result.weighted_speedup > 0

@@ -43,12 +43,6 @@ class TestTrace:
         with pytest.raises(TraceError):
             TraceEntry(arrival_time_s=0.0, app="")
 
-    def test_shifted(self):
-        trace = Trace.from_arrivals([(1.0, "stream")]).shifted(2.0)
-        assert trace.entries[0].arrival_time_s == pytest.approx(3.0)
-        with pytest.raises(TraceError):
-            Trace.from_arrivals([(1.0, "stream")]).shifted(-2.0)
-
     def test_resolve_kernels(self):
         trace = Trace.all_at_zero(["stream", "dgemm"])
         kernels = trace.resolve_kernels(DEFAULT_SUITE)

@@ -11,7 +11,6 @@ from repro.workloads.classification import (
     US_RELATIVE_PERFORMANCE_THRESHOLD,
     classify_from_measurements,
     classify_kernel,
-    classify_suite,
 )
 from repro.workloads.kernel import WorkloadClass
 from repro.workloads.suite import DEFAULT_SUITE
@@ -84,9 +83,3 @@ class TestRuleOnSimulatedSuite:
             f"{name} classified as {report.workload_class} "
             f"(expected {EXPECTED_CLASSIFICATION[name]})"
         )
-
-    def test_classify_suite_returns_report_per_kernel(self, sim):
-        subset = {name: DEFAULT_SUITE.get(name) for name in ("stream", "dgemm")}
-        reports = classify_suite(subset, sim)
-        assert set(reports) == {"stream", "dgemm"}
-        assert reports["stream"].workload_class is WorkloadClass.MI

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -112,13 +115,10 @@ class TestDerivedProperties:
         assert math.isinf(kernel.compute_memory_ratio)
 
     def test_serial_fraction(self):
+        # With no compute or memory work the reference time is all serial.
         kernel = make_kernel(compute_time_full_s=0.0, memory_time_full_s=0.0, serial_time_s=1.0,
                              pipe_fractions={})
-        assert kernel.serial_fraction == pytest.approx(1.0)
-
-    def test_dominant_pipe(self):
-        kernel = make_kernel(pipe_fractions={Pipe.TENSOR_INT: 0.7, Pipe.FP32: 0.3})
-        assert kernel.dominant_pipe() is Pipe.TENSOR_INT
+        assert kernel.serial_time_s / kernel.reference_time_s == pytest.approx(1.0)
 
 
 class TestTransformations:
@@ -132,13 +132,59 @@ class TestTransformations:
         with pytest.raises(WorkloadError):
             make_kernel().scaled(0.0)
 
-    def test_with_name(self):
-        renamed = make_kernel().with_name("other")
-        assert renamed.name == "other"
-        assert renamed.compute_time_full_s == make_kernel().compute_time_full_s
-
     def test_summary_mentions_name(self):
         assert "toy" in make_kernel().summary()
+
+    def test_with_name(self):
+        # dataclasses.replace is the renaming tool; the copy re-signs itself.
+        renamed = dataclasses.replace(make_kernel(), name="other")
+        assert renamed.name == "other"
+        assert renamed.compute_time_full_s == make_kernel().compute_time_full_s
+        assert renamed.signature == ("other", *make_kernel().signature[1:])
+
+
+class TestSignature:
+    """The snapshot the engine's run and reference-time memos key on."""
+
+    def test_signature_is_the_solve_field_snapshot(self):
+        kernel = make_kernel(pipe_fractions={Pipe.TENSOR_INT: 0.7, Pipe.FP32: 0.3})
+        assert kernel.signature == (
+            kernel.name,
+            kernel.compute_time_full_s,
+            kernel.memory_time_full_s,
+            kernel.serial_time_s,
+            tuple(sorted(kernel.pipe_fractions.items())),
+            kernel.l2_hit_rate,
+            kernel.occupancy,
+            kernel.working_set_mb,
+            kernel.l2_sensitivity,
+        )
+        assert hash(kernel.signature) == hash(kernel.signature)
+
+    def test_signature_survives_replace_copy_and_pickle(self):
+        kernel = make_kernel()
+        changed = dataclasses.replace(kernel, l2_hit_rate=0.9)
+        assert changed.signature == make_kernel(l2_hit_rate=0.9).signature
+        assert changed.signature != kernel.signature
+        for clone in (
+            dataclasses.replace(kernel),
+            copy.copy(kernel),
+            copy.deepcopy(kernel),
+            pickle.loads(pickle.dumps(kernel)),
+        ):
+            assert clone.signature == kernel.signature
+
+    def test_equal_but_distinct_kernels_get_equal_signatures(self):
+        first, second = make_kernel(), make_kernel()
+        assert first is not second and first == second
+        assert first.signature == second.signature
+
+    def test_report_fields_stay_out_of_the_signature(self):
+        # The solve never reads the description or tags, so kernels that
+        # differ only there share the engine's memo entries.
+        labelled = make_kernel(description="a label", tags=("gemm",))
+        assert labelled != make_kernel()
+        assert labelled.signature == make_kernel().signature
 
 
 class TestWorkloadClassEnum:

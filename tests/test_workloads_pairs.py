@@ -6,14 +6,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.classification import EXPECTED_CLASSIFICATION
-from repro.workloads.kernel import WorkloadClass
-from repro.workloads.pairs import (
-    CORUN_PAIRS,
-    corun_pair,
-    corun_pair_names,
-    iter_pair_kernels,
-    pairs_with_class,
-)
+from repro.workloads.pairs import CORUN_PAIRS, corun_pair, corun_pair_names
 
 #: Table 8 exactly as printed in the paper.
 TABLE8 = {
@@ -83,22 +76,11 @@ def test_kernels_resolve_against_suite():
     assert kernel2.name == "needle"
 
 
-def test_pairs_with_class_filters():
-    ti_pairs = pairs_with_class(WorkloadClass.TI)
-    assert all(
-        WorkloadClass.TI in (p.class1, p.class2) for p in ti_pairs
-    )
-    assert {"TI-TI1", "TI-TI2", "TI-MI1", "TI-MI2", "TI-US1", "TI-US2"} == {
-        p.name for p in ti_pairs
-    }
-
-
 def test_iter_pair_kernels_yields_all_pairs():
-    items = list(iter_pair_kernels())
-    assert len(items) == 18
-    for pair, (kernel1, kernel2) in items:
-        assert kernel1.name == pair.app1
-        assert kernel2.name == pair.app2
+    # Every Table 8 pair resolves both applications against the suite.
+    for pair in CORUN_PAIRS:
+        kernel1, kernel2 = pair.kernels()
+        assert (kernel1.name, kernel2.name) == TABLE8[pair.name]
 
 
 def test_describe_is_informative():

@@ -4,40 +4,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import WorkloadError
 from repro.workloads.classification import classify_kernel
 from repro.workloads.kernel import WorkloadClass
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
 
 
-def test_sample_produces_requested_count():
-    generator = SyntheticWorkloadGenerator(seed=1)
-    kernels = generator.sample(8)
-    assert len(kernels) == 8
-
-
-def test_sample_rejects_negative_count():
-    with pytest.raises(WorkloadError):
-        SyntheticWorkloadGenerator().sample(-1)
+def _one_per_class(seed: int, rounds: int = 1) -> list:
+    generator = SyntheticWorkloadGenerator(seed=seed)
+    return [generator.sample_class(c) for c in list(WorkloadClass) * rounds]
 
 
 def test_names_are_unique():
-    generator = SyntheticWorkloadGenerator(seed=2)
-    names = [k.name for k in generator.sample(12)]
+    names = [k.name for k in _one_per_class(seed=2, rounds=3)]
     assert len(set(names)) == 12
 
 
 def test_same_seed_reproduces_same_kernels():
-    first = SyntheticWorkloadGenerator(seed=42).sample(6)
-    second = SyntheticWorkloadGenerator(seed=42).sample(6)
-    for a, b in zip(first, second):
-        assert a.compute_time_full_s == b.compute_time_full_s
-        assert a.memory_time_full_s == b.memory_time_full_s
+    assert _one_per_class(seed=42) == _one_per_class(seed=42)
 
 
 def test_different_seeds_differ():
-    first = SyntheticWorkloadGenerator(seed=1).sample(4)
-    second = SyntheticWorkloadGenerator(seed=2).sample(4)
+    first = _one_per_class(seed=1)
+    second = _one_per_class(seed=2)
     assert any(
         a.compute_time_full_s != b.compute_time_full_s for a, b in zip(first, second)
     )
@@ -70,10 +58,3 @@ def test_tensor_kernels_only_in_ti_class():
     ci = generator.sample_class(WorkloadClass.CI)
     assert ti.uses_tensor_cores
     assert not ci.uses_tensor_cores
-
-
-def test_sample_pairs_returns_tuples():
-    pairs = SyntheticWorkloadGenerator(seed=5).sample_pairs(3)
-    assert len(pairs) == 3
-    for first, second in pairs:
-        assert first.name != second.name
