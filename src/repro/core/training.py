@@ -654,8 +654,8 @@ def collect_solo_measurements(
 ) -> list[SoloMeasurement]:
     """Execute the solo training sweep and return its measurements.
 
-    The whole sweep is one :meth:`PerformanceSimulator.co_run_batch` call;
-    the measurements come out in sweep order.
+    The whole sweep is one :meth:`PerformanceSimulator.co_run_batch` call,
+    read through its RPerf column; the measurements come out in sweep order.
     """
     sweep: list[
         tuple[KernelCharacteristics, CounterVector, PartitionState, int, float, int]
@@ -668,9 +668,9 @@ def collect_solo_measurements(
                 mem_slices = state.mem_slices_for(0, simulator.spec)
                 for power_cap in power_caps:
                     sweep.append((kernel, counters, state, gpcs, power_cap, mem_slices))
-    runs = simulator.co_run_batch(
+    column = simulator.co_run_batch(
         [((kernel,), state, power_cap) for kernel, _, state, _, power_cap, _ in sweep]
-    )
+    ).relative_performances
     return [
         SoloMeasurement(
             kernel_name=kernel.name,
@@ -678,10 +678,10 @@ def collect_solo_measurements(
             gpcs=gpcs,
             option=state.option,
             power_cap_w=float(power_cap),
-            relative_performance=run.per_app[0].relative_performance,
+            relative_performance=rperf,
             mem_slices=mem_slices,
         )
-        for (kernel, counters, state, gpcs, power_cap, mem_slices), run in zip(sweep, runs)
+        for (kernel, counters, state, gpcs, power_cap, mem_slices), (rperf,) in zip(sweep, column)
     ]
 
 
@@ -696,8 +696,8 @@ def collect_corun_measurements(
     ``kernel_pairs`` may contain groups of any size; each group is only run
     under the states describing the same number of applications, so a mixed
     collection of pair and N-way training workloads can share one grid.
-    The whole sweep is one :meth:`PerformanceSimulator.co_run_batch` call;
-    the measurements come out in sweep order.
+    The whole sweep is one :meth:`PerformanceSimulator.co_run_batch` call,
+    read through its RPerf column; the measurements come out in sweep order.
     """
     sweep: list[
         tuple[
@@ -716,16 +716,16 @@ def collect_corun_measurements(
                 continue
             for power_cap in power_caps:
                 sweep.append((tuple(kernels), names, counters, state, power_cap))
-    results = simulator.co_run_batch(
+    column = simulator.co_run_batch(
         [(kernels, state, power_cap) for kernels, _, _, state, power_cap in sweep]
-    )
+    ).relative_performances
     return [
         CoRunMeasurement(
             kernel_names=names,
             counters=counters,
             state=state,
             power_cap_w=float(power_cap),
-            relative_performances=result.relative_performances,
+            relative_performances=rperfs,
         )
-        for (_, names, counters, state, power_cap), result in zip(sweep, results)
+        for (_, names, counters, state, power_cap), rperfs in zip(sweep, column)
     ]

@@ -202,17 +202,19 @@ class PowerModel:
 
         Each row adds its instances one at a time in column order, as
         :meth:`chip_power` does, and scales them by the scalar
-        :meth:`DVFSModel.dynamic_power_scale`, so every entry equals
-        :meth:`chip_power` of that row's loads bit for bit.
+        :meth:`DVFSModel.dynamic_power_scale` (evaluated once per distinct
+        frequency), so every entry equals :meth:`chip_power` of that row's
+        loads bit for bit.
         """
         spec = self._spec
         if not (0 < powered_gpcs <= spec.n_gpcs):
             raise ConfigurationError(
                 f"powered_gpcs must be in (0, {spec.n_gpcs}], got {powered_gpcs}"
             )
-        scale = np.array(
-            [self._dvfs.dynamic_power_scale(f) for f in relative_frequencies.tolist()]
-        )
+        distinct, inverse = np.unique(relative_frequencies, return_inverse=True)
+        scale: FloatArray = np.array(
+            [self._dvfs.dynamic_power_scale(f) for f in distinct.tolist()]
+        )[inverse]
         busy_gpcs: npt.NDArray[np.int64] = np.zeros(scale.shape, dtype=np.int64)
         gpc_dynamic: FloatArray = np.zeros(scale.shape)
         total_bw_fraction: FloatArray = np.zeros(scale.shape)

@@ -24,13 +24,12 @@ result records.  Below it, each (group, state) — its *shape* — keeps its
 solve tables (everything the fixed point reads before the clock enters,
 built once from placements validated once against the state), its power
 curve (the chip power at every clock the governor has evaluated on it)
-and the solved placements at the clocks the governor selected.  Under a
+and the solved times at the clocks the governor selected.  Under a
 drifting cap the run memo misses, but the governor bisects through the
 same clocks, so it reads their power from the curve.  Only a clock the
 shape has never seen runs the fixed point, a scalar loop over the
-tables, and is priced straight from its solved times; solution records
-are built only at the clock the governor selects.  The governor's path
-is unchanged, and every compared value and result field is a pure
+tables, and is priced straight from its solved times.  The governor's
+path is unchanged, and every compared value and result field is a pure
 function of (placements, clock, powered GPCs), so each result is
 bit-identical to a fresh solve.  Shapes are keyed on the kernels'
 signatures, which cover every kernel field the solve reads, and the
@@ -39,17 +38,21 @@ at most ``_CURVE_POINTS`` clock points in total; the least-recently-used
 shape is forgotten first.
 
 :meth:`PerformanceSimulator.co_run_batch` solves many runs at once for the
-offline training sweeps: runs sharing a pool layout stack their shapes'
-tables and go through the governor and the fixed point as NumPy arrays,
-one row per run, with every float operation in the scalar solve's order,
-so each result is bit-identical to :meth:`PerformanceSimulator.co_run`'s.
+offline training sweeps: the runs of one group size stack their shapes'
+tables (each pool with the pools of its member count) and go through the
+governor and the fixed point as NumPy arrays, one row per run, with every
+float operation in the scalar solve's order.  It returns each run's noisy
+elapsed times and an RPerf column and builds a record only when read,
+with :meth:`PerformanceSimulator.co_run`'s builder, so each result is
+bit-identical to :meth:`PerformanceSimulator.co_run`'s.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from typing import overload
 
 import numpy as np
 
@@ -105,15 +108,6 @@ class _Placement:
     memory_penalty: float = 1.0
 
 
-@dataclass
-class _SolvedPlacement:
-    """Converged execution state of one placement at a fixed clock."""
-
-    components: TimeComponents
-    elapsed_s: float
-    dram_bw_fraction: float
-
-
 class _Shape:
     """One (group, state)'s solve tables and what the governor learnt on them.
 
@@ -124,11 +118,15 @@ class _Shape:
     the shape serves every run of its group and state, at any cap.
     """
 
-    def __init__(self, placements: Sequence[_Placement], n_gpcs: int) -> None:
+    def __init__(
+        self, placements: Sequence[_Placement], n_gpcs: int,
+        prefixes: Sequence[str] = (), references: Sequence[float] = (),
+    ) -> None:
         #: Chip power at every relative frequency the governor evaluated.
         self.power: dict[float, float] = {}
-        #: Solved placements at every frequency the governor selected.
-        self.solved: dict[float, list[_SolvedPlacement]] = {}
+        #: Compute and memory times at every frequency the governor selected.
+        self.solved: dict[float, tuple[list[float], list[float]]] = {}
+        self.prefixes = prefixes
         self.scaled_compute = [p.kernel.compute_time_full_s * (n_gpcs / p.gpcs) for p in placements]
         self.compute_penalty = [p.compute_penalty for p in placements]
         # Memory time at full-chip bandwidth, including the pollution penalty.
@@ -139,6 +137,11 @@ class _Shape:
             for full, p in zip(self.memory_full, placements)
         ]
         self.serial = [p.kernel.serial_time_s for p in placements]
+        #: What each application's result record reads: its name, serial
+        #: and full-bandwidth memory times, and reference time.
+        self.apps = list(zip(
+            [p.kernel.name for p in placements], self.serial, self.memory_full, references
+        ))
         self.capacity = [p.bandwidth_capacity for p in placements]
         self.gpcs = [p.gpcs for p in placements]
         self.cuda_fraction = [p.kernel.cuda_fraction for p in placements]
@@ -161,9 +164,6 @@ class _Shape:
             for members in members_of.values()
             if len(members) > 1
         ]
-        #: The pool layout; runs with the same layout can share one
-        #: lockstep solve.
-        self.layout = (len(placements),) + tuple(tuple(pool[0]) for pool in self.pools)
 
     def solve(self, frequency: float) -> tuple[list[float], list[float]]:
         """Compute and memory times at ``frequency``, every pool settled."""
@@ -243,17 +243,76 @@ class _Shape:
             loads.append((gpcs, busy * cuda, busy * tensor, dram if dram < 1.0 else 1.0))
         return loads
 
-    def solved_placements(
-        self, compute: list[float], memory: list[float]
-    ) -> list[_SolvedPlacement]:
-        """The solution records of the solved times."""
-        solved = []
-        for c, m, s, full in zip(compute, memory, self.serial, self.memory_full):
-            components = TimeComponents(compute_s=c, memory_s=m, serial_s=s)
-            total = elapsed_time(components)
-            dram_bw_fraction = full / total if total > 0 else 0.0
-            solved.append(_SolvedPlacement(components, total, min(1.0, dram_bw_fraction)))
-        return solved
+
+@dataclass(eq=False, slots=True)
+class _Run:
+    """A solved run's measurements, kept apart from the engine; its record is built on read."""
+
+    apps: list[tuple[str, float, float, float]]
+    state: PartitionState
+    cap: float
+    times: tuple[list[float], list[float]]
+    frequency: float
+    chip_power: float
+    measured: list[float]
+    bandwidth_gbs: float
+    built: CoRunResult | None = None
+
+    @property
+    def relative_performances(self) -> tuple[float, ...]:
+        return tuple([app[3] / t for app, t in zip(self.apps, self.measured)])
+
+    def record(self) -> CoRunResult:
+        """The run's one result record, built from its solved times on the first call."""
+        if self.built is None:
+            per_app: list[RunResult] = []
+            for index, ((name, s, full, reference), c, m, measured) in enumerate(
+                zip(self.apps, *self.times, self.measured)
+            ):
+                components = TimeComponents(compute_s=c, memory_s=m, serial_s=s)
+                elapsed = elapsed_time(components)
+                dram_bw_fraction = full / elapsed if elapsed > 0 else 0.0
+                per_app.append(RunResult(
+                    kernel_name=name, state=self.state, app_index=index, power_cap_w=self.cap,
+                    elapsed_s=measured, noiseless_elapsed_s=elapsed, reference_s=reference,
+                    relative_performance=reference / measured, relative_frequency=self.frequency,
+                    compute_time_s=c, memory_time_s=m, serial_time_s=s,
+                    achieved_bandwidth_gbs=min(1.0, dram_bw_fraction) * self.bandwidth_gbs,
+                    chip_power_w=self.chip_power, bound=bound_of(components),
+                ))
+            self.built = CoRunResult(
+                state=self.state, power_cap_w=self.cap, per_app=tuple(per_app),
+                chip_power_w=self.chip_power, relative_frequency=self.frequency,
+            )
+        return self.built
+
+
+class CoRunColumns(Sequence[CoRunResult]):
+    """The results of :meth:`PerformanceSimulator.co_run_batch`, as columns.
+
+    ``relative_performances`` holds each run's per-application RPerfs, in
+    run order.  Reading a run builds its :class:`CoRunResult` once; the
+    run memo hands that same object to later hits.
+    """
+
+    def __init__(self, runs: list[CoRunResult | _Run]) -> None:
+        self._runs = runs
+        self.relative_performances = [run.relative_performances for run in runs]
+
+    def __len__(self) -> int:
+        return len(self._runs)
+
+    @overload
+    def __getitem__(self, index: int) -> CoRunResult: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[CoRunResult]: ...
+
+    def __getitem__(self, index: int | slice) -> CoRunResult | list[CoRunResult]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self._runs))[index]]
+        run = self._runs[index]
+        return run.record() if isinstance(run, _Run) else run
 
 
 class PerformanceSimulator:
@@ -281,7 +340,8 @@ class PerformanceSimulator:
         self._noise = noise if noise is not None else NoiseModel()
         self._power = PowerModel(spec)
         self._reference_cache: dict[tuple, float] = {}
-        self._run_cache: OrderedDict[tuple, CoRunResult] = OrderedDict()
+        # A batch leaves its runs unbuilt; a hit builds one in place.
+        self._run_cache: OrderedDict[tuple, CoRunResult | _Run] = OrderedDict()
         # Shapes in LRU order and the clock points their curves hold.
         self._shapes: OrderedDict[tuple, _Shape] = OrderedDict()
         self._curve_points = 0
@@ -326,10 +386,9 @@ class PerformanceSimulator:
         # so this solve gets a throwaway shape, never a remembered one.
         n_gpcs = self._spec.n_gpcs
         placement = _Placement(kernel=kernel, gpcs=n_gpcs, bandwidth_capacity=1.0, pool=None)
-        solved, _, _ = self._govern(
-            _Shape([placement], n_gpcs), self._spec.default_power_limit_w, n_gpcs
-        )
-        reference = solved[0].elapsed_s
+        shape = _Shape([placement], n_gpcs)
+        (compute, memory), _, _ = self._govern(shape, self._spec.default_power_limit_w, n_gpcs)
+        reference = max(compute[0], memory[0]) + shape.serial[0]
         self._reference_cache[key] = reference
         return reference
 
@@ -373,20 +432,23 @@ class PerformanceSimulator:
         _check_group(kernels, state)
         return self._run(state, tuple(kernels), power_cap_w)
 
-    def co_run_batch(self, runs: Sequence[RunRequest]) -> list[CoRunResult]:
+    def co_run_batch(self, runs: Sequence[RunRequest]) -> CoRunColumns:
         """Co-execute many groups: ``[self.co_run(k, s, c) for k, s, c in runs]``.
 
-        The result list, and the run memo afterwards (its entries and their
+        The results, and the run memo afterwards (its entries and their
         LRU order), are exactly what that scalar loop produces.  Runs the
         memo cannot answer are solved together: placements are built once
-        per (group, state) rather than once per cap, and runs that share a
-        pool layout go through the power-cap governor and the bandwidth
+        per (group, state) rather than once per cap, and the runs of one
+        group size go through the power-cap governor and the bandwidth
         fixed point in lockstep, one array row per run, with every float
         operation in the scalar solve's order.  The batch neither reads
         nor fills the remembered shapes and power curves of :meth:`co_run`;
-        its placements live for the call.  This is the offline training
-        sweeps' entry point; one-at-a-time callers (the event loop) should
-        keep calling :meth:`co_run`.
+        its placements live for the call.  The returned columns build a
+        run's record only when it is read; a memo entry the batch leaves
+        holds the run unbuilt until its first read (by index, or a later
+        :meth:`co_run` hit) builds the record and puts it in the entry.
+        This is the offline training sweeps' entry point; one-at-a-time
+        callers (the event loop) should keep calling :meth:`co_run`.
         """
         keyed: list[tuple[tuple, tuple[KernelCharacteristics, ...], PartitionState, float]] = []
         for kernels, state, power_cap_w in runs:
@@ -397,7 +459,7 @@ class PerformanceSimulator:
         # A memo entry present now answers its key for the whole batch: if
         # the batch evicts it before a later repeat, the scalar loop would
         # re-solve that run to an equal result.
-        known: dict[tuple, CoRunResult] = {}
+        known: dict[tuple, CoRunResult | _Run] = {}
         pending: dict[tuple, tuple[tuple[KernelCharacteristics, ...], PartitionState, float]] = {}
         for key, group, state, cap in keyed:
             cached = self._run_cache.get(key)
@@ -407,7 +469,7 @@ class PerformanceSimulator:
                 pending.setdefault(key, (group, state, cap))
         known.update(self._solve_pending(pending))
         # Replay the scalar loop's memo traffic, run by run.
-        results: list[CoRunResult] = []
+        results: list[CoRunResult | _Run] = []
         for key, *_ in keyed:
             result = self._run_cache.get(key)
             if result is None:
@@ -416,7 +478,7 @@ class PerformanceSimulator:
             else:
                 self._run_cache.move_to_end(key)
             results.append(result)
-        return results
+        return CoRunColumns(results)
 
     # ------------------------------------------------------------------
     # Internal machinery
@@ -449,7 +511,7 @@ class PerformanceSimulator:
             self._noise.seed,
         )
 
-    def _remember(self, key: tuple, result: CoRunResult) -> None:
+    def _remember(self, key: tuple, result: CoRunResult | _Run) -> None:
         self._run_cache[key] = result
         if len(self._run_cache) > _RUN_CACHE_SIZE:
             self._run_cache.popitem(last=False)
@@ -465,18 +527,20 @@ class PerformanceSimulator:
         cached = self._run_cache.get(cache_key)
         if cached is not None:
             self._run_cache.move_to_end(cache_key)
+            if isinstance(cached, _Run):
+                cached = self._run_cache[cache_key] = cached.record()
             return cached
         shape = self._shape(cache_key[:2], state, kernels)
         points = len(shape.power)
         try:
-            solved, frequency, chip_power = self._govern(shape, cap, self._spec.mig_gpcs)
+            times, frequency, chip_power = self._govern(shape, cap, self._spec.mig_gpcs)
         finally:
             # Count the points the governor added, even if it raised.
             self._curve_points += len(shape.power) - points
             while self._curve_points > _CURVE_POINTS:
                 _, forgotten = self._shapes.popitem(last=False)
                 self._curve_points -= len(forgotten.power)
-        result = self._assemble(state, kernels, cap, solved, frequency, chip_power)
+        result = self._measure(shape, state, cap, times, frequency, chip_power).record()
         self._remember(cache_key, result)
         return result
 
@@ -493,58 +557,32 @@ class PerformanceSimulator:
             return shape
         # Validation is a pure function of the state's content, which the
         # key captures — a known shape implies the state already validated.
-        state.validate_against(self._spec)
-        shape = self._shapes[key] = _Shape(
-            self._build_placements(state, kernels), self._spec.n_gpcs
-        )
+        shape = self._shapes[key] = self._new_shape(state, kernels)
         return shape
 
-    def _assemble(
-        self,
-        state: PartitionState,
-        kernels: tuple[KernelCharacteristics, ...],
-        cap: float,
-        solved: Sequence[_SolvedPlacement],
-        frequency: float,
-        chip_power: float,
-    ) -> CoRunResult:
-        """The run's result record: noisy measurements of a solved run."""
-        per_app: list[RunResult] = []
-        for index, (kernel, solution) in enumerate(zip(kernels, solved)):
-            reference = self.reference_time(kernel)
-            noise_key = (
-                kernel.name,
-                state.key(),
-                index,
-                round(cap, 3),
-            )
-            measured = self._noise.apply(solution.elapsed_s, noise_key)
-            per_app.append(
-                RunResult(
-                    kernel_name=kernel.name,
-                    state=state,
-                    app_index=index,
-                    power_cap_w=cap,
-                    elapsed_s=measured,
-                    noiseless_elapsed_s=solution.elapsed_s,
-                    reference_s=reference,
-                    relative_performance=reference / measured,
-                    relative_frequency=frequency,
-                    compute_time_s=solution.components.compute_s,
-                    memory_time_s=solution.components.memory_s,
-                    serial_time_s=solution.components.serial_s,
-                    achieved_bandwidth_gbs=solution.dram_bw_fraction
-                    * self._spec.dram_bandwidth_gbs,
-                    chip_power_w=chip_power,
-                    bound=bound_of(solution.components),
-                )
-            )
-        return CoRunResult(
-            state=state,
-            power_cap_w=cap,
-            per_app=tuple(per_app),
-            chip_power_w=chip_power,
-            relative_frequency=frequency,
+    def _new_shape(
+        self, state: PartitionState, kernels: tuple[KernelCharacteristics, ...]
+    ) -> _Shape:
+        """A (group, state)'s shape, built from placements validated against it."""
+        state.validate_against(self._spec)
+        state_key = state.key()
+        return _Shape(
+            self._build_placements(state, kernels),
+            self._spec.n_gpcs,
+            [self._noise.prefix(kernel.name, state_key) for kernel in kernels],
+            [self.reference_time(kernel) for kernel in kernels],
+        )
+
+    def _measure(
+        self, shape: _Shape, state: PartitionState, cap: float,
+        times: tuple[list[float], list[float]], frequency: float, chip_power: float,
+    ) -> _Run:
+        """A solved run with its noisy elapsed times, its record not yet built."""
+        elapsed = [(m if m > c else c) + s for c, m, s in zip(*times, shape.serial)]
+        measured = self._noise.apply(elapsed, shape.prefixes, cap)
+        return _Run(
+            shape.apps, state, cap, times, frequency, chip_power, measured,
+            self._spec.dram_bandwidth_gbs,
         )
 
     def _build_placements(
@@ -607,13 +645,13 @@ class PerformanceSimulator:
         shape: _Shape,
         power_cap_w: float,
         powered_gpcs: int,
-    ) -> tuple[list[_SolvedPlacement], float, float]:
-        """Resolve clock, bandwidth shares, and elapsed times under the cap.
+    ) -> tuple[tuple[list[float], list[float]], float, float]:
+        """Resolve clock, bandwidth shares, and compute and memory times under the cap.
 
         The governor reads the chip power from the shape's curve; only a
         clock this shape has never seen is solved, priced from its solved
-        times, and remembered.  Solution records are built only at the
-        clock the governor selects.
+        times, and remembered.  The shape keeps the times at the clock the
+        governor selects.
         """
         fresh: dict[float, tuple[list[float], list[float]]] = {}
 
@@ -630,8 +668,7 @@ class PerformanceSimulator:
         chip_power = power_at(frequency)
         solved = shape.solved.get(frequency)
         if solved is None:
-            times = fresh.get(frequency) or shape.solve(frequency)
-            solved = shape.solved[frequency] = shape.solved_placements(*times)
+            solved = shape.solved[frequency] = fresh.get(frequency) or shape.solve(frequency)
         return solved, frequency, chip_power
 
     # ------------------------------------------------------------------
@@ -640,25 +677,22 @@ class PerformanceSimulator:
     def _solve_pending(
         self,
         pending: dict[tuple, tuple[tuple[KernelCharacteristics, ...], PartitionState, float]],
-    ) -> dict[tuple, CoRunResult]:
-        """Results of the runs the memo cannot answer, keyed like the memo."""
+    ) -> dict[tuple, _Run]:
+        """The runs the memo cannot answer, solved and measured, keyed like the memo."""
         powered_gpcs = self._spec.mig_gpcs
         # key[:2] is (kernel signatures, state content): placements depend
         # on neither the cap nor the label, so each (group, state) gets one
         # shape and its runs at every cap share its tables.
         shapes: dict[tuple, _Shape] = {}
-        by_layout: dict[tuple, list[tuple]] = {}
-        results: dict[tuple, CoRunResult] = {}
+        by_width: dict[int, list[tuple[tuple, _Shape, PartitionState, float]]] = {}
+        results: dict[tuple, _Run] = {}
         for key, (kernels, state, cap) in pending.items():
             shape = shapes.get(key[:2])
             if shape is None:
-                state.validate_against(self._spec)
-                shape = shapes[key[:2]] = _Shape(
-                    self._build_placements(state, kernels), self._spec.n_gpcs
-                )
-            by_layout.setdefault(shape.layout, []).append((key, kernels, state, cap))
-        for runs in by_layout.values():
-            rows = _LockstepRows([shapes[run[0][:2]] for run in runs])
+                shape = shapes[key[:2]] = self._new_shape(state, kernels)
+            by_width.setdefault(len(kernels), []).append((key, shape, state, cap))
+        for runs in by_width.values():
+            rows = _LockstepRows([run[1] for run in runs])
 
             def power_at(index: np.ndarray, frequency: np.ndarray) -> np.ndarray:
                 loads = rows.loads(index, *rows.solve(index, frequency))
@@ -672,15 +706,11 @@ class PerformanceSimulator:
             chip_powers = self._power.total_powers(
                 rows.loads(everyone, compute, memory), frequencies, powered_gpcs
             )
-            for (key, kernels, state, cap), solved, frequency, chip_power in zip(
-                runs,
-                rows.solved_placements(compute, memory),
-                frequencies.tolist(),
+            for (key, shape, state, cap), times, frequency, chip_power in zip(
+                runs, zip(compute.tolist(), memory.tolist()), frequencies.tolist(),
                 chip_powers.tolist(),
             ):
-                results[key] = self._assemble(
-                    state, kernels, cap, solved, frequency, chip_power
-                )
+                results[key] = self._measure(shape, state, cap, times, frequency, chip_power)
         return results
 
 
@@ -693,17 +723,17 @@ def _check_group(kernels: Sequence[KernelCharacteristics], state: PartitionState
 
 
 class _LockstepRows:
-    """Runs sharing one pool layout, as ``(run, application)`` arrays.
+    """Runs of one group size, as ``(run, application)`` arrays.
 
     Row ``r`` holds run ``r`` and column ``i`` its application ``i``.
-    The arrays stack the runs' shape tables; :meth:`solve` and
-    :meth:`loads` repeat :meth:`_Shape.solve` and :meth:`_Shape.loads`
-    float operation for float operation, on any subset of rows and at one
-    clock per row.
+    The arrays stack the runs' shape tables, and every shared pool of
+    every row is stacked with the pools of its member count, whatever the
+    row's layout.  :meth:`solve` and :meth:`loads` repeat
+    :meth:`_Shape.solve` and :meth:`_Shape.loads` float operation for
+    float operation, on any subset of rows and at one clock per row.
     """
 
     def __init__(self, shape_of_row: Sequence[_Shape]) -> None:
-        self._shape_of_row = shape_of_row
         # One template row per shape; every run repeats its template.
         template_of: dict[_Shape, int] = {}
         for shape in shape_of_row:
@@ -720,29 +750,36 @@ class _LockstepRows:
         self._initial_memory = table([shape.initial_memory for shape in templates])
         self._serial = table([shape.serial for shape in templates])
         capacity = table([shape.capacity for shape in templates])
-        # Per pool: its member columns, their static times, and the pool's
-        # capacity repeated per member.
-        self._pool_tables = [
-            (
-                list(pool),
-                self._memory_full[:, pool],
-                self._serial[:, pool],
-                capacity[:, pool],
-                table([[shape.pools[k][1]] * len(pool) for shape in templates]),
-            )
-            for k, pool in enumerate(templates[0].layout[1:])
-        ]
         self._gpcs = table([shape.gpcs for shape in templates], np.int64)
         self._cuda_fraction = table([shape.cuda_fraction for shape in templates])
         self._tensor_fraction = table([shape.tensor_fraction for shape in templates])
+        #: Per member count: every pool's ``(row, member)`` index and its
+        #: members' static times, capacities and pool capacity.
+        stacked: dict[int, list[tuple[int, list[int], float]]] = {}
+        for row, shape in enumerate(shape_of_row):
+            for members, pool_capacity, *_ in shape.pools:
+                stacked.setdefault(len(members), []).append((row, members, pool_capacity))
+        self._pool_tables = []
+        for pools in stacked.values():
+            pool_rows, columns, capacities = zip(*pools)
+            at = (np.array(pool_rows)[:, None], np.array(columns))
+            pool_capacity = np.repeat(np.array(capacities)[:, None], len(columns[0]), axis=1)
+            self._pool_tables.append(
+                (at, self._memory_full[at], self._serial[at], capacity[at], pool_capacity)
+            )
 
     def solve(self, index: np.ndarray, frequency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Compute and memory times of rows ``index``, each at its own clock."""
         compute = self._scaled_compute[index] / frequency[:, None] * self._compute_penalty[index]
         memory = self._initial_memory[index]
-        for pool, *static in self._pool_tables:
-            memory[:, pool] = _settle_pool(
-                compute[:, pool], memory[:, pool], *(table[index] for table in static)
+        position = np.full(len(self._scaled_compute), -1)  # -1: not in ``index``
+        position[index] = np.arange(len(index))
+        for (pool_rows, columns), *static in self._pool_tables:
+            at = position[pool_rows]
+            asked = at[:, 0] >= 0
+            at = (at[asked], columns[asked])
+            memory[at] = _settle_pool(
+                compute[at], memory[at], *(table[asked] for table in static)
             )
         return compute, memory
 
@@ -766,15 +803,6 @@ class _LockstepRows:
             tensor_utilization=busy_fraction * self._tensor_fraction[index],
             dram_bw_fraction=np.minimum(1.0, dram),
         )
-
-    def solved_placements(
-        self, compute: np.ndarray, memory: np.ndarray
-    ) -> list[list[_SolvedPlacement]]:
-        """Every row's scalar solution records, built from its solved times."""
-        return [
-            shape.solved_placements(*times)
-            for shape, *times in zip(self._shape_of_row, compute.tolist(), memory.tolist())
-        ]
 
 
 def _settle_pool(

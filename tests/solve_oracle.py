@@ -12,18 +12,29 @@ checked against them bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import ConfigurationError
 from repro.gpu.power import InstanceLoad
-from repro.sim.engine import _BANDWIDTH_ITERATIONS, _DAMPING, _SolvedPlacement
+from repro.sim.engine import _BANDWIDTH_ITERATIONS, _DAMPING
 from repro.sim.roofline import TimeComponents, elapsed_time
 from repro.units import clamp
+
+
+@dataclass
+class SolvedPlacement:
+    """Converged execution state of one placement at a fixed clock."""
+
+    components: TimeComponents
+    elapsed_s: float
+    dram_bw_fraction: float
 
 
 def _solved_placement(compute_s, memory_s, serial_s, memory_full_s):
     components = TimeComponents(compute_s=compute_s, memory_s=memory_s, serial_s=serial_s)
     total = elapsed_time(components)
     dram_bw_fraction = memory_full_s / total if total > 0 else 0.0
-    return _SolvedPlacement(
+    return SolvedPlacement(
         components=components,
         elapsed_s=total,
         dram_bw_fraction=min(1.0, dram_bw_fraction),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import repro.core.workflow as workflow_module
 import repro.numerics as numerics
 import repro.sim.engine as engine_module
+import repro.sim.noise as noise_module
 from repro.core.training import CoRunMeasurement, SoloMeasurement
 from repro.core.workflow import OfflineTrainer, TrainingPlan, power_caps_for_spec
 from repro.gpu.mig import (
@@ -27,6 +29,8 @@ from repro.gpu.mig import (
 from repro.gpu.spec import GPU_SPECS
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import no_noise
+from repro.sim.results import CoRunResult
+from repro.sim.roofline import bound_of
 from repro.workloads.kernel import WorkloadClass
 from repro.workloads.suite import DEFAULT_SUITE
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
@@ -240,6 +244,72 @@ def test_co_run_batch_matches_scalar_co_run_bit_for_bit(batch, noisy):
     expected = [scalar.co_run(kernels, state, cap) for kernels, state, cap in runs]
     assert [_bits(r) for r in results] == [_bits(r) for r in expected]
     assert list(batched._run_cache) == list(scalar._run_cache)
+    # The RPerf column is every record's RPerfs, bit for bit.
+    assert _bits(tuple(results.relative_performances)) == _bits(
+        tuple(r.relative_performances for r in expected)
+    )
+    # The memo hands later hits the very records the batch built.
+    for index, run in enumerate(runs):
+        again = batched.co_run(*run)
+        assert again is results[index]
+        assert _bits(again) == _bits(expected[index])
+    # Each hit put its record in its memo entry.
+    assert all(type(entry) is CoRunResult for entry in batched._run_cache.values())
+    # A memo hit before any index read builds the record the index returns.
+    fresh = PerformanceSimulator(spec, noise=noise)
+    columns = fresh.co_run_batch(runs)
+    hits = [fresh.co_run(*run) for run in runs]
+    assert all(hit is columns[index] for index, hit in enumerate(hits))
+    assert columns[:] == hits
+
+
+def _every_state_runs(spec_name):
+    """Every enumerated state of 1-4 applications at the lowest, a middle
+    and the highest cap, each state with its own group drawn round-robin
+    from the suite and the compute-only kernel."""
+    spec = GPU_SPECS[spec_name]
+    caps = (
+        spec.min_power_cap_w,
+        0.5 * (spec.min_power_cap_w + spec.max_power_cap_w),
+        spec.max_power_cap_w,
+    )
+    runs = []
+    for draw, state in enumerate(
+        state for n in (1, 2, 3, 4) for state in _STATES[(spec_name, n)]
+    ):
+        kernels = tuple(
+            _ORACLE_KERNELS[(draw + 7 * i) % len(_ORACLE_KERNELS)] for i in range(state.n_apps)
+        )
+        runs.extend((kernels, state, cap) for cap in caps)
+    return spec, runs
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
+@pytest.mark.parametrize("spec_name", _SPEC_NAMES)
+def test_one_batch_across_every_pool_layout_matches_the_scalar_loop(spec_name, noisy):
+    """Private, shared and every mixed grouping in one batch: each group
+    size is one lockstep pass, so pools of one member count from different
+    layouts (and from different positions in the group) share one array."""
+    spec, runs = _every_state_runs(spec_name)
+    noise = None if noisy else no_noise()
+    simulator = PerformanceSimulator(spec, noise=noise)
+    # The pools, by group size and member count, that one pass stacks.
+    layouts = {}
+    for kernels, state, _ in runs:
+        shape = simulator._new_shape(state, kernels)
+        for pool in shape.pools:
+            layouts.setdefault((state.n_apps, len(pool[0])), set()).add(tuple(pool[0]))
+    options = {(state.option, state.gi_groups) for _, state, _ in runs}
+    assert {MemoryOption.PRIVATE, MemoryOption.SHARED} <= {option for option, _ in options}
+    if spec_name in ("a100", "h100"):
+        # Every mixed grouping: 3 of three applications and 13 of four.
+        assert len({groups for option, groups in options if option is MemoryOption.MIXED}) == 16
+        assert layouts[(4, 2)] == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+        assert len(layouts[(4, 3)]) == 4 and layouts[(3, 2)] == {(0, 1), (0, 2), (1, 2)}
+    results = simulator.co_run_batch(runs)
+    scalar = PerformanceSimulator(spec, noise=noise)
+    assert [_bits(r) for r in results] == [_bits(scalar.co_run(*run)) for run in runs]
+    assert list(simulator._run_cache) == list(scalar._run_cache)
 
 
 @pytest.mark.parametrize("spec_name", _SPEC_NAMES)
@@ -371,25 +441,43 @@ def _check_shape_against_oracle(simulator, kernels, state):
 
     At each of :func:`_oracle_clocks`, and at every clock the governor
     evaluates at the spec's lowest cap, which fills the shape's curve
-    through the engine's own path.  Returns the shape.
+    through the engine's own path.  The times are checked through the
+    record the engine builds from them and their loads: each
+    application's time components, elapsed time, DRAM bandwidth fraction,
+    achieved bandwidth and bound must equal the scalar solve's.  Returns
+    the shape.
     """
     spec = simulator.spec
     powered = spec.mig_gpcs
+    cap = spec.min_power_cap_w
     placements = simulator._build_placements(state, tuple(kernels))
+
+    def solution(frequency, power, times):
+        record = simulator._measure(shape, state, cap, times, frequency, power).record()
+        return tuple(
+            (r.compute_time_s, r.memory_time_s, r.serial_time_s, r.noiseless_elapsed_s,
+             load[3], r.achieved_bandwidth_gbs, r.bound)
+            for r, load in zip(record.per_app, shape.loads(*times))
+        )
 
     def expect(frequency, power, times):
         want_power, want_solved = chip_power_at(simulator, placements, frequency, powered)
         assert _bits(power) == _bits(want_power)
-        assert _bits(tuple(shape.solved_placements(*times))) == _bits(tuple(want_solved))
+        assert _bits(solution(frequency, power, times)) == _bits(tuple(
+            (w.components.compute_s, w.components.memory_s, w.components.serial_s,
+             w.elapsed_s, w.dram_bw_fraction, w.dram_bw_fraction * spec.dram_bandwidth_gbs,
+             bound_of(w.components))
+            for w in want_solved
+        ))
 
-    shape = engine_module._Shape(placements, spec.n_gpcs)
+    shape = simulator._new_shape(state, tuple(kernels))
     for frequency in _oracle_clocks(simulator):
         times = shape.solve(frequency)
         power = simulator.power_model.chip_power(shape.loads(*times), frequency, powered)
         expect(frequency, power, times)
-    solved, selected, _ = simulator._govern(shape, spec.min_power_cap_w, powered)
-    want_solved = chip_power_at(simulator, placements, selected, powered)[1]
-    assert _bits(tuple(solved)) == _bits(tuple(want_solved))
+    times, selected, power = simulator._govern(shape, cap, powered)
+    assert times is shape.solved[selected]
+    expect(selected, power, times)
     for frequency, power in shape.power.items():
         expect(frequency, power, shape.solve(frequency))
     return shape
@@ -407,7 +495,7 @@ def test_shape_tables_match_the_scalar_solve_on_every_state(spec_name):
             kernels = [_ORACLE_KERNELS[(draw + 7 * i) % len(_ORACLE_KERNELS)] for i in range(n)]
             draw += 1
             shape = _check_shape_against_oracle(simulator, kernels, state)
-            pool_sizes.update(len(members) for members in shape.layout[1:])
+            pool_sizes.update(len(pool[0]) for pool in shape.pools)
     if spec_name in ("a100", "h100"):
         assert {2, 3, 4} <= pool_sizes
 
@@ -421,11 +509,11 @@ def test_shape_tables_match_the_scalar_solve_on_three_member_and_unsettled_pools
     shape = _check_shape_against_oracle(
         simulator, trio, PartitionState((2, 2, 3), MemoryOption.SHARED)
     )
-    assert [len(members) for members in shape.layout[1:]] == [3]
+    assert [len(pool[0]) for pool in shape.pools] == [3]
 
     pair = (suite.get("gaussian"), suite.get("stream"))
     shape = _check_shape_against_oracle(simulator, pair, CORUN_STATES[0])
-    assert [len(members) for members in shape.layout[1:]] == [2]
+    assert [len(pool[0]) for pool in shape.pools] == [2]
     # One more step still moves the times: the pool ran every step unsettled.
     settled = shape.solve(1.0)
     monkeypatch.setattr(
@@ -514,6 +602,76 @@ def _train(spec, plan):
     simulator = PerformanceSimulator(spec)
     model = OfflineTrainer(simulator, plan=plan).run()
     return json.dumps(model.to_dict()), list(simulator._run_cache)
+
+
+def test_batched_training_builds_no_records_and_keeps_the_noise_input(monkeypatch):
+    """The reduced general grid's sweeps read the RPerf columns alone, and
+    every noise draw hashes exactly ``repr((seed, key))`` of its key."""
+    spec = GPU_SPECS["a100"]
+    plan = TrainingPlan.for_spec(spec, power_caps=power_caps_for_spec(spec)[-2:])
+    built = []
+
+    def counting(record):
+        def construct(*args, **kwargs):
+            built.append(record)
+            return record(*args, **kwargs)
+
+        return construct
+
+    for name in ("RunResult", "CoRunResult"):
+        monkeypatch.setattr(engine_module, name, counting(getattr(engine_module, name)))
+    batches = []
+    original_batch = PerformanceSimulator.co_run_batch
+
+    def recording_batch(self, runs):
+        batches.append((self, list(runs)))
+        return original_batch(self, runs)
+
+    monkeypatch.setattr(PerformanceSimulator, "co_run_batch", recording_batch)
+    hashed = _recorded_sha256_inputs(monkeypatch)
+    _train(spec, plan)
+    assert built == []
+    # One draw per application of every distinct run of the sweeps.
+    expected = []
+    for simulator, runs in batches:
+        seed = simulator.noise.seed
+        distinct = {
+            simulator._run_key(tuple(kernels), state, cap): (kernels, state, cap)
+            for kernels, state, cap in runs
+        }
+        expected += [
+            repr((seed, (kernel.name, state.key(), index, round(cap, 3))))
+            for kernels, state, cap in distinct.values()
+            for index, kernel in enumerate(kernels)
+        ]
+    assert len(expected) > 1000 and sorted(hashed) == sorted(expected)
+
+
+def _recorded_sha256_inputs(monkeypatch):
+    """Every text the noise model hashes from now on, in order."""
+    inputs = []
+
+    class Recorder:
+        @staticmethod
+        def sha256(data):
+            inputs.append(data.decode("utf-8"))
+            return hashlib.sha256(data)
+
+    monkeypatch.setattr(noise_module, "hashlib", Recorder)
+    return inputs
+
+
+@pytest.mark.parametrize("cap", [212.345, 150.0, 250, 212.3456, 199.9995, 1e-4])
+def test_the_prefixed_noise_input_is_the_repr_of_the_key(monkeypatch, cap):
+    hashed = _recorded_sha256_inputs(monkeypatch)
+    model = noise_module.NoiseModel(sigma=0.03, seed=2022)
+    state = PartitionState((2, 2, 3), MemoryOption.MIXED, gi_groups=(0, 0, 1))
+    names = ("igemm4", "stream", "bfs")
+    model.apply([1.0] * 3, [model.prefix(name, state.key()) for name in names], cap)
+    assert hashed == [
+        repr((2022, (name, state.key(), index, round(cap, 3))))
+        for index, name in enumerate(names)
+    ]
 
 
 @pytest.mark.parametrize(
