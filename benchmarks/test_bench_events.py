@@ -21,7 +21,6 @@ from repro.cluster.events.events import ArrivalEvent, EventHeap
 from repro.cluster.scheduler import SchedulerConfig
 from repro.core.workflow import PaperWorkflow
 from repro.traces import poisson_trace
-from repro.traces.trace import TraceEntry
 from repro.workloads.suite import DEFAULT_SUITE
 
 from conftest import SMOKE_MODE, emit, emit_bench_json, scaled
@@ -82,11 +81,7 @@ def test_bench_event_heap_throughput():
     n_events = scaled(200_000, 20_000)
     kernel = DEFAULT_SUITE.get("stream")
     events = [
-        ArrivalEvent(
-            time=float(i % 1000),
-            entry=TraceEntry(arrival_time_s=float(i % 1000), app="stream"),
-            kernel=kernel,
-        )
+        ArrivalEvent(time=float(i % 1000), kernel=kernel)
         for i in range(n_events)
     ]
     heap = EventHeap()

@@ -10,8 +10,11 @@ root with:
 
 * per end-to-end metric of ``BENCHMARK.json``: each side's median and
   quartiles, the base's interquartile range, the change's median over the
-  base's, whether that stays inside the metric's bound, and the pairs
-  (seeds) in which the change did better;
+  base's, whether that stays inside the metric's bound, the pairs (seeds)
+  in which the change did better, and whether the metric is unresolved:
+  the base's runs spread wider than the bound (IQR over median), so the
+  pair cannot tell a change inside the bound from noise, unless every
+  change run beats every base run;
 * per seed, whether every simulated metric (``sim_*``) and
   ``rperf_error_pct`` is identical on both sides: they depend only on the
   program's decisions, never on host time;
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -110,13 +114,19 @@ def summarize(
         change = [c["metrics"][name]["value"] for _, _, c in pairs]
         base_spread, change_spread = _spread(base), _spread(change)
         ratio = change_spread["median"] / base_spread["median"] if base_spread["median"] else 1.0
+        iqr = base_spread["q3"] - base_spread["q1"]
+        relative_iqr = iqr / abs(base_spread["median"]) if base_spread["median"] else (
+            math.inf if iqr else 0.0
+        )
+        separated = max(change) < min(base) if lower else min(change) > max(base)
         metrics[name] = {
             "better": metric["better"],
             "base": base_spread,
             "change": change_spread,
-            "base_iqr": base_spread["q3"] - base_spread["q1"],
+            "base_iqr": iqr,
             "median_ratio": ratio,
             "within_bound": ratio <= 1 + metric["bound"] if lower else ratio >= 1 - metric["bound"],
+            "unresolved": relative_iqr > metric["bound"] and not separated,
             "pairs_won": sum((c < b) if lower else (c > b) for b, c in zip(base, change)),
             "pairs": len(pairs),
         }
@@ -163,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{name:24s} {row['base']['median']:12.6g} -> {row['change']['median']:12.6g}"
             f"  x{row['median_ratio']:.3f}  won {row['pairs_won']}/{row['pairs']}"
+            + ("  unresolved" if row["unresolved"] else "")
         )
     print(f"identical sim_*/rperf_error_pct on every seed: {all(summary['identical_per_seed'].values())}")
     print(f"failed operations: {summary['failed']}; wrote {out.name}")

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from repro.analysis.context import EvaluationContext
 from repro.analysis.figures import figure8_model_accuracy
+from repro.core.metrics import mean_absolute_percentage_error
 from repro.core.model import HardwareStateKey, LinearPerfModel
 from repro.errors import AnalysisError
 from repro.gpu.mig import MemoryOption, PartitionState, enumerate_partition_states
@@ -55,24 +56,23 @@ def model_error_summary(
             "model_error_summary got an empty power-cap list; pass at least "
             "one cap via power_caps or context.config.power_caps"
         )
-    throughput_errors: list[float] = []
-    fairness_errors: list[float] = []
-    n_samples = 0
-    for cap in caps:
-        data = figure8_model_accuracy(context, power_cap_w=float(cap))
-        throughput_errors.extend(row.throughput_error for row in data.rows)
-        fairness_errors.extend(row.fairness_error for row in data.rows)
-        n_samples += len(data.rows)
-    if not throughput_errors:
+    rows = [
+        row for cap in caps for row in figure8_model_accuracy(context, power_cap_w=float(cap)).rows
+    ]
+    if not rows:
         raise AnalysisError(
             "model_error_summary produced no accuracy rows: the evaluation "
             "grid is empty (context.config.candidate_states or the co-run "
             "workload list is empty)"
         )
     return ModelErrorSummary(
-        throughput_mape_pct=100.0 * sum(throughput_errors) / len(throughput_errors),
-        fairness_mape_pct=100.0 * sum(fairness_errors) / len(fairness_errors),
-        n_samples=n_samples,
+        throughput_mape_pct=mean_absolute_percentage_error(
+            [r.estimated_throughput for r in rows], [r.measured_throughput for r in rows]
+        ),
+        fairness_mape_pct=mean_absolute_percentage_error(
+            [r.estimated_fairness for r in rows], [r.measured_fairness for r in rows]
+        ),
+        n_samples=len(rows),
     )
 
 

@@ -13,12 +13,17 @@ A100 measurements and its model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.analysis.context import EvaluationContext
 from repro.core.decision import AllocationDecision
-from repro.core.metrics import geometric_mean
+from repro.core.metrics import (
+    fairness,
+    geometric_mean,
+    mean_absolute_percentage_error,
+    weighted_speedup,
+)
 from repro.core.optimizer import ResourcePowerAllocator
 from repro.core.policies import Policy, Problem1Policy, Problem2Policy
 from repro.errors import InfeasibleProblemError
@@ -188,16 +193,6 @@ class AccuracyRow:
     measured_fairness: float
     estimated_fairness: float
 
-    @property
-    def throughput_error(self) -> float:
-        """Relative throughput error."""
-        return abs(self.estimated_throughput - self.measured_throughput) / self.measured_throughput
-
-    @property
-    def fairness_error(self) -> float:
-        """Relative fairness error."""
-        return abs(self.estimated_fairness - self.measured_fairness) / self.measured_fairness
-
 
 @dataclass(frozen=True)
 class Figure8Data:
@@ -209,12 +204,16 @@ class Figure8Data:
     @property
     def throughput_mape_pct(self) -> float:
         """Average relative throughput error in percent."""
-        return 100.0 * sum(r.throughput_error for r in self.rows) / len(self.rows)
+        return mean_absolute_percentage_error(
+            [r.estimated_throughput for r in self.rows], [r.measured_throughput for r in self.rows]
+        )
 
     @property
     def fairness_mape_pct(self) -> float:
         """Average relative fairness error in percent."""
-        return 100.0 * sum(r.fairness_error for r in self.rows) / len(self.rows)
+        return mean_absolute_percentage_error(
+            [r.estimated_fairness for r in self.rows], [r.measured_fairness for r in self.rows]
+        )
 
 
 def figure8_model_accuracy(
@@ -235,9 +234,9 @@ def figure8_model_accuracy(
                     state_label=state.label or state.describe(),
                     power_cap_w=power_cap_w,
                     measured_throughput=measured.weighted_speedup,
-                    estimated_throughput=float(sum(estimated)),
+                    estimated_throughput=weighted_speedup(estimated),
                     measured_fairness=measured.fairness,
-                    estimated_fairness=float(min(estimated)),
+                    estimated_fairness=fairness(estimated),
                 )
             )
     return Figure8Data(power_cap_w=power_cap_w, rows=tuple(rows))

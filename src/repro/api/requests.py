@@ -22,13 +22,11 @@ from typing import Any, Mapping, Sequence
 from repro.api.serde import build, checked_kwargs
 from repro.cluster.events import SimulationConfig
 from repro.config import check_count
+from repro.core.policies import POLICY_NAMES
 from repro.errors import ConfigurationError
 from repro.gpu.spec import GPU_SPECS
 from repro.workloads.mixes import JOB_MIXES
 from repro.workloads.suite import DEFAULT_SUITE
-
-#: The optimization problems the service can solve.
-POLICY_NAMES: tuple[str, ...] = ("problem1", "problem2")
 
 #: The value each synthetic-trace knob of a :class:`SimulationRequest` takes
 #: when unset; a request with a ``trace_path`` rejects each one instead.

@@ -35,7 +35,6 @@ from repro.api.results import (
     SimulationResult,
     StatesResult,
 )
-from repro.config import DEFAULT_POWER_CAPS
 from repro.core.decision import AllocationDecision
 from repro.core.modelstore import ModelFingerprint, cache_path_for
 from repro.core.workflow import PaperWorkflow, TrainingPlan, power_caps_for_spec
@@ -175,17 +174,14 @@ class PlannerService:
 
     def _build_session(self, key: SessionKey) -> PlannerSession:
         spec = spec_by_name(key.spec)
+        caps = power_caps_for_spec(spec)
         if key.grid == GENERAL_GRID:
             # N-way groups and non-A100 specs need coefficients for the
             # whole instance-size grid, not just the S1-S4 keys of Table 5.
-            caps = power_caps_for_spec(spec)
             workflow = PaperWorkflow(
-                simulator=PerformanceSimulator(spec),
-                plan=TrainingPlan.for_spec(spec, power_caps=caps),
-                power_caps=caps,
+                simulator=PerformanceSimulator(spec), plan=TrainingPlan.for_spec(spec)
             )
         else:
-            caps = tuple(DEFAULT_POWER_CAPS)
             workflow = PaperWorkflow()
         path = self._model_path_for(key, workflow, caps)
         if path is None:

@@ -59,6 +59,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.tables import table7_classification
 from repro.api import (
+    POLICY_NAMES,
     DecisionRequest,
     LintRequest,
     PlannerService,
@@ -135,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="application names in allocation order (two reproduce the paper's pairs; "
         "more enable N-way co-location)",
     )
-    decide.add_argument("--policy", choices=("problem1", "problem2"), default="problem1")
+    decide.add_argument("--policy", choices=POLICY_NAMES, default="problem1")
     decide.add_argument(
         "--power-cap", type=float, default=None,
         help="Problem 1's fixed power cap (default: spec grid's 92%% point); "
@@ -200,9 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{SYNTHETIC_TRACE_DEFAULTS['seed']}; rejected with --trace)",
     )
     simulate.add_argument("--nodes", type=int, default=2, help="number of compute nodes")
-    simulate.add_argument(
-        "--policy", choices=("problem1", "problem2"), default="problem2"
-    )
+    simulate.add_argument("--policy", choices=POLICY_NAMES, default="problem2")
     simulate.add_argument(
         "--power-cap", type=float, default=None,
         help="Problem 1's fixed power cap (default: spec grid's 92%% point); "

@@ -25,7 +25,6 @@ from typing import ClassVar, Iterable
 
 from repro.cluster.job import Job
 from repro.errors import SimulationError
-from repro.traces.trace import TraceEntry
 from repro.workloads.kernel import KernelCharacteristics
 
 
@@ -55,11 +54,10 @@ class CompletionEvent(Event):
 
 @dataclass(frozen=True)
 class ArrivalEvent(Event):
-    """One trace entry arrives and is submitted to the job queue."""
+    """One trace entry's kernel arrives and is submitted to the job queue."""
 
     priority: ClassVar[int] = 30
 
-    entry: TraceEntry
     kernel: KernelCharacteristics
 
 

@@ -234,7 +234,7 @@ class ClusterSimulator:
         # Ascending positions form a valid min-heap as-is.
         state.free_nodes = list(range(len(self._nodes)))
         state.heap.push_many(
-            ArrivalEvent(time=entry.arrival_time_s, entry=entry, kernel=kernel)
+            ArrivalEvent(time=entry.arrival_time_s, kernel=kernel)
             for entry, kernel in zip(trace.entries, kernels)
         )
 

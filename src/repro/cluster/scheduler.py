@@ -76,7 +76,7 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         for name in ("window_size", "group_size"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
-        if self.policy_name.lower() not in POLICY_NAMES:
+        if self.policy_name not in POLICY_NAMES:
             raise ConfigurationError(
                 f"unknown policy {self.policy_name!r}; valid names: {POLICY_NAMES}"
             )

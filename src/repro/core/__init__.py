@@ -9,7 +9,7 @@ This package implements the methodology of Section 4:
 * :mod:`repro.core.training` — offline least-squares calibration of the
   coefficients from solo and co-run measurements.
 * :mod:`repro.core.metrics` — throughput (weighted speedup), fairness, and
-  energy-efficiency metrics.
+  the model-error statistics.
 * :mod:`repro.core.policies` — the two optimization problems (Problem 1:
   throughput under a fairness constraint at a given cap; Problem 2: energy
   efficiency with the cap as a free variable).
@@ -30,7 +30,6 @@ from repro.core.features import (
     basis_j,
 )
 from repro.core.metrics import (
-    energy_efficiency,
     fairness,
     fairness_batch,
     geometric_mean,
@@ -74,7 +73,6 @@ __all__ = [
     "weighted_speedup_batch",
     "fairness",
     "fairness_batch",
-    "energy_efficiency",
     "geometric_mean",
     "HardwareStateKey",
     "LinearPerfModel",

@@ -7,7 +7,9 @@
   ``fairness > alpha`` guarantees that no application is starved by
   co-scheduling or power capping.
 * **Energy efficiency** (Problem 2's objective) is throughput divided by the
-  chip power cap.
+  chip power cap (:class:`~repro.core.policies.Problem2Policy`).
+* The model's accuracy is the mean absolute percentage error of its
+  estimates (the paper's Fig. 8 statistic).
 """
 
 from __future__ import annotations
@@ -54,15 +56,6 @@ def fairness_batch(relative_performances: np.ndarray) -> np.ndarray:
             f"expected a (n_candidates, n_apps) matrix, got shape {matrix.shape}"
         )
     return matrix.min(axis=1)
-
-
-def energy_efficiency(
-    relative_performances: Sequence[float], power_cap_w: float
-) -> float:
-    """Problem 2 objective: weighted speedup per watt of chip power cap."""
-    if power_cap_w <= 0:
-        raise ConfigurationError(f"power cap must be positive, got {power_cap_w}")
-    return weighted_speedup(relative_performances) / power_cap_w
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -664,16 +664,13 @@ class LinearPerfModel:
         self,
         state: PartitionState,
         power_caps: Iterable[float],
-        with_interference: bool | None = None,
     ) -> bool:
         """Whether every per-application key of ``state`` × ``power_caps`` is fitted.
 
-        ``with_interference`` defaults to requiring the interference term
-        exactly when the state co-locates more than one application.
+        The interference term is required exactly when the state co-locates
+        more than one application.
         """
-        needs_interference = (
-            state.n_apps > 1 if with_interference is None else with_interference
-        )
+        needs_interference = state.n_apps > 1
         caps = tuple(power_caps)
         for index in range(state.n_apps):
             fields = HardwareStateKey.cap_free_fields(state, index, self._spec)

@@ -107,11 +107,10 @@ class Problem2Policy:
         return fairness > self.alpha
 
 
-#: Accepted aliases for the two optimization problems (the single source of
-#: truth shared by :func:`make_policy` and the scheduler's config check).
-PROBLEM1_ALIASES: tuple[str, ...] = ("problem1", "throughput")
-PROBLEM2_ALIASES: tuple[str, ...] = ("problem2", "energy-efficiency", "efficiency")
-POLICY_NAMES: tuple[str, ...] = PROBLEM1_ALIASES + PROBLEM2_ALIASES
+#: The two optimization problems, by name: the one list that
+#: :func:`make_policy`, the scheduler's config check and the service's
+#: requests accept, matched exactly.
+POLICY_NAMES: tuple[str, ...] = ("problem1", "problem2")
 
 
 def make_policy(
@@ -120,16 +119,14 @@ def make_policy(
     power_cap_w: float | None = None,
     power_caps: Sequence[float] = DEFAULT_POWER_CAPS,
 ) -> Policy:
-    """Convenience factory used by examples and the cluster scheduler.
+    """The policy named ``"problem1"`` (at ``power_cap_w``) or ``"problem2"``.
 
-    ``name`` may be ``"problem1"``/``"throughput"`` or
-    ``"problem2"``/``"energy-efficiency"``.
+    Problem 2 chooses among ``power_caps``.
     """
-    normalized = name.lower()
-    if normalized in PROBLEM1_ALIASES:
+    if name == "problem1":
         if power_cap_w is None:
             raise ConfigurationError("Problem 1 requires a given power cap")
         return Problem1Policy(power_cap_w=power_cap_w, alpha=alpha)
-    if normalized in PROBLEM2_ALIASES:
+    if name == "problem2":
         return Problem2Policy(alpha=alpha, power_caps=tuple(power_caps))
     raise ConfigurationError(f"unknown policy {name!r}; valid names: {POLICY_NAMES}")

@@ -15,6 +15,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from repro.config import check_count
 from repro.core.decision import CandidateEvaluation
 from repro.errors import OptimizationError
 from repro.gpu.mig import PartitionState
@@ -101,10 +102,12 @@ class HillClimbingSearch:
     name = "hill-climbing"
 
     def __init__(self, restarts: int = 3, seed: int = 2022) -> None:
+        restarts = check_count("restarts", restarts, minimum=None)
         if restarts < 1:
             raise OptimizationError(f"restarts must be >= 1, got {restarts}")
         self._restarts = restarts
-        self._seed = seed
+        # NumPy seeds its generators from non-negative integers only.
+        self._seed = check_count("seed", seed, minimum=0)
 
     def search(
         self,

@@ -93,7 +93,6 @@ class SoloMeasurement:
 class CoRunMeasurement:
     """One co-run training measurement: a pair (or more) on one state."""
 
-    kernel_names: tuple[str, ...]
     counters: tuple[CounterVector, ...]
     state: PartitionState
     power_cap_w: float
@@ -101,14 +100,11 @@ class CoRunMeasurement:
 
     def __post_init__(self) -> None:
         if not (
-            len(self.kernel_names)
-            == len(self.counters)
-            == len(self.relative_performances)
-            == self.state.n_apps
+            len(self.counters) == len(self.relative_performances) == self.state.n_apps
         ):
             raise ModelError(
                 "co-run measurement is inconsistent: "
-                f"{len(self.kernel_names)} names, {len(self.counters)} profiles, "
+                f"{len(self.counters)} profiles, "
                 f"{len(self.relative_performances)} performances, "
                 f"state with {self.state.n_apps} applications"
             )
@@ -353,14 +349,13 @@ class ModelTrainer:
     def fit_scalability(
         self,
         measurements: Sequence[SoloMeasurement],
-        model: LinearPerfModel | None = None,
     ) -> LinearPerfModel:
         """Fit ``C(S, P)`` for every hardware state present in ``measurements``."""
         if not measurements:
             raise ModelError(
                 "cannot fit the scalability term from zero solo measurements"
             )
-        model = model if model is not None else LinearPerfModel(self._basis, spec=self._spec)
+        model = LinearPerfModel(self._basis, spec=self._spec)
         report = self.last_report or TrainingReport()
         report.n_solo_measurements += len(measurements)
         grouped: dict[HardwareStateKey, list[SoloMeasurement]] = {}
@@ -700,32 +695,24 @@ def collect_corun_measurements(
     read through its RPerf column; the measurements come out in sweep order.
     """
     sweep: list[
-        tuple[
-            tuple[KernelCharacteristics, ...],
-            tuple[str, ...],
-            tuple[CounterVector, ...],
-            PartitionState,
-            float,
-        ]
+        tuple[tuple[KernelCharacteristics, ...], tuple[CounterVector, ...], PartitionState, float]
     ] = []
     for kernels in kernel_pairs:
         counters = tuple(simulator.profile(kernel) for kernel in kernels)
-        names = tuple(kernel.name for kernel in kernels)
         for state in states:
             if state.n_apps != len(kernels):
                 continue
             for power_cap in power_caps:
-                sweep.append((tuple(kernels), names, counters, state, power_cap))
+                sweep.append((tuple(kernels), counters, state, power_cap))
     column = simulator.co_run_batch(
-        [(kernels, state, power_cap) for kernels, _, _, state, power_cap in sweep]
+        [(kernels, state, power_cap) for kernels, _, state, power_cap in sweep]
     ).relative_performances
     return [
         CoRunMeasurement(
-            kernel_names=names,
             counters=counters,
             state=state,
             power_cap_w=float(power_cap),
             relative_performances=rperfs,
         )
-        for (_, names, counters, state, power_cap), rperfs in zip(sweep, column)
+        for (_, counters, state, power_cap), rperfs in zip(sweep, column)
     ]

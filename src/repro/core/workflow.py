@@ -48,7 +48,6 @@ from repro.profiling.database import ProfileDatabase
 from repro.profiling.profiler import ProfileCollector
 from repro.sim.engine import PerformanceSimulator
 from repro.workloads.groups import (
-    CoRunGroup,
     groups_of_size,
     synthetic_training_groups,
     tiny_pool_training_groups,
@@ -214,17 +213,14 @@ class OfflineTrainer:
         self,
         training_kernels: Iterable[KernelCharacteristics] | None = None,
         training_pairs: Sequence[CoRunPair] | None = None,
-        training_groups: Sequence[CoRunGroup] | None = None,
     ) -> LinearPerfModel:
         """Execute the training sweeps and return the calibrated model.
 
         ``training_kernels`` defaults to every benchmark of the suite;
-        ``training_pairs`` defaults to the Table 8 co-run workloads;
-        ``training_groups`` defaults to the predefined N-way workloads of
-        every size the plan's states need beyond pairs, plus synthetic
-        groups densifying the mixed-state sweep — pass an explicit
-        sequence (even an empty one) to control exactly which N-way
-        workloads execute.
+        ``training_pairs`` defaults to the Table 8 co-run workloads.  The
+        N-way sweep runs the predefined workloads of every size the plan's
+        states need beyond pairs, plus synthetic groups densifying the
+        mixed-state sweep.
         """
         kernels = (
             list(training_kernels)
@@ -232,25 +228,6 @@ class OfflineTrainer:
             else list(self._suite.all())
         )
         pairs = list(training_pairs) if training_pairs is not None else list(CORUN_PAIRS)
-        synthetic: list[tuple[KernelCharacteristics, ...]] = []
-        if training_groups is None:
-            training_groups = [
-                group
-                for size in self._plan.group_sizes
-                for group in groups_of_size(size)
-            ]
-            # Sub-chip shared GI keys are calibrated jointly from
-            # mixed-state rows only; densify that sweep with synthetic
-            # groups so the fit spans the victim x co-runner feature plane
-            # beyond the handful of named triples, plus the tiny-pool
-            # groups that give the capacity-aware basis terms samples on
-            # both sides of the 2-slice pool's clip point.  Passing an
-            # explicit ``training_groups`` (even an empty one) suppresses
-            # this, so ablations and real-hardware calibrations keep full
-            # control of what actually runs.
-            for size in sorted({s.n_apps for s in self._plan.mixed_states}):
-                synthetic.extend(synthetic_training_groups(group_size=size))
-                synthetic.extend(tiny_pool_training_groups(group_size=size))
         solo = collect_solo_measurements(
             self._simulator,
             kernels,
@@ -259,8 +236,20 @@ class OfflineTrainer:
             power_caps=self._plan.power_caps,
         )
         group_kernels = [pair.kernels(self._suite) for pair in pairs]
-        group_kernels.extend(group.kernels(self._suite) for group in training_groups)
-        group_kernels.extend(synthetic)
+        group_kernels.extend(
+            group.kernels(self._suite)
+            for size in self._plan.group_sizes
+            for group in groups_of_size(size)
+        )
+        # Sub-chip shared GI keys are calibrated jointly from mixed-state
+        # rows only; densify that sweep with synthetic groups so the fit
+        # spans the victim x co-runner feature plane beyond the handful of
+        # named triples, plus the tiny-pool groups that give the
+        # capacity-aware basis terms samples on both sides of the 2-slice
+        # pool's clip point.
+        for size in sorted({s.n_apps for s in self._plan.mixed_states}):
+            group_kernels.extend(synthetic_training_groups(group_size=size))
+            group_kernels.extend(tiny_pool_training_groups(group_size=size))
         corun = collect_corun_measurements(
             self._simulator,
             group_kernels,
@@ -449,9 +438,7 @@ class PaperWorkflow:
         if candidate_states is None:
             candidate_states = self._default_candidate_states(spec)
         if power_caps is None:
-            power_caps = (
-                DEFAULT_POWER_CAPS if spec == A100_SPEC else power_caps_for_spec(spec)
-            )
+            power_caps = power_caps_for_spec(spec)
         self._candidate_states = tuple(candidate_states)
         self._power_caps = tuple(float(p) for p in power_caps)
         self._model: LinearPerfModel | None = None

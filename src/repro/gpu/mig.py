@@ -80,14 +80,10 @@ class InstanceAllocation:
     mem_slices:
         Number of LLC/HBM slices whose bandwidth the application can use.
         Under the shared option this is the full chip's slice count.
-    shared_memory:
-        ``True`` when the LLC/HBM resources are shared with co-located
-        applications (shared option), ``False`` when they are private.
     """
 
     gpcs: int
     mem_slices: int
-    shared_memory: bool
 
     def __post_init__(self) -> None:
         if self.gpcs not in VALID_INSTANCE_SIZES:
@@ -298,12 +294,8 @@ class PartitionState:
         """Resources visible to application ``index`` (0-based) on ``spec``."""
         if not (0 <= index < self.n_apps):
             raise IndexError(f"application index {index} out of range")
-        gpcs = self.gpc_allocations[index]
-        members = self.group_of(index)
         return InstanceAllocation(
-            gpcs=gpcs,
-            mem_slices=spec.scheme.group_mem_domains(spec, self, members),
-            shared_memory=len(members) > 1 or self.option is MemoryOption.SHARED,
+            gpcs=self.gpc_allocations[index], mem_slices=self.mem_slices_for(index, spec)
         )
 
     def allocations(self, spec: GPUSpec) -> tuple[InstanceAllocation, ...]:

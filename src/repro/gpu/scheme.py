@@ -17,7 +17,8 @@ rest of the library used to answer with NVIDIA slice arithmetic:
 * how many compute units and memory domains the group hosting an
   application owns (:meth:`~PartitionScheme.group_compute_units`,
   :meth:`~PartitionScheme.group_mem_domains`) — the numbers behind
-  ``HardwareStateKey`` derivation and the simulator's bandwidth pools
+  ``HardwareStateKey`` derivation,
+* which applications share a bandwidth pool in the simulator
   (:meth:`~PartitionScheme.memory_pools`),
 * how many applications can co-locate at all
   (:meth:`~PartitionScheme.max_co_located`).
@@ -64,10 +65,6 @@ class MemoryPool(object):
     members:
         Application indices drawing bandwidth from this domain, in
         application order.
-    mem_domains:
-        Memory domains (LLC/HBM slices on NVIDIA, HBM-stack groups under
-        an NPS mode on AMD-style parts) backing the pool, out of the
-        spec's ``n_mem_slices``.
     contended:
         Whether the members contend for the pool (more than one member,
         or a shared full-chip pool).  Uncontended pools need no
@@ -75,7 +72,6 @@ class MemoryPool(object):
     """
 
     members: tuple[int, ...]
-    mem_domains: int
     contended: bool
 
 
@@ -124,7 +120,6 @@ class PartitionScheme(object):
         return tuple(
             MemoryPool(
                 members=tuple(members),
-                mem_domains=self.group_mem_domains(spec, state, members),
                 contended=state.option is MemoryOption.SHARED or len(members) > 1,
             )
             for members in state.groups()

@@ -71,8 +71,6 @@ class GPUSpec:
     mig_gpcs:
         Number of GPCs usable when MIG is enabled (7 for A100 — one GPC is
         disabled by the hardware when MIG mode is switched on).
-    sms_per_gpc:
-        Streaming Multiprocessors per GPC.
     pipe_tflops:
         Peak full-chip throughput per :class:`Pipe` in TFLOP/s at the
         maximum clock.
@@ -86,13 +84,11 @@ class GPUSpec:
         (8 for A100).
     l2_cache_mb:
         Total last-level-cache capacity in MiB.
-    hbm_capacity_gb:
-        Total HBM capacity in GB.
 
     Clock / power parameters
     ------------------------
-    max_clock_ghz, base_clock_ghz, min_clock_ghz:
-        Boost, base, and minimum sustainable clocks.  The simulator expresses
+    max_clock_ghz, min_clock_ghz:
+        Boost and minimum sustainable clocks.  The simulator expresses
         the operating point as a *relative frequency* ``f`` in
         ``[min_clock_ghz / max_clock_ghz, 1.0]`` where ``1.0`` is the boost
         clock.
@@ -144,7 +140,6 @@ class GPUSpec:
     name: str = "Simulated-A100-40GB"
     n_gpcs: int = 8
     mig_gpcs: int = 7
-    sms_per_gpc: int = 14
     pipe_tflops: Mapping[Pipe, float] = field(
         default_factory=lambda: {
             Pipe.FP32: 19.5,
@@ -157,9 +152,7 @@ class GPUSpec:
     dram_bandwidth_gbs: float = 1555.0
     n_mem_slices: int = 8
     l2_cache_mb: float = 40.0
-    hbm_capacity_gb: float = 40.0
     max_clock_ghz: float = 1.410
-    base_clock_ghz: float = 1.095
     min_clock_ghz: float = 0.420
     clock_step_ghz: float = 0.015
     default_power_limit_w: float = 250.0
@@ -185,16 +178,14 @@ class GPUSpec:
             raise SpecificationError(
                 f"mig_gpcs must be in (0, n_gpcs={self.n_gpcs}], got {self.mig_gpcs}"
             )
-        if self.sms_per_gpc <= 0:
-            raise SpecificationError("sms_per_gpc must be positive")
         if self.n_mem_slices <= 0:
             raise SpecificationError("n_mem_slices must be positive")
         if self.dram_bandwidth_gbs <= 0:
             raise SpecificationError("dram_bandwidth_gbs must be positive")
-        if not (0 < self.min_clock_ghz <= self.base_clock_ghz <= self.max_clock_ghz):
+        if not (0 < self.min_clock_ghz <= self.max_clock_ghz):
             raise SpecificationError(
-                "clocks must satisfy 0 < min <= base <= max, got "
-                f"{self.min_clock_ghz}/{self.base_clock_ghz}/{self.max_clock_ghz}"
+                "clocks must satisfy 0 < min <= max, got "
+                f"{self.min_clock_ghz}/{self.max_clock_ghz}"
             )
         if self.clock_step_ghz <= 0:
             raise SpecificationError("clock_step_ghz must be positive")
@@ -303,7 +294,6 @@ H100_SPEC = GPUSpec(
     name="Simulated-H100-80GB",
     n_gpcs=8,
     mig_gpcs=7,
-    sms_per_gpc=16,
     pipe_tflops={
         Pipe.FP32: 67.0,
         Pipe.FP64: 34.0,
@@ -314,9 +304,7 @@ H100_SPEC = GPUSpec(
     dram_bandwidth_gbs=3350.0,
     n_mem_slices=8,
     l2_cache_mb=50.0,
-    hbm_capacity_gb=80.0,
     max_clock_ghz=1.980,
-    base_clock_ghz=1.590,
     min_clock_ghz=0.450,
     clock_step_ghz=0.015,
     default_power_limit_w=700.0,
@@ -336,7 +324,6 @@ A30_SPEC = GPUSpec(
     name="Simulated-A30-24GB",
     n_gpcs=4,
     mig_gpcs=4,
-    sms_per_gpc=14,
     pipe_tflops={
         Pipe.FP32: 10.3,
         Pipe.FP64: 5.2,
@@ -347,9 +334,7 @@ A30_SPEC = GPUSpec(
     dram_bandwidth_gbs=933.0,
     n_mem_slices=4,
     l2_cache_mb=24.0,
-    hbm_capacity_gb=24.0,
     max_clock_ghz=1.440,
-    base_clock_ghz=0.930,
     min_clock_ghz=0.420,
     clock_step_ghz=0.015,
     default_power_limit_w=165.0,
@@ -376,7 +361,6 @@ MI300X_SPEC = GPUSpec(
     name="Simulated-MI300X-192GB",
     n_gpcs=8,
     mig_gpcs=8,
-    sms_per_gpc=38,
     pipe_tflops={
         Pipe.FP32: 163.4,
         Pipe.FP64: 81.7,
@@ -387,9 +371,7 @@ MI300X_SPEC = GPUSpec(
     dram_bandwidth_gbs=5300.0,
     n_mem_slices=8,
     l2_cache_mb=256.0,
-    hbm_capacity_gb=192.0,
     max_clock_ghz=2.100,
-    base_clock_ghz=1.500,
     min_clock_ghz=0.500,
     clock_step_ghz=0.015,
     default_power_limit_w=750.0,

@@ -47,7 +47,6 @@ class ModuleContext:
 
     path: str
     tree: ast.Module
-    source: str
     #: local name -> dotted module path (``import numpy as np``).
     module_aliases: dict[str, str] = field(default_factory=dict)
     #: local name -> (module, original name) (``from weakref import ref``).
@@ -57,7 +56,7 @@ class ModuleContext:
     def parse(cls, path: str, source: str) -> "ModuleContext":
         """Parse ``source`` and resolve its top-level import aliases."""
         tree = ast.parse(source, filename=path)
-        ctx = cls(path=path, tree=tree, source=source)
+        ctx = cls(path=path, tree=tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:

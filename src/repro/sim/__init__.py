@@ -32,7 +32,7 @@ from repro.sim.engine import PerformanceSimulator
 from repro.sim.interference import InterferenceModel, InterferenceParams
 from repro.sim.noise import NoiseModel
 from repro.sim.results import CoRunResult, RunResult
-from repro.sim.roofline import TimeComponents, bound_of, elapsed_time
+from repro.sim.roofline import TimeComponents, bound_of
 from repro.sim.sweep import (
     ScalabilityPoint,
     scalability_power_sweep,
@@ -49,7 +49,6 @@ __all__ = [
     "RunResult",
     "CoRunResult",
     "TimeComponents",
-    "elapsed_time",
     "bound_of",
     "ScalabilityPoint",
     "scalability_sweep",

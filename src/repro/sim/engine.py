@@ -65,7 +65,7 @@ from repro.sim.counters import CounterVector, collect_counters
 from repro.sim.interference import InterferenceModel
 from repro.sim.noise import NoiseModel
 from repro.sim.results import CoRunResult, RunResult
-from repro.sim.roofline import TimeComponents, bound_of, elapsed_time
+from repro.sim.roofline import TimeComponents, bound_of
 from repro.workloads.kernel import KernelCharacteristics
 
 #: Iterations of the bandwidth-contention fixed point (damped; converges in
@@ -138,10 +138,8 @@ class _Shape:
         ]
         self.serial = [p.kernel.serial_time_s for p in placements]
         #: What each application's result record reads: its name, serial
-        #: and full-bandwidth memory times, and reference time.
-        self.apps = list(zip(
-            [p.kernel.name for p in placements], self.serial, self.memory_full, references
-        ))
+        #: time and reference time.
+        self.apps = list(zip([p.kernel.name for p in placements], self.serial, references))
         self.capacity = [p.bandwidth_capacity for p in placements]
         self.gpcs = [p.gpcs for p in placements]
         self.cuda_fraction = [p.kernel.cuda_fraction for p in placements]
@@ -248,40 +246,34 @@ class _Shape:
 class _Run:
     """A solved run's measurements, kept apart from the engine; its record is built on read."""
 
-    apps: list[tuple[str, float, float, float]]
+    apps: list[tuple[str, float, float]]
     state: PartitionState
     cap: float
     times: tuple[list[float], list[float]]
     frequency: float
     chip_power: float
     measured: list[float]
-    bandwidth_gbs: float
     built: CoRunResult | None = None
 
     @property
     def relative_performances(self) -> tuple[float, ...]:
-        return tuple([app[3] / t for app, t in zip(self.apps, self.measured)])
+        return tuple([app[2] / t for app, t in zip(self.apps, self.measured)])
 
     def record(self) -> CoRunResult:
         """The run's one result record, built from its solved times on the first call."""
         if self.built is None:
-            per_app: list[RunResult] = []
-            for index, ((name, s, full, reference), c, m, measured) in enumerate(
-                zip(self.apps, *self.times, self.measured)
-            ):
-                components = TimeComponents(compute_s=c, memory_s=m, serial_s=s)
-                elapsed = elapsed_time(components)
-                dram_bw_fraction = full / elapsed if elapsed > 0 else 0.0
-                per_app.append(RunResult(
-                    kernel_name=name, state=self.state, app_index=index, power_cap_w=self.cap,
-                    elapsed_s=measured, noiseless_elapsed_s=elapsed, reference_s=reference,
-                    relative_performance=reference / measured, relative_frequency=self.frequency,
-                    compute_time_s=c, memory_time_s=m, serial_time_s=s,
-                    achieved_bandwidth_gbs=min(1.0, dram_bw_fraction) * self.bandwidth_gbs,
-                    chip_power_w=self.chip_power, bound=bound_of(components),
-                ))
+            per_app = tuple([
+                RunResult(
+                    kernel_name=name, elapsed_s=measured,
+                    relative_performance=reference / measured, chip_power_w=self.chip_power,
+                    bound=bound_of(TimeComponents(compute_s=c, memory_s=m, serial_s=s)),
+                )
+                for (name, s, reference), c, m, measured in zip(
+                    self.apps, *self.times, self.measured
+                )
+            ])
             self.built = CoRunResult(
-                state=self.state, power_cap_w=self.cap, per_app=tuple(per_app),
+                state=self.state, power_cap_w=self.cap, per_app=per_app,
                 chip_power_w=self.chip_power, relative_frequency=self.frequency,
             )
         return self.built
@@ -580,10 +572,7 @@ class PerformanceSimulator:
         """A solved run with its noisy elapsed times, its record not yet built."""
         elapsed = [(m if m > c else c) + s for c, m, s in zip(*times, shape.serial)]
         measured = self._noise.apply(elapsed, shape.prefixes, cap)
-        return _Run(
-            shape.apps, state, cap, times, frequency, chip_power, measured,
-            self._spec.dram_bandwidth_gbs,
-        )
+        return _Run(shape.apps, state, cap, times, frequency, chip_power, measured)
 
     def _build_placements(
         self,

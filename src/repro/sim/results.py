@@ -15,29 +15,12 @@ class RunResult:
     ----------
     kernel_name:
         Name of the executed benchmark.
-    state:
-        The partition state the run was part of (a solo state for solo runs).
-    app_index:
-        Index of the application within the state (0 for solo runs).
-    power_cap_w:
-        Chip power cap active during the run.
     elapsed_s:
         Measured elapsed time including measurement noise.
-    noiseless_elapsed_s:
-        Elapsed time before measurement noise was applied (used by tests and
-        by error analyses that want to separate model error from noise).
-    reference_s:
-        Elapsed time of the exclusive solo run on the full GPU at the default
-        power limit — the normalization baseline used throughout the paper.
     relative_performance:
-        ``reference_s / elapsed_s`` (the paper's ``RPerf``).
-    relative_frequency:
-        Clock selected by the power-cap governor, as a fraction of boost.
-    compute_time_s, memory_time_s, serial_time_s:
-        Effective time components after allocation scaling, clock throttling
-        and interference.
-    achieved_bandwidth_gbs:
-        Average DRAM bandwidth achieved by the application.
+        The exclusive full-GPU run's elapsed time (the normalization
+        baseline used throughout the paper) over ``elapsed_s``: the paper's
+        ``RPerf``.
     chip_power_w:
         Modelled chip power during the run (all co-located applications and
         idle components included).
@@ -47,38 +30,19 @@ class RunResult:
     """
 
     kernel_name: str
-    state: PartitionState
-    app_index: int
-    power_cap_w: float
     elapsed_s: float
-    noiseless_elapsed_s: float
-    reference_s: float
     relative_performance: float
-    relative_frequency: float
-    compute_time_s: float
-    memory_time_s: float
-    serial_time_s: float
-    achieved_bandwidth_gbs: float
     chip_power_w: float
     bound: str
-
-    @property
-    def slowdown(self) -> float:
-        """Slowdown relative to the exclusive full-GPU run (``1 / RPerf``)."""
-        return self.elapsed_s / self.reference_s
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"{self.kernel_name} on {self.state.describe()} @ {self.power_cap_w:.0f}W: "
-            f"RPerf={self.relative_performance:.3f} "
-            f"(f={self.relative_frequency:.2f}, bound={self.bound})"
-        )
 
 
 @dataclass(frozen=True)
 class CoRunResult:
-    """Outcome of co-executing several applications under one partition state."""
+    """Outcome of co-executing several applications under one partition state.
+
+    ``relative_frequency`` is the clock the power-cap governor selected, as
+    a fraction of boost.
+    """
 
     state: PartitionState
     power_cap_w: float

@@ -44,16 +44,6 @@ class TimeComponents:
             if value < 0:
                 raise SimulationError(f"{label} must be non-negative, got {value}")
 
-    @property
-    def total_overlapped(self) -> float:
-        """Elapsed time assuming perfect compute/memory overlap."""
-        return max(self.compute_s, self.memory_s) + self.serial_s
-
-
-def elapsed_time(components: TimeComponents) -> float:
-    """Elapsed time of an application given its scaled time components."""
-    return components.total_overlapped
-
 
 def bound_of(components: TimeComponents) -> str:
     """Which component dominates: ``"compute"``, ``"memory"`` or ``"serial"``."""

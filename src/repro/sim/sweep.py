@@ -24,12 +24,10 @@ from repro.workloads.kernel import KernelCharacteristics
 class ScalabilityPoint:
     """One point of a solo scalability curve."""
 
-    kernel_name: str
     gpcs: int
     option: MemoryOption
     power_cap_w: float
     relative_performance: float
-    relative_frequency: float
     bound: str
 
 
@@ -41,22 +39,7 @@ def scalability_sweep(
     power_cap_w: float = 250.0,
 ) -> tuple[ScalabilityPoint, ...]:
     """Solo relative performance of ``kernel`` vs. GPC count, per memory option."""
-    points: list[ScalabilityPoint] = []
-    for option in options:
-        for gpcs in gpc_counts:
-            run = simulator.solo_run(kernel, solo_state(gpcs, option), power_cap_w)
-            points.append(
-                ScalabilityPoint(
-                    kernel_name=kernel.name,
-                    gpcs=gpcs,
-                    option=MemoryOption(option),
-                    power_cap_w=power_cap_w,
-                    relative_performance=run.relative_performance,
-                    relative_frequency=run.relative_frequency,
-                    bound=run.bound,
-                )
-            )
-    return tuple(points)
+    return _sweep(simulator, kernel, gpc_counts, [(option, power_cap_w) for option in options])
 
 
 def scalability_power_sweep(
@@ -67,18 +50,26 @@ def scalability_power_sweep(
     option: MemoryOption = MemoryOption.SHARED,
 ) -> tuple[ScalabilityPoint, ...]:
     """Solo relative performance vs. GPC count for several power caps."""
+    return _sweep(simulator, kernel, gpc_counts, [(option, cap) for cap in power_caps])
+
+
+def _sweep(
+    simulator: PerformanceSimulator,
+    kernel: KernelCharacteristics,
+    gpc_counts: Sequence[int],
+    settings: Sequence[tuple[MemoryOption, float]],
+) -> tuple[ScalabilityPoint, ...]:
+    """One point per (option, cap) setting and GPC count, in that order."""
     points: list[ScalabilityPoint] = []
-    for power_cap_w in power_caps:
+    for option, power_cap_w in settings:
         for gpcs in gpc_counts:
             run = simulator.solo_run(kernel, solo_state(gpcs, option), power_cap_w)
             points.append(
                 ScalabilityPoint(
-                    kernel_name=kernel.name,
                     gpcs=gpcs,
                     option=MemoryOption(option),
                     power_cap_w=power_cap_w,
                     relative_performance=run.relative_performance,
-                    relative_frequency=run.relative_frequency,
                     bound=run.bound,
                 )
             )

@@ -12,6 +12,7 @@ import math
 import random
 from typing import Sequence
 
+from repro.config import check_count
 from repro.errors import TraceError
 from repro.traces.trace import Trace, TraceEntry
 from repro.workloads.mixes import JobMix, STEADY_MIX
@@ -39,6 +40,17 @@ def _check_rate(what: str, rate: float) -> None:
         raise TraceError(f"{what} must be finite and positive, got {rate}")
 
 
+def _check_counts(n_jobs: int | None, seed: int) -> tuple[int | None, int]:
+    """``n_jobs`` and ``seed`` as plain ints; ``n_jobs`` at least 1 if given."""
+    seed = check_count("seed", seed, minimum=None)
+    if n_jobs is None:
+        return None, seed
+    n_jobs = check_count("n_jobs", n_jobs, minimum=None)
+    if n_jobs < 1:
+        raise TraceError(f"n_jobs must be >= 1, got {n_jobs}")
+    return n_jobs, seed
+
+
 def _check_bounded(duration_s: float, n_jobs: int | None) -> None:
     """A non-finite window (inf, or NaN, which no arrival time exceeds)
     never ends the generator loop, so only ``n_jobs`` can bound it."""
@@ -63,6 +75,7 @@ def poisson_trace(
     and ``n_jobs`` (generate a fixed number of arrivals) bounds the trace;
     supplying both caps the trace at whichever limit is hit first.
     """
+    n_jobs, seed = _check_counts(n_jobs, seed)
     _check_rate("the arrival rate", arrival_rate_per_s)
     if duration_s is None and n_jobs is None:
         raise TraceError("poisson_trace needs duration_s and/or n_jobs")
@@ -70,8 +83,6 @@ def poisson_trace(
         raise TraceError(f"duration_s must be positive, got {duration_s}")
     if duration_s is not None:
         _check_bounded(duration_s, n_jobs)
-    if n_jobs is not None and n_jobs < 1:
-        raise TraceError(f"n_jobs must be >= 1, got {n_jobs}")
     rng = random.Random(seed)
     sample_app = _sampler(rng, mix, apps)
     entries: list[TraceEntry] = []
@@ -101,10 +112,9 @@ def bursty_trace(
     seed: int = 2022,
     mix: JobMix | None = None,
     apps: Sequence[str] | None = None,
-    intra_burst_spacing_s: float = 0.0,
     label: str | None = None,
 ) -> Trace:
-    """Bursts of simultaneous (or tightly spaced) arrivals.
+    """Bursts of simultaneous arrivals.
 
     Burst *starts* follow a Poisson process at ``burst_rate_per_s``; each
     burst carries a geometrically distributed number of jobs with mean
@@ -113,6 +123,7 @@ def bursty_trace(
     shape that exercises the power-rebalance path: a burst fills several
     nodes at once, so the cluster budget has to be re-split in one step.
     """
+    n_jobs, seed = _check_counts(n_jobs, seed)
     _check_rate("the burst rate", burst_rate_per_s)
     # An infinite mean makes the stop probability 0: one burst never ends.
     if not (1 <= mean_burst_size < math.inf):
@@ -122,12 +133,6 @@ def bursty_trace(
     if duration_s <= 0:
         raise TraceError(f"duration_s must be positive, got {duration_s}")
     _check_bounded(duration_s, n_jobs)
-    if n_jobs is not None and n_jobs < 1:
-        raise TraceError(f"n_jobs must be >= 1, got {n_jobs}")
-    if intra_burst_spacing_s < 0:
-        raise TraceError(
-            f"intra_burst_spacing_s must be >= 0, got {intra_burst_spacing_s}"
-        )
     rng = random.Random(seed)
     sample_app = _sampler(rng, mix, apps)
     # Geometric on {1, 2, ...} with mean m has success probability 1/m.
@@ -141,13 +146,8 @@ def bursty_trace(
         size = 1
         while rng.random() > p_stop:
             size += 1
-        for index in range(size):
-            entries.append(
-                TraceEntry(
-                    arrival_time_s=time + index * intra_burst_spacing_s,
-                    app=sample_app(),
-                )
-            )
+        for _ in range(size):
+            entries.append(TraceEntry(arrival_time_s=time, app=sample_app()))
             if n_jobs is not None and len(entries) >= n_jobs:
                 break
     if not entries:

@@ -22,6 +22,11 @@ from repro.gpu.spec import A100_SPEC, GPUSpec, Pipe
 from repro.workloads.kernel import KernelCharacteristics
 
 
+#: DRAM traffic over the matrices' own bytes: the tiled implementation
+#: reuses imperfectly (partial re-reads of A/B, write-allocate on C).
+_TRAFFIC_FACTOR = 1.5
+
+
 @dataclass(frozen=True)
 class GemmShape:
     """Problem shape of one GEMM invocation (``C[m,n] += A[m,k] @ B[k,n]``)."""
@@ -40,17 +45,13 @@ class GemmShape:
         """Floating-point (or integer) operations of one invocation."""
         return 2.0 * self.m * self.n * self.k
 
-    def bytes_moved(self, input_bytes: float, output_bytes: float, traffic_factor: float = 1.5) -> float:
-        """Approximate DRAM traffic of one invocation.
-
-        ``traffic_factor`` accounts for imperfect reuse of the tiled
-        implementation (partial re-reads of A/B, write-allocate on C).
-        """
+    def bytes_moved(self, input_bytes: float, output_bytes: float) -> float:
+        """Approximate DRAM traffic of one invocation."""
         element_traffic = (
             (self.m * self.k + self.k * self.n) * input_bytes
             + 2.0 * self.m * self.n * output_bytes
         )
-        return element_traffic * traffic_factor
+        return element_traffic * _TRAFFIC_FACTOR
 
 
 @dataclass(frozen=True)
@@ -219,8 +220,6 @@ def gemm_kernel(name: str, spec: GPUSpec = A100_SPEC) -> KernelCharacteristics:
         occupancy=variant.occupancy,
         working_set_mb=variant.working_set_mb,
         l2_sensitivity=variant.l2_sensitivity,
-        description=variant.description,
-        tags=("cutlass", "gemm"),
     )
 
 

@@ -31,23 +31,15 @@ class CoRunGroup:
     apps:
         Benchmark names in application order (App1 first, matching the
         partition states' ``gpc_allocations`` order).
-    classes:
-        Benchmark class of each application, in the same order.
     """
 
     name: str
     apps: tuple[str, ...]
-    classes: tuple[WorkloadClass, ...]
 
     def __post_init__(self) -> None:
         if len(self.apps) < 2:
             raise WorkloadError(
                 f"co-run group {self.name!r} needs >= 2 applications, got {len(self.apps)}"
-            )
-        if len(self.classes) != len(self.apps):
-            raise WorkloadError(
-                f"co-run group {self.name!r} has {len(self.apps)} applications "
-                f"but {len(self.classes)} classes"
             )
 
     @property
@@ -72,39 +64,26 @@ class CoRunGroup:
     @classmethod
     def from_pair(cls, pair: CoRunPair) -> "CoRunGroup":
         """The group view of a Table 8 pair."""
-        return cls(
-            name=pair.name,
-            apps=(pair.app1, pair.app2),
-            classes=(pair.class1, pair.class2),
-        )
-
-
-def _group(name: str, *apps: str) -> CoRunGroup:
-    class_labels = name.rstrip("0123456789").split("-")
-    return CoRunGroup(
-        name=name,
-        apps=tuple(apps),
-        classes=tuple(WorkloadClass(label) for label in class_labels),
-    )
+        return cls(name=pair.name, apps=(pair.app1, pair.app2))
 
 
 #: Three-application workloads, one per distinct class combination that the
 #: Table 8 methodology (one benchmark per class) extends to naturally.
 CORUN_TRIPLES: tuple[CoRunGroup, ...] = (
-    _group("TI-MI-US1", "hgemm", "stream", "bfs"),
-    _group("TI-CI-MI1", "igemm4", "sgemm", "gaussian"),
-    _group("CI-MI-US1", "dgemm", "lud", "needle"),
-    _group("TI-TI-MI1", "fp16gemm", "tf32gemm", "randomaccess"),
-    _group("MI-US-US1", "leukocyte", "kmeans", "dwt2d"),
-    _group("CI-CI-US1", "lavaMD", "hotspot", "pathfinder"),
+    CoRunGroup("TI-MI-US1", ("hgemm", "stream", "bfs")),
+    CoRunGroup("TI-CI-MI1", ("igemm4", "sgemm", "gaussian")),
+    CoRunGroup("CI-MI-US1", ("dgemm", "lud", "needle")),
+    CoRunGroup("TI-TI-MI1", ("fp16gemm", "tf32gemm", "randomaccess")),
+    CoRunGroup("MI-US-US1", ("leukocyte", "kmeans", "dwt2d")),
+    CoRunGroup("CI-CI-US1", ("lavaMD", "hotspot", "pathfinder")),
 )
 
 #: Four-application workloads exercising the widest co-location the 7-GPC
 #: MIG partition supports with at least one GPC per application.
 CORUN_QUADS: tuple[CoRunGroup, ...] = (
-    _group("TI-CI-MI-US1", "igemm4", "sgemm", "stream", "bfs"),
-    _group("TI-MI-US-US1", "hgemm", "lud", "kmeans", "needle"),
-    _group("CI-CI-MI-US1", "dgemm", "hotspot", "gaussian", "dwt2d"),
+    CoRunGroup("TI-CI-MI-US1", ("igemm4", "sgemm", "stream", "bfs")),
+    CoRunGroup("TI-MI-US-US1", ("hgemm", "lud", "kmeans", "needle")),
+    CoRunGroup("CI-CI-MI-US1", ("dgemm", "hotspot", "gaussian", "dwt2d")),
 )
 
 #: Every predefined N-way group (pairs excluded; see ``CORUN_PAIRS``).

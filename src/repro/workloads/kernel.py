@@ -70,10 +70,6 @@ class KernelCharacteristics:
     l2_sensitivity:
         How strongly this kernel suffers when its LLC share is polluted by a
         co-runner, in ``[0, 1]``.
-    description:
-        Free-form description shown in reports.
-    tags:
-        Arbitrary labels (e.g. the originating suite).
     signature:
         Hashable snapshot of every field the simulator's solve reads, taken
         once at construction; the engine's memos key on it (the kernel
@@ -91,8 +87,6 @@ class KernelCharacteristics:
     occupancy: float = 0.5
     working_set_mb: float = 64.0
     l2_sensitivity: float = 0.3
-    description: str = ""
-    tags: tuple[str, ...] = ()
     signature: tuple = field(init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -142,7 +136,6 @@ class KernelCharacteristics:
                     f"{self.name}: pipe fractions must sum to 1, got {total:.4f}"
                 )
         object.__setattr__(self, "pipe_fractions", fractions)
-        object.__setattr__(self, "tags", tuple(self.tags))
         object.__setattr__(
             self,
             "signature",

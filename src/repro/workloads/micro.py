@@ -24,6 +24,7 @@ from repro.workloads.kernel import KernelCharacteristics
 
 def micro_kernels() -> dict[str, KernelCharacteristics]:
     """The ``stream`` and ``randomaccess`` kernel models."""
+    # CUDA STREAM triad (sequential bandwidth)
     stream = KernelCharacteristics(
         name="stream",
         compute_time_full_s=0.18,
@@ -34,9 +35,8 @@ def micro_kernels() -> dict[str, KernelCharacteristics]:
         occupancy=0.80,
         working_set_mb=3000.0,
         l2_sensitivity=0.05,
-        description="CUDA STREAM triad (sequential bandwidth)",
-        tags=("micro", "memory-intensive"),
     )
+    # GUPS-style random memory updates
     randomaccess = KernelCharacteristics(
         name="randomaccess",
         compute_time_full_s=0.10,
@@ -47,7 +47,5 @@ def micro_kernels() -> dict[str, KernelCharacteristics]:
         occupancy=0.40,
         working_set_mb=4000.0,
         l2_sensitivity=0.10,
-        description="GUPS-style random memory updates",
-        tags=("micro", "memory-intensive"),
     )
     return {kernel.name: kernel for kernel in (stream, randomaccess)}

@@ -38,7 +38,6 @@ def _ci(
     occupancy: float,
     working_set_mb: float,
     l2_sensitivity: float,
-    description: str,
     fp64_fraction: float = 0.0,
 ) -> KernelCharacteristics:
     """Helper for compute-intensive Rodinia kernels."""
@@ -57,8 +56,6 @@ def _ci(
         occupancy=occupancy,
         working_set_mb=working_set_mb,
         l2_sensitivity=l2_sensitivity,
-        description=description,
-        tags=("rodinia", "compute-intensive"),
     )
 
 
@@ -71,7 +68,6 @@ def _mi(
     occupancy: float,
     working_set_mb: float,
     l2_sensitivity: float,
-    description: str,
 ) -> KernelCharacteristics:
     """Helper for memory-intensive Rodinia kernels."""
     return KernelCharacteristics(
@@ -84,8 +80,6 @@ def _mi(
         occupancy=occupancy,
         working_set_mb=working_set_mb,
         l2_sensitivity=l2_sensitivity,
-        description=description,
-        tags=("rodinia", "memory-intensive"),
     )
 
 
@@ -98,7 +92,6 @@ def _us(
     occupancy: float,
     working_set_mb: float,
     l2_sensitivity: float,
-    description: str,
 ) -> KernelCharacteristics:
     """Helper for un-scalable Rodinia kernels (launch-/serial-dominated)."""
     return KernelCharacteristics(
@@ -111,8 +104,6 @@ def _us(
         occupancy=occupancy,
         working_set_mb=working_set_mb,
         l2_sensitivity=l2_sensitivity,
-        description=description,
-        tags=("rodinia", "unscalable"),
     )
 
 
@@ -122,6 +113,7 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
         # ------------------------------------------------------------------
         # Non-Tensor compute-intensive kernels (class CI)
         # ------------------------------------------------------------------
+        # Thermal simulation stencil (structured grid)
         _ci(
             "hotspot",
             compute=0.88,
@@ -131,8 +123,8 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.70,
             working_set_mb=60.0,
             l2_sensitivity=0.55,
-            description="Thermal simulation stencil (structured grid)",
         ),
+        # N-body molecular dynamics within a cutoff radius
         _ci(
             "lavaMD",
             compute=0.92,
@@ -142,9 +134,9 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.55,
             working_set_mb=25.0,
             l2_sensitivity=0.45,
-            description="N-body molecular dynamics within a cutoff radius",
             fp64_fraction=0.35,
         ),
+        # Speckle-reducing anisotropic diffusion (imaging)
         _ci(
             "srad",
             compute=0.86,
@@ -154,8 +146,8 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.65,
             working_set_mb=80.0,
             l2_sensitivity=0.70,
-            description="Speckle-reducing anisotropic diffusion (imaging)",
         ),
+        # Heart-wall tracking (medical imaging)
         _ci(
             "heartwell",
             compute=0.84,
@@ -165,11 +157,11 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.60,
             working_set_mb=70.0,
             l2_sensitivity=0.60,
-            description="Heart-wall tracking (medical imaging)",
         ),
         # ------------------------------------------------------------------
         # Memory-intensive kernels (class MI)
         # ------------------------------------------------------------------
+        # Gaussian elimination (dense linear algebra)
         _mi(
             "gaussian",
             compute=0.40,
@@ -179,8 +171,8 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.50,
             working_set_mb=500.0,
             l2_sensitivity=0.35,
-            description="Gaussian elimination (dense linear algebra)",
         ),
+        # Leukocyte tracking in video frames
         _mi(
             "leukocyte",
             compute=0.52,
@@ -190,8 +182,8 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.55,
             working_set_mb=300.0,
             l2_sensitivity=0.40,
-            description="Leukocyte tracking in video frames",
         ),
+        # LU decomposition (dense linear algebra)
         _mi(
             "lud",
             compute=0.55,
@@ -201,11 +193,11 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.50,
             working_set_mb=200.0,
             l2_sensitivity=0.45,
-            description="LU decomposition (dense linear algebra)",
         ),
         # ------------------------------------------------------------------
         # Un-scalable kernels (class US)
         # ------------------------------------------------------------------
+        # Back-propagation training of a small MLP
         _us(
             "backprop",
             compute=0.006,
@@ -215,8 +207,8 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.30,
             working_set_mb=40.0,
             l2_sensitivity=0.30,
-            description="Back-propagation training of a small MLP",
         ),
+        # Breadth-first search on an irregular graph
         _us(
             "bfs",
             compute=0.003,
@@ -226,8 +218,8 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.25,
             working_set_mb=60.0,
             l2_sensitivity=0.25,
-            description="Breadth-first search on an irregular graph",
         ),
+        # 2D discrete wavelet transform
         _us(
             "dwt2d",
             compute=0.007,
@@ -237,8 +229,8 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.35,
             working_set_mb=50.0,
             l2_sensitivity=0.35,
-            description="2D discrete wavelet transform",
         ),
+        # K-means clustering with host-side reassignment
         _us(
             "kmeans",
             compute=0.005,
@@ -248,8 +240,8 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.30,
             working_set_mb=35.0,
             l2_sensitivity=0.30,
-            description="K-means clustering with host-side reassignment",
         ),
+        # Needleman-Wunsch sequence alignment (wavefront)
         _us(
             "needle",
             compute=0.006,
@@ -259,8 +251,8 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.28,
             working_set_mb=45.0,
             l2_sensitivity=0.40,
-            description="Needleman-Wunsch sequence alignment (wavefront)",
         ),
+        # Dynamic-programming path search
         _us(
             "pathfinder",
             compute=0.005,
@@ -270,7 +262,6 @@ def rodinia_kernels() -> dict[str, KernelCharacteristics]:
             occupancy=0.32,
             working_set_mb=30.0,
             l2_sensitivity=0.30,
-            description="Dynamic-programming path search",
         ),
     ]
     return {kernel.name: kernel for kernel in kernels}

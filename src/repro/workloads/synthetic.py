@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import check_count
 from repro.errors import WorkloadError
 from repro.gpu.spec import Pipe
 from repro.workloads.kernel import KernelCharacteristics, WorkloadClass
@@ -87,7 +88,8 @@ class SyntheticWorkloadGenerator:
     """Deterministic random generator of plausible kernel models."""
 
     def __init__(self, seed: int = 2022) -> None:
-        self._rng = np.random.default_rng(seed)
+        # NumPy seeds its generators from non-negative integers only.
+        self._rng = np.random.default_rng(check_count("seed", seed, minimum=0))
         self._counter = 0
 
     def _uniform(self, bounds: tuple[float, float]) -> float:
@@ -128,6 +130,4 @@ class SyntheticWorkloadGenerator:
             occupancy=self._uniform(ranges.occupancy),
             working_set_mb=self._uniform(ranges.working_set_mb),
             l2_sensitivity=self._uniform(ranges.l2_sensitivity),
-            description=f"synthetic {workload_class.value} kernel",
-            tags=("synthetic", workload_class.value),
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.gpu.power import InstanceLoad
 from repro.sim.engine import _BANDWIDTH_ITERATIONS, _DAMPING
-from repro.sim.roofline import TimeComponents, elapsed_time
+from repro.sim.roofline import TimeComponents
 from repro.units import clamp
 
 
@@ -32,7 +32,7 @@ class SolvedPlacement:
 
 def _solved_placement(compute_s, memory_s, serial_s, memory_full_s):
     components = TimeComponents(compute_s=compute_s, memory_s=memory_s, serial_s=serial_s)
-    total = elapsed_time(components)
+    total = max(compute_s, memory_s) + serial_s
     dram_bw_fraction = memory_full_s / total if total > 0 else 0.0
     return SolvedPlacement(
         components=components,

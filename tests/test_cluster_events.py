@@ -6,16 +6,11 @@ import pytest
 
 from repro.cluster.events.events import ArrivalEvent, CompletionEvent, EventHeap
 from repro.errors import SimulationError
-from repro.traces.trace import TraceEntry
 from repro.workloads.suite import DEFAULT_SUITE
 
 
 def _arrival(time: float, app: str = "stream") -> ArrivalEvent:
-    return ArrivalEvent(
-        time=time,
-        entry=TraceEntry(arrival_time_s=time, app=app),
-        kernel=DEFAULT_SUITE.get(app),
-    )
+    return ArrivalEvent(time=time, kernel=DEFAULT_SUITE.get(app))
 
 
 class TestEventValidation:
@@ -49,7 +44,7 @@ class TestEventHeap:
         apps = ["stream", "dgemm", "hgemm"]
         for app in apps:
             heap.push(_arrival(0.0, app))
-        assert [heap.pop().entry.app for _ in range(3)] == apps
+        assert [heap.pop().kernel.name for _ in range(3)] == apps
 
     def test_pop_batch_returns_all_simultaneous_events(self):
         heap = EventHeap()
@@ -57,7 +52,7 @@ class TestEventHeap:
         heap.push(_arrival(1.0, "dgemm"))
         heap.push(_arrival(2.0, "hgemm"))
         batch = heap.pop_batch()
-        assert [event.entry.app for event in batch] == ["stream", "dgemm"]
+        assert [event.kernel.name for event in batch] == ["stream", "dgemm"]
         assert len(heap) == 1
         assert heap.pop().time == pytest.approx(2.0)
 
@@ -77,13 +72,13 @@ class TestEventHeap:
         # Completion outranks arrivals at the same time; arrivals keep
         # their submission order among themselves.
         assert type(batch[0]).__name__ == "CompletionEvent"
-        assert [event.entry.app for event in batch[1:]] == [
+        assert [event.kernel.name for event in batch[1:]] == [
             "stream",
             "dgemm",
             "hgemm",
         ]
         # The later timestamp is untouched and becomes the next batch.
-        assert [event.entry.app for event in heap.pop_batch()] == ["tf32gemm"]
+        assert [event.kernel.name for event in heap.pop_batch()] == ["tf32gemm"]
         assert heap.empty
 
     def test_push_many_matches_sequential_pushes(self):
@@ -107,7 +102,7 @@ class TestEventHeap:
         heap = EventHeap()
         heap.push_many([_arrival(1.0, "stream"), _arrival(1.0, "dgemm")])
         heap.push(_arrival(1.0, "hgemm"))
-        assert [heap.pop().entry.app for _ in range(3)] == [
+        assert [heap.pop().kernel.name for _ in range(3)] == [
             "stream",
             "dgemm",
             "hgemm",

@@ -7,13 +7,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.api import POLICY_NAMES
 from repro.cluster.events import ClusterSimulator, SimulationConfig
 from repro.cluster.job import JobState
 from repro.cluster.node import ComputeNode
 from repro.cluster.queue import JobQueue
 from repro.cluster.scheduler import CoScheduler, SchedulerConfig
+from repro.core import policies
 from repro.core.workflow import PaperWorkflow, TrainingPlan
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.gpu.mig import CORUN_STATES, MemoryOption
 from repro.profiling.database import ProfileDatabase
 from repro.core.workflow import OnlineAllocator
@@ -292,8 +294,13 @@ class TestSchedulerConfigValidation:
         assert "problem1" in str(excinfo.value)
 
     def test_accepts_policy_aliases(self):
-        for name in ("problem1", "throughput", "problem2", "energy-efficiency"):
+        # The service's requests accept the same two names, exactly.
+        assert POLICY_NAMES is policies.POLICY_NAMES == ("problem1", "problem2")
+        for name in POLICY_NAMES:
             SchedulerConfig(policy_name=name)
+        for name in ("throughput", "energy-efficiency", "Problem2"):
+            with pytest.raises(ConfigurationError):
+                SchedulerConfig(policy_name=name)
 
     @pytest.mark.parametrize(
         "power_cap_w", [0.0, float("nan"), float("inf"), float("-inf")]

@@ -1,11 +1,10 @@
-"""Tests for the throughput / fairness / efficiency metrics."""
+"""Tests for the throughput / fairness metrics and the error statistics."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.metrics import (
-    energy_efficiency,
     fairness,
     geometric_mean,
     mean_absolute_percentage_error,
@@ -37,18 +36,6 @@ class TestFairness:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             fairness([])
-
-
-class TestEnergyEfficiency:
-    def test_throughput_per_watt(self):
-        assert energy_efficiency([0.6, 0.6], 200.0) == pytest.approx(1.2 / 200.0)
-
-    def test_positive_power_required(self):
-        with pytest.raises(ConfigurationError):
-            energy_efficiency([0.6], 0.0)
-
-    def test_lower_cap_raises_efficiency_for_same_throughput(self):
-        assert energy_efficiency([1.0], 150.0) > energy_efficiency([1.0], 250.0)
 
 
 class TestGeometricMean:

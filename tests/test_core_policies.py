@@ -64,14 +64,19 @@ class TestProblem2:
 
 class TestMakePolicy:
     def test_problem1_aliases(self):
-        for name in ("problem1", "throughput", "Problem1"):
-            policy = make_policy(name, alpha=0.3, power_cap_w=210)
-            assert isinstance(policy, Problem1Policy)
-            assert policy.alpha == 0.3
+        # The names match exactly: no alias, no case folding.
+        policy = make_policy("problem1", alpha=0.3, power_cap_w=210)
+        assert isinstance(policy, Problem1Policy)
+        assert policy.alpha == 0.3
+        for name in ("throughput", "Problem1"):
+            with pytest.raises(ConfigurationError):
+                make_policy(name, alpha=0.3, power_cap_w=210)
 
     def test_problem2_aliases(self):
-        for name in ("problem2", "energy-efficiency", "efficiency"):
-            assert isinstance(make_policy(name, alpha=0.2), Problem2Policy)
+        assert isinstance(make_policy("problem2", alpha=0.2), Problem2Policy)
+        for name in ("energy-efficiency", "efficiency", "Problem2"):
+            with pytest.raises(ConfigurationError):
+                make_policy(name, alpha=0.2)
 
     def test_problem1_requires_cap(self):
         with pytest.raises(ConfigurationError):

@@ -7,7 +7,7 @@ import pytest
 from repro.config import DEFAULT_POWER_CAPS
 from repro.core.decision import CandidateEvaluation
 from repro.core.search import ExhaustiveSearch, HillClimbingSearch, SearchCandidate
-from repro.errors import OptimizationError
+from repro.errors import ConfigurationError, OptimizationError
 from repro.gpu.mig import CORUN_STATES
 
 
@@ -95,6 +95,18 @@ class TestHillClimbingSearch:
     def test_invalid_restarts(self):
         with pytest.raises(OptimizationError):
             HillClimbingSearch(restarts=0)
+
+    @pytest.mark.parametrize("value", [2.5, True, float("nan")])
+    @pytest.mark.parametrize("knob", ["restarts", "seed"])
+    def test_counts_must_be_integers(self, knob, value):
+        # These used to construct and then fail in search (or, for
+        # restarts=True, run one restart).
+        with pytest.raises(ConfigurationError, match=knob):
+            HillClimbingSearch(**{knob: value})
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            HillClimbingSearch(seed=-1)
 
     def test_agrees_with_exhaustive_on_paper_sized_space(self, context):
         """On the paper's 24-candidate space the heuristic should match the

@@ -41,8 +41,7 @@ class TestMeasurementRecords:
         counters = collect_counters(DEFAULT_SUITE.get("dgemm"))
         with pytest.raises(ModelError):
             CoRunMeasurement(
-                kernel_names=("dgemm",),
-                counters=(counters, counters),
+                counters=(counters,),
                 state=S1,
                 power_cap_w=250.0,
                 relative_performances=(0.5, 0.5),

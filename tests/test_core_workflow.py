@@ -6,9 +6,16 @@ import dataclasses
 
 import pytest
 
+from repro.config import DEFAULT_POWER_CAPS
 from repro.core.model import HardwareStateKey, required_state_keys
 from repro.core.policies import Problem1Policy, Problem2Policy
-from repro.core.workflow import OfflineTrainer, OnlineAllocator, PaperWorkflow, TrainingPlan
+from repro.core.workflow import (
+    OfflineTrainer,
+    OnlineAllocator,
+    PaperWorkflow,
+    TrainingPlan,
+    power_caps_for_spec,
+)
 from repro.errors import MissingProfileError, ProfileError
 from repro.gpu.mig import CORUN_STATES, MemoryOption
 from repro.gpu.spec import A100_SPEC
@@ -42,6 +49,12 @@ class TestTrainingPlan:
         plan = TrainingPlan()
         assert (len(plan.gpc_counts), len(plan.options), len(plan.power_caps)) == (5, 2, 6)
         assert len(plan.pair_states) == 4
+
+    def test_the_a100_cap_grid_is_table5(self):
+        # One cap-grid rule serves every spec because, on the A100, it
+        # gives the paper's Table 5 caps exactly.
+        assert power_caps_for_spec(A100_SPEC) == DEFAULT_POWER_CAPS
+        assert TrainingPlan.for_spec(A100_SPEC).power_caps == TrainingPlan().power_caps
 
 
 class TestOfflineTrainer:

@@ -31,6 +31,14 @@ from repro.gpu.mig import (
 from repro.gpu.spec import A100_SPEC, GPU_SPECS
 
 
+def _contended(state, index):
+    """Whether application ``index`` shares its memory pool on the A100."""
+    (pool,) = [
+        pool for pool in A100_SPEC.scheme.memory_pools(A100_SPEC, state) if index in pool.members
+    ]
+    return pool.contended
+
+
 class TestPartitionState:
     def test_paper_states_are_defined(self):
         assert S1.gpc_allocations == (4, 3) and S1.option is MemoryOption.SHARED
@@ -55,12 +63,12 @@ class TestPartitionState:
         for gpcs, slices in GPC_TO_MEM_SLICES.items():
             allocation = solo_state(gpcs, MemoryOption.PRIVATE).allocation_for(0, A100_SPEC)
             assert allocation.mem_slices == slices
-            assert not allocation.shared_memory
+            assert not _contended(solo_state(gpcs, MemoryOption.PRIVATE), 0)
 
     def test_shared_allocation_sees_all_slices(self):
         allocation = S1.allocation_for(1, A100_SPEC)
         assert allocation.mem_slices == A100_SPEC.n_mem_slices
-        assert allocation.shared_memory
+        assert _contended(S1, 1)
 
     def test_allocation_for_out_of_range(self):
         with pytest.raises(IndexError):
@@ -261,11 +269,11 @@ class TestStateEnumeration:
 class TestInstanceAllocation:
     def test_rejects_invalid_size(self):
         with pytest.raises(SpecificationError):
-            InstanceAllocation(gpcs=6, mem_slices=8, shared_memory=False)
+            InstanceAllocation(gpcs=6, mem_slices=8)
 
     def test_rejects_zero_slices(self):
         with pytest.raises(SpecificationError):
-            InstanceAllocation(gpcs=4, mem_slices=0, shared_memory=False)
+            InstanceAllocation(gpcs=4, mem_slices=0)
 
 
 class TestPlacementOracle:
@@ -386,10 +394,10 @@ class TestMixedStates:
         first = state.allocation_for(0, A100_SPEC)
         # Apps 0+1 share a 4-GPC GI (the smallest profile holding 2+2).
         assert first.mem_slices == GPC_TO_MEM_SLICES[4]
-        assert first.shared_memory
+        assert _contended(state, 0)
         third = state.allocation_for(2, A100_SPEC)
         assert third.mem_slices == GPC_TO_MEM_SLICES[3]
-        assert not third.shared_memory
+        assert not _contended(state, 2)
 
     def test_mixed_describe_is_unambiguous(self):
         a = PartitionState((1, 1, 2), MemoryOption.MIXED, gi_groups=(0, 0, 1))

@@ -32,7 +32,7 @@ class TestEngineParity:
         solo = sim.solo_run(kernel, state, 210.0)
         group = sim.co_run([kernel], state, 210.0)
         assert group.n_apps == 1
-        assert group.per_app[0].noiseless_elapsed_s == solo.noiseless_elapsed_s
+        assert group.per_app[0].elapsed_s == solo.elapsed_s  # noise-free simulator
         assert group.per_app[0].relative_performance == solo.relative_performance
         assert group.chip_power_w == solo.chip_power_w
 

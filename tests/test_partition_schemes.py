@@ -68,7 +68,8 @@ class TestSchemeProperties:
         for state in _all_states(spec, n_apps):
             assert sum(state.gpc_allocations) <= spec.mig_gpcs
             pools = spec.scheme.memory_pools(spec, state)
-            assert sum(pool.mem_domains for pool in pools) <= spec.n_mem_slices
+            domains = [spec.scheme.group_mem_domains(spec, state, pool.members) for pool in pools]
+            assert sum(domains) <= spec.n_mem_slices
             covered = sorted(i for pool in pools for i in pool.members)
             assert covered == list(range(state.n_apps))
 

@@ -101,3 +101,35 @@ def test_a_metric_worse_than_its_bound_is_flagged():
     assert not metrics["setup_s"]["within_bound"]
     assert not metrics["ops_per_s"]["within_bound"]
     assert metrics["setup_s"]["base"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # setup_s: the base's IQR is 0.05 around a median of 1.0, inside the
+    # 0.25 bound; ops_per_s: 5,000 around 10,000 is outside it.
+    pairs = [
+        (1, _result(0.95, 6000.0), _result(0.96, 9000.0)),
+        (2, _result(1.00, 10000.0), _result(0.99, 10500.0)),
+        (3, _result(1.05, 16000.0), _result(1.04, 12000.0)),
+    ]
+    metrics = perf_ab.summarize(pairs, END_TO_END)["metrics"]
+    assert metrics["setup_s"]["base_iqr"] == pytest.approx(0.05)
+    assert not metrics["setup_s"]["unresolved"]
+    assert metrics["ops_per_s"]["base_iqr"] == pytest.approx(5000.0)
+    assert metrics["ops_per_s"]["unresolved"]
+    # A constant metric is resolved.
+    assert not metrics["sim_jobs_per_s"]["unresolved"]
+
+
+def test_a_wide_spread_is_resolved_when_every_change_run_wins():
+    # The same wide base, but every change run beats every base run.
+    pairs = [
+        (1, _result(1.0, 6000.0), _result(1.0, 17000.0)),
+        (2, _result(1.0, 10000.0), _result(1.0, 18000.0)),
+        (3, _result(1.0, 16000.0), _result(1.0, 20000.0)),
+    ]
+    ops = perf_ab.summarize(pairs, END_TO_END)["metrics"]["ops_per_s"]
+    assert ops["base_iqr"] / ops["base"]["median"] > 0.25
+    assert not ops["unresolved"]
+    # One change run inside the base's range makes it unresolved again.
+    pairs[0] = (1, _result(1.0, 6000.0), _result(1.0, 12000.0))
+    assert perf_ab.summarize(pairs, END_TO_END)["metrics"]["ops_per_s"]["unresolved"]

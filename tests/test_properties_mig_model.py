@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placement_oracle import place_on_chip
-from repro.core.metrics import energy_efficiency, fairness, geometric_mean, weighted_speedup
+from repro.core.metrics import fairness, geometric_mean, weighted_speedup
 from repro.core.model import HardwareStateKey, LinearPerfModel
+from repro.core.policies import Problem2Policy
 from repro.gpu.mig import (
     GPC_TO_MEM_SLICES,
     VALID_INSTANCE_SIZES,
@@ -81,7 +82,7 @@ def test_metric_relationships(rperfs):
     assert fair <= mean + 1e-9
     assert mean <= max(rperfs) + 1e-9
     assert ws <= len(rperfs) * max(rperfs) + 1e-9
-    assert energy_efficiency(rperfs, 200.0) == ws / 200.0
+    assert Problem2Policy().objective(ws, 200.0) == ws / 200.0
 
 
 @given(rperf_lists, st.floats(min_value=1.0, max_value=400.0))
@@ -89,9 +90,8 @@ def test_metric_relationships(rperfs):
 def test_energy_efficiency_scales_inversely_with_power(rperfs, power):
     import math
 
-    assert math.isclose(
-        energy_efficiency(rperfs, power) * power, weighted_speedup(rperfs), rel_tol=1e-12
-    )
+    efficiency = Problem2Policy().objective(weighted_speedup(rperfs), power)
+    assert math.isclose(efficiency * power, weighted_speedup(rperfs), rel_tol=1e-12)
 
 
 @given(st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=10))

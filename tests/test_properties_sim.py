@@ -57,10 +57,12 @@ def test_solo_relative_performance_bounded(kernel, gpcs, option, cap):
     """A partitioned, capped run can never beat the exclusive full-GPU run by
     more than a small margin (the margin exists because the reference run may
     itself be power-throttled while a small partition is not)."""
+    result = _SIM.co_run([kernel], solo_state(gpcs, option), cap)
     run = _SIM.solo_run(kernel, solo_state(gpcs, option), cap)
+    assert run is result.per_app[0]
     assert 0.0 < run.relative_performance <= 1.25
     assert run.chip_power_w <= cap + 1e-6
-    assert 0.0 < run.relative_frequency <= 1.0
+    assert 0.0 < result.relative_frequency <= 1.0
 
 
 @given(kernel_strategy, option_strategy, cap_strategy)
@@ -98,7 +100,10 @@ def test_corun_invariants(kernel_a, kernel_b, state, cap):
     assert result.fairness == min(result.relative_performances)
     assert result.fairness <= result.weighted_speedup / 2 + 1e-9
     assert result.chip_power_w <= cap + 1e-6
-    total_bw = sum(r.achieved_bandwidth_gbs for r in result.per_app)
+    # Each application's DRAM fraction, min(1, memory_full / elapsed), at the run's clock.
+    shape = _SIM._new_shape(state, (kernel_a, kernel_b))
+    loads = shape.loads(*shape.solve(result.relative_frequency))
+    total_bw = sum(load[3] * _SIM.spec.dram_bandwidth_gbs for load in loads)
     assert total_bw <= _SIM.spec.dram_bandwidth_gbs * 1.01
     for run in result.per_app:
         assert 0.0 < run.relative_performance <= 1.25
@@ -233,6 +238,42 @@ def _bits(value):
     return value
 
 
+def _solved(run):
+    """A solved run's compute and memory times and its clock, as bits."""
+    return _bits((tuple(run.times[0]), tuple(run.times[1]), run.frequency))
+
+
+def _scalar_loop(simulator, runs):
+    """Each run's ``co_run`` record, and the solved run that record was
+    built from (``None`` where the run memo answered)."""
+    solved = []
+    measure = simulator._measure
+
+    def recording(*args):
+        solved.append(measure(*args))
+        return solved[-1]
+
+    simulator._measure = recording
+    records, sources = [], []
+    for run in runs:
+        count = len(solved)
+        records.append(simulator.co_run(*run))
+        sources.append(solved[-1] if len(solved) > count else None)
+    del simulator._measure
+    return records, sources
+
+
+def _assert_same_solves(columns, sources):
+    """Every run both sides solved has the same times and clock, bit for bit."""
+    both = [
+        (batched, scalar)
+        for batched, scalar in zip(columns._runs, sources)
+        if isinstance(batched, engine_module._Run) and scalar is not None
+    ]
+    assert both
+    assert [_solved(batched) for batched, _ in both] == [_solved(scalar) for _, scalar in both]
+
+
 @given(_batches(), st.booleans())
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_co_run_batch_matches_scalar_co_run_bit_for_bit(batch, noisy):
@@ -241,9 +282,12 @@ def test_co_run_batch_matches_scalar_co_run_bit_for_bit(batch, noisy):
     batched = PerformanceSimulator(spec, noise=noise)
     scalar = PerformanceSimulator(spec, noise=noise)
     results = batched.co_run_batch(runs)
-    expected = [scalar.co_run(kernels, state, cap) for kernels, state, cap in runs]
+    expected, sources = _scalar_loop(scalar, runs)
     assert [_bits(r) for r in results] == [_bits(r) for r in expected]
     assert list(batched._run_cache) == list(scalar._run_cache)
+    # Every distinct run's solved times and clock, not only its record.
+    assert sum(source is not None for source in sources) == len(set(map(id, results._runs)))
+    _assert_same_solves(results, sources)
     # The RPerf column is every record's RPerfs, bit for bit.
     assert _bits(tuple(results.relative_performances)) == _bits(
         tuple(r.relative_performances for r in expected)
@@ -308,8 +352,10 @@ def test_one_batch_across_every_pool_layout_matches_the_scalar_loop(spec_name, n
         assert len(layouts[(4, 3)]) == 4 and layouts[(3, 2)] == {(0, 1), (0, 2), (1, 2)}
     results = simulator.co_run_batch(runs)
     scalar = PerformanceSimulator(spec, noise=noise)
-    assert [_bits(r) for r in results] == [_bits(scalar.co_run(*run)) for run in runs]
+    expected, sources = _scalar_loop(scalar, runs)
+    assert [_bits(r) for r in results] == [_bits(r) for r in expected]
     assert list(simulator._run_cache) == list(scalar._run_cache)
+    _assert_same_solves(results, sources)
 
 
 @pytest.mark.parametrize("spec_name", _SPEC_NAMES)
@@ -331,10 +377,11 @@ def test_co_run_batch_keeps_the_memo_lru_order_of_the_scalar_loop(monkeypatch):
     for simulator in (batched, scalar):
         simulator.co_run(kernels, CORUN_STATES[0], 153.0)
     results = batched.co_run_batch(runs)
-    expected = [scalar.co_run(*run) for run in runs]
+    expected, sources = _scalar_loop(scalar, runs)
     assert [_bits(r) for r in results] == [_bits(r) for r in expected]
     assert list(batched._run_cache) == list(scalar._run_cache)
     assert len(batched._run_cache) == 8
+    _assert_same_solves(results, sources)
 
 
 # ----------------------------------------------------------------------
@@ -390,9 +437,12 @@ def test_remembered_power_curves_match_the_lockstep_oracle(monkeypatch, spec_nam
     """
     spec, runs = _drifting_runs(spec_name)
     noise = None if noisy else no_noise()
-    expected = [_bits(r) for r in PerformanceSimulator(spec, noise=noise).co_run_batch(runs)]
+    columns = PerformanceSimulator(spec, noise=noise).co_run_batch(runs)
+    expected = [_bits(r) for r in columns]
     simulator = PerformanceSimulator(spec, noise=noise)
-    assert [_bits(simulator.co_run(*run)) for run in runs] == expected
+    records, sources = _scalar_loop(simulator, runs)
+    assert [_bits(r) for r in records] == expected
+    _assert_same_solves(columns, sources)
     assert 0 < simulator._curve_points <= engine_module._CURVE_POINTS
     # Equal kernel objects share one shape.
     names = {(tuple(k.name for k in kernels), state.key()) for kernels, state, _ in runs}
@@ -403,7 +453,7 @@ def test_remembered_power_curves_match_the_lockstep_oracle(monkeypatch, spec_nam
     simulator = PerformanceSimulator(spec, noise=noise)
     recency: dict[tuple, None] = {}
     rebuilt = 0
-    for run, want in zip(runs, expected):
+    for run, want, batched in zip(runs, expected, columns._runs):
         kernels, state, cap = run
         key = simulator._run_key(tuple(kernels), state, float(cap))
         if key not in simulator._run_cache:
@@ -411,7 +461,9 @@ def test_remembered_power_curves_match_the_lockstep_oracle(monkeypatch, spec_nam
                 rebuilt += 1
             recency.pop(key[:2], None)
             recency[key[:2]] = None
-        assert _bits(simulator.co_run(*run)) == want
+        (record,), (source,) = _scalar_loop(simulator, [run])
+        assert _bits(record) == want
+        assert source is None or _solved(source) == _solved(batched)
         shapes = simulator._shapes
         points = sum(len(shape.power) for shape in shapes.values())
         assert simulator._curve_points == points <= bound
@@ -441,12 +493,13 @@ def _check_shape_against_oracle(simulator, kernels, state):
 
     At each of :func:`_oracle_clocks`, and at every clock the governor
     evaluates at the spec's lowest cap, which fills the shape's curve
-    through the engine's own path.  The times are checked through the
-    record the engine builds from them and their loads: each
-    application's time components, elapsed time, DRAM bandwidth fraction,
-    achieved bandwidth and bound must equal the scalar solve's.  Returns
-    the shape.
+    through the engine's own path.  Each application's compute and memory
+    times as the shape solved them, its serial time, the elapsed time of
+    the record the engine builds from them (the simulator is noise-free),
+    the DRAM bandwidth fraction of its load and the record's bound must
+    equal the scalar solve's.  Returns the shape.
     """
+    assert simulator.noise.sigma == 0.0
     spec = simulator.spec
     powered = spec.mig_gpcs
     cap = spec.min_power_cap_w
@@ -455,9 +508,10 @@ def _check_shape_against_oracle(simulator, kernels, state):
     def solution(frequency, power, times):
         record = simulator._measure(shape, state, cap, times, frequency, power).record()
         return tuple(
-            (r.compute_time_s, r.memory_time_s, r.serial_time_s, r.noiseless_elapsed_s,
-             load[3], r.achieved_bandwidth_gbs, r.bound)
-            for r, load in zip(record.per_app, shape.loads(*times))
+            (c, m, s, r.elapsed_s, load[3], r.bound)
+            for c, m, s, r, load in zip(
+                *times, shape.serial, record.per_app, shape.loads(*times)
+            )
         )
 
     def expect(frequency, power, times):
@@ -465,8 +519,7 @@ def _check_shape_against_oracle(simulator, kernels, state):
         assert _bits(power) == _bits(want_power)
         assert _bits(solution(frequency, power, times)) == _bits(tuple(
             (w.components.compute_s, w.components.memory_s, w.components.serial_s,
-             w.elapsed_s, w.dram_bw_fraction, w.dram_bw_fraction * spec.dram_bandwidth_gbs,
-             bound_of(w.components))
+             w.elapsed_s, w.dram_bw_fraction, bound_of(w.components))
             for w in want_solved
         ))
 
@@ -584,16 +637,13 @@ def _scalar_corun_sweep(simulator, groups, states, power_caps):
     measurements = []
     for kernels in groups:
         counters = tuple(simulator.profile(kernel) for kernel in kernels)
-        names = tuple(kernel.name for kernel in kernels)
         for state in states:
             if state.n_apps != len(kernels):
                 continue
             for cap in power_caps:
                 result = simulator.co_run(list(kernels), state, cap)
                 measurements.append(
-                    CoRunMeasurement(
-                        names, counters, state, float(cap), result.relative_performances
-                    )
+                    CoRunMeasurement(counters, state, float(cap), result.relative_performances)
                 )
     return measurements
 

@@ -21,6 +21,19 @@ def engine():
     return PerformanceSimulator(noise=no_noise())
 
 
+def _dram_fractions(engine, kernels, state, frequency):
+    """Each application's DRAM fraction, min(1, memory_full / elapsed), at ``frequency``."""
+    shape = engine._new_shape(state, tuple(kernels))
+    return [load[3] for load in shape.loads(*shape.solve(frequency))]
+
+
+def _solved(engine, kernels, state, cap):
+    """A run's record and the times its shape solved it to, at the governor's clock."""
+    result = engine.co_run(kernels, state, cap)
+    shape = engine._new_shape(state, tuple(kernels))
+    return result, shape.solve(result.relative_frequency)
+
+
 class TestReferenceRun:
     def test_reference_time_positive(self, engine):
         assert engine.reference_time(DEFAULT_SUITE.get("dgemm")) > 0
@@ -58,9 +71,16 @@ class TestSoloRun:
         assert 0.8 < run.relative_performance < 1.0
 
     def test_default_state_and_cap(self, engine):
-        run = engine.solo_run(DEFAULT_SUITE.get("dgemm"))
-        assert run.power_cap_w == engine.spec.default_power_limit_w
-        assert run.state.n_apps == 1
+        kernel = DEFAULT_SUITE.get("dgemm")
+        run = engine.solo_run(kernel)
+        result = engine.co_run(
+            [kernel],
+            solo_state(engine.spec.mig_gpcs, MemoryOption.PRIVATE),
+            engine.spec.default_power_limit_w,
+        )
+        assert run is result.per_app[0]
+        assert result.power_cap_w == engine.spec.default_power_limit_w
+        assert result.state.n_apps == 1
 
     def test_solo_run_rejects_corun_state(self, engine):
         with pytest.raises(SimulationError):
@@ -101,9 +121,9 @@ class TestSoloRun:
 
     def test_power_cap_hurts_tensor_kernel(self, engine):
         kernel = DEFAULT_SUITE.get("hgemm")
-        low = engine.solo_run(kernel, solo_state(7, MemoryOption.SHARED), 150)
-        high = engine.solo_run(kernel, solo_state(7, MemoryOption.SHARED), 250)
-        assert low.relative_performance < 0.85 * high.relative_performance
+        low = engine.co_run([kernel], solo_state(7, MemoryOption.SHARED), 150)
+        high = engine.co_run([kernel], solo_state(7, MemoryOption.SHARED), 250)
+        assert low.per_app[0].relative_performance < 0.85 * high.per_app[0].relative_performance
         assert low.relative_frequency < high.relative_frequency
 
     def test_power_cap_ignored_by_memory_kernel(self, engine):
@@ -113,18 +133,26 @@ class TestSoloRun:
         assert low.relative_performance == pytest.approx(high.relative_performance, rel=0.03)
 
     def test_run_result_fields_are_consistent(self, engine):
-        run = engine.solo_run(DEFAULT_SUITE.get("srad"), solo_state(4, MemoryOption.PRIVATE), 210)
+        kernel = DEFAULT_SUITE.get("srad")
+        state = solo_state(4, MemoryOption.PRIVATE)
+        result, ((compute,), (memory,)) = _solved(engine, [kernel], state, 210)
+        run = result.per_app[0]
         assert run.kernel_name == "srad"
-        assert run.relative_performance == pytest.approx(run.reference_s / run.elapsed_s)
-        assert run.elapsed_s == run.noiseless_elapsed_s  # no-noise engine
+        assert run.relative_performance == engine.reference_time(kernel) / run.elapsed_s
+        # The no-noise engine measures the roofline elapsed time.
+        assert run.elapsed_s == max(compute, memory) + kernel.serial_time_s
         assert run.bound in ("compute", "memory", "serial")
-        assert 0 < run.relative_frequency <= 1.0
+        assert 0 < result.relative_frequency <= 1.0
         assert run.chip_power_w <= 210 + 1e-6
-        assert run.achieved_bandwidth_gbs <= engine.spec.dram_bandwidth_gbs + 1e-6
+        (dram,) = _dram_fractions(engine, [kernel], state, result.relative_frequency)
+        assert dram * engine.spec.dram_bandwidth_gbs <= engine.spec.dram_bandwidth_gbs + 1e-6
 
     def test_slowdown(self, engine):
-        run = engine.solo_run(DEFAULT_SUITE.get("dgemm"), solo_state(4, MemoryOption.PRIVATE), 250)
-        assert run.slowdown == pytest.approx(1 / run.relative_performance)
+        # The slowdown against the exclusive full-GPU run is 1 / RPerf.
+        kernel = DEFAULT_SUITE.get("dgemm")
+        run = engine.solo_run(kernel, solo_state(4, MemoryOption.PRIVATE), 250)
+        slowdown = run.elapsed_s / engine.reference_time(kernel)
+        assert slowdown == pytest.approx(1 / run.relative_performance)
 
 
 class TestCoRun:
@@ -176,8 +204,10 @@ class TestCoRun:
     def test_bandwidth_contention_between_memory_kernels(self, engine):
         """Two memory-bound kernels sharing the chip cannot both keep full
         bandwidth: the sum of their achieved bandwidth stays below the peak."""
-        result = engine.co_run(list(corun_pair("MI-MI2").kernels()), S1, 250)
-        total = sum(r.achieved_bandwidth_gbs for r in result.per_app)
+        kernels = list(corun_pair("MI-MI2").kernels())
+        result = engine.co_run(kernels, S1, 250)
+        fractions = _dram_fractions(engine, kernels, S1, result.relative_frequency)
+        total = sum(fraction * engine.spec.dram_bandwidth_gbs for fraction in fractions)
         assert total <= engine.spec.dram_bandwidth_gbs * 1.01
         assert all(r.relative_performance < 0.8 for r in result.per_app)
 
@@ -192,10 +222,15 @@ class TestNoiseIntegration:
         noisy = PerformanceSimulator(noise=NoiseModel(sigma=0.05, seed=3))
         clean = PerformanceSimulator(noise=no_noise())
         kernel = DEFAULT_SUITE.get("dgemm")
-        noisy_run = noisy.solo_run(kernel, solo_state(4, MemoryOption.PRIVATE), 250)
-        clean_run = clean.solo_run(kernel, solo_state(4, MemoryOption.PRIVATE), 250)
-        assert noisy_run.noiseless_elapsed_s == pytest.approx(clean_run.elapsed_s)
-        assert noisy_run.elapsed_s != clean_run.elapsed_s
+        state = solo_state(4, MemoryOption.PRIVATE)
+        noisy_result, noisy_times = _solved(noisy, [kernel], state, 250)
+        clean_result, clean_times = _solved(clean, [kernel], state, 250)
+        # Both engines solve the same times; the noise scales only the measurement.
+        assert noisy_result.relative_frequency == clean_result.relative_frequency
+        assert noisy_times == clean_times
+        ((compute,), (memory,)) = clean_times
+        assert clean_result.per_app[0].elapsed_s == max(compute, memory) + kernel.serial_time_s
+        assert noisy_result.per_app[0].elapsed_s != clean_result.per_app[0].elapsed_s
 
     def test_noisy_measurements_are_reproducible(self):
         sim_a = PerformanceSimulator(noise=NoiseModel(sigma=0.05, seed=3))

@@ -6,9 +6,24 @@ import pytest
 
 import repro.sim.engine as engine_module
 from repro.errors import SimulationError
+from repro.gpu.mig import MemoryOption, solo_state
 from repro.gpu.spec import A100_SPEC
-from repro.sim.roofline import TimeComponents, bound_of, elapsed_time
+from repro.sim.engine import PerformanceSimulator
+from repro.sim.noise import no_noise
+from repro.sim.roofline import TimeComponents, bound_of
+from repro.workloads.kernel import KernelCharacteristics
 from repro.workloads.suite import DEFAULT_SUITE
+
+
+def _solo_elapsed(compute, memory, serial):
+    """A noiseless solo run's elapsed time on the private 7-GPC instance,
+    and its roofline composition from the kernel's times at the run's clock."""
+    kernel = KernelCharacteristics("k", compute, memory, serial)
+    result = PerformanceSimulator(noise=no_noise()).co_run(
+        [kernel], solo_state(A100_SPEC.mig_gpcs, MemoryOption.PRIVATE)
+    )
+    scaled = compute * (A100_SPEC.n_gpcs / A100_SPEC.mig_gpcs) / result.relative_frequency
+    return result.per_app[0].elapsed_s, max(scaled, memory) + serial
 
 
 class TestTimeComponents:
@@ -17,12 +32,13 @@ class TestTimeComponents:
             TimeComponents(-0.1, 0.2, 0.0)
 
     def test_elapsed_is_max_plus_serial(self):
-        components = TimeComponents(0.8, 0.3, 0.1)
-        assert elapsed_time(components) == pytest.approx(0.9)
+        elapsed, composed = _solo_elapsed(0.8, 0.3, 0.1)
+        assert elapsed == composed
 
     def test_memory_bound_elapsed(self):
-        components = TimeComponents(0.2, 0.9, 0.05)
-        assert elapsed_time(components) == pytest.approx(0.95)
+        # The full instance keeps every memory slice: memory time is unscaled.
+        elapsed, composed = _solo_elapsed(0.2, 0.9, 0.05)
+        assert elapsed == composed == 0.9 + 0.05
 
 
 class TestBoundClassification:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.traces import (
     Trace,
     TraceEntry,
@@ -160,6 +160,29 @@ class TestBurstyGenerator:
         # An infinite mean burst never stops drawing jobs.
         with pytest.raises(TraceError, match="mean_burst_size"):
             bursty_trace(1.0, size, duration_s=5.0)
+
+
+#: Values a count must refuse: fractional, a bool, NaN.
+_NOT_COUNTS = [2.5, True, math.nan]
+
+
+@pytest.mark.parametrize("value", _NOT_COUNTS)
+@pytest.mark.parametrize("knob", ["n_jobs", "seed"])
+def test_generator_counts_must_be_integers(knob, value):
+    # 2.5 jobs used to give 3, True one job, and seed 2.7 a trace of its own.
+    with pytest.raises(ConfigurationError, match=knob):
+        poisson_trace(1.0, duration_s=1e9, **{"n_jobs": 3, knob: value})
+    with pytest.raises(ConfigurationError, match=knob):
+        bursty_trace(1.0, 2.0, duration_s=1e9, **{"n_jobs": 3, knob: value})
+
+
+def test_generator_counts_accept_integer_types():
+    import numpy as np
+
+    assert poisson_trace(1.0, n_jobs=np.int64(4), seed=np.int64(7)).entries == (
+        poisson_trace(1.0, n_jobs=4, seed=7).entries
+    )
+    assert bursty_trace(1.0, 2.0, duration_s=1e9, n_jobs=np.int64(4), seed=-3).n_jobs == 4
 
 
 class TestLoader:

@@ -321,7 +321,6 @@ def _wide_measurements():
             for cap in caps:
                 corun.append(
                     CoRunMeasurement(
-                        kernel_names=tuple(kernel.name for kernel in group),
                         counters=counters,
                         state=state,
                         power_cap_w=cap,

@@ -179,13 +179,6 @@ class TestSignature:
         assert first is not second and first == second
         assert first.signature == second.signature
 
-    def test_report_fields_stay_out_of_the_signature(self):
-        # The solve never reads the description or tags, so kernels that
-        # differ only there share the engine's memo entries.
-        labelled = make_kernel(description="a label", tags=("gemm",))
-        assert labelled != make_kernel()
-        assert labelled.signature == make_kernel().signature
-
 
 class TestWorkloadClassEnum:
     def test_four_classes(self):

@@ -82,15 +82,6 @@ class TestDefaultSuite:
         assert len(subset) == 2
         assert "kmeans" not in subset
 
-    def test_with_tag_filters(self):
-        def tagged(tag):
-            return [name for name in DEFAULT_SUITE if tag in DEFAULT_SUITE.get(name).tags]
-
-        # The "gemm" tag marks exactly the nine CUTLASS GEMM kernels.
-        gemms = tagged("gemm")
-        assert len(gemms) == 9
-        assert gemms == tagged("cutlass") == [name for name in DEFAULT_SUITE if "gemm" in name]
-
     def test_build_default_suite_is_fresh(self):
         fresh = build_default_suite()
         assert fresh.names() == DEFAULT_SUITE.names()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.workloads.classification import classify_kernel
 from repro.workloads.kernel import WorkloadClass
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
@@ -58,3 +59,10 @@ def test_tensor_kernels_only_in_ti_class():
     ci = generator.sample_class(WorkloadClass.CI)
     assert ti.uses_tensor_cores
     assert not ci.uses_tensor_cores
+
+
+@pytest.mark.parametrize("seed", [2.7, True, float("nan"), -1])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # NumPy used to raise a bare TypeError (or ValueError) here.
+    with pytest.raises(ConfigurationError, match="seed"):
+        SyntheticWorkloadGenerator(seed)
